@@ -205,13 +205,16 @@ def doubling_check(window: WindowedSpace, F: Iterable, R: int) -> ParadoxWitness
     order = {p: i for i, p in enumerate(sorted(space.points, key=repr))}
     net = FlowNetwork()
     big = 2 * len(Fs) + 1
-    target_arcs: dict[tuple, int] = {}
+    # per x, its (y, arc) pairs in ascending order of y
+    target_arcs: dict = {}
     targets: set = set()
     for x in sorted(Fs, key=order.__getitem__):
         net.add_edge("s", ("L", x), 2)
-        for y in sorted(ball(space, x, R), key=order.__getitem__):
-            target_arcs[(x, y)] = net.add_edge(("L", x), ("R", y), big)
-            targets.add(y)
+        target_arcs[x] = [
+            (y, net.add_edge(("L", x), ("R", y), big))
+            for y in sorted(ball(space, x, R), key=order.__getitem__)
+        ]
+        targets.update(y for y, _ in target_arcs[x])
     for y in sorted(targets, key=order.__getitem__):
         net.add_edge(("R", y), "t", 1)
 
@@ -220,10 +223,7 @@ def doubling_check(window: WindowedSpace, F: Iterable, R: int) -> ParadoxWitness
         phi1: dict = {}
         phi2: dict = {}
         for x in Fs:
-            hits = sorted(
-                (y for (xx, y), e in target_arcs.items() if xx == x and net.flow_on(e) > 0),
-                key=order.__getitem__,
-            )
+            hits = [y for y, e in target_arcs[x] if net.flow_on(e) > 0]
             assert len(hits) == 2, "flow decomposition must give two targets"
             phi1[x], phi2[x] = hits
         return ParadoxWitness(phi1=phi1, phi2=phi2, R=R)

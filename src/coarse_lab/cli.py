@@ -100,8 +100,10 @@ class Emitter:
         if not self.json_only:
             print(line)
 
-    def finish(self, result: dict, code: int) -> int:
+    def finish(self, result: dict, code: int, stats: dict | None = None) -> int:
         self.report["result"] = result
+        if stats is not None:
+            self.report["stats"] = stats
         self.report["exit_code"] = code
         text = dump_json(self.report, self.out)
         if self.json_only:
@@ -314,6 +316,7 @@ def cmd_homology_fill(args) -> int:
     return em.finish(
         {"outcome": "filled", "norm": res.norm, "chain": one_chain_to_dict(res.chain)},
         OK,
+        {"solves": res.solves, "nodes": res.nodes, "arcs": res.arcs},
     )
 
 

@@ -4,6 +4,12 @@ Nodes are arbitrary hashable labels added in a deterministic order; all
 capacities are nonnegative integers, so every maximum flow found here is
 integral.  This backs both the doubling matchings and the transshipment
 feasibility solves.
+
+``max_flow`` is iterative, so its stack does not grow with the length of
+an augmenting path, and warm-startable: it augments whatever flow the
+network already holds.  Raising capacities with ``raise_capacity`` keeps
+that flow feasible, so a parametric caller re-solves the same residual
+network instead of building a new one.
 """
 
 from __future__ import annotations
@@ -46,46 +52,72 @@ class FlowNetwork:
     def flow_on(self, e: int) -> int:
         return self.cap[e ^ 1]
 
+    def raise_capacity(self, e: int, capacity: int) -> None:
+        """Raise arc e's capacity to ``capacity``, keeping the flow it carries."""
+        grow = capacity - self.cap[e] - self.cap[e ^ 1]
+        if grow < 0:
+            raise ValueError("capacity may only be raised")
+        self.cap[e] += grow
+
     def max_flow(self, source, sink) -> int:
+        """Augment the current flow to a maximum one; return the value added.
+
+        Each phase builds BFS levels and then finds a blocking flow by a
+        depth-first search kept on an explicit path, with one current-arc
+        pointer per node.  Arcs are tried in insertion order, so a solve on a
+        fresh network routes the same flow every time.
+        """
         s, t = self.node(source), self.node(sink)
-        n = len(self.labels)
-        total = 0
-        INF = float("inf")
+        adj, to, cap = self.adj, self.to, self.cap
+        n = len(adj)
+        added = 0
         while True:
             level = [-1] * n
             level[s] = 0
             queue = deque([s])
-            while queue:
+            # nodes at the sink's level or beyond are dead ends: stop there
+            while queue and level[t] < 0:
                 u = queue.popleft()
-                for e in self.adj[u]:
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
+                nxt = level[u] + 1
+                for e in adj[u]:
+                    v = to[e]
+                    if cap[e] > 0 and level[v] < 0:
+                        level[v] = nxt
                         queue.append(v)
             if level[t] < 0:
-                return total
+                return added
             it = [0] * n
-
-            def dfs(u: int, pushed):
-                if u == t:
-                    return pushed
-                while it[u] < len(self.adj[u]):
-                    e = self.adj[u][it[u]]
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[e]))
-                        if got:
-                            self.cap[e] -= got
-                            self.cap[e ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
+            path: list[int] = []  # arcs of the current search path from s
+            u = s
             while True:
-                pushed = dfs(s, INF)
-                if not pushed:
+                if u == t:
+                    pushed = min(cap[e] for e in path)
+                    for e in path:
+                        cap[e] -= pushed
+                        cap[e ^ 1] += pushed
+                    added += pushed
+                    # a fresh search from s would retrace the path up to its
+                    # first saturated arc, so resume at that arc's tail
+                    i = 0
+                    while cap[path[i]]:
+                        i += 1
+                    u = to[path[i] ^ 1]
+                    del path[i:]
+                    continue
+                arcs = adj[u]
+                i = it[u]
+                want = level[u] + 1
+                while i < len(arcs) and not (cap[arcs[i]] > 0 and level[to[arcs[i]]] == want):
+                    i += 1
+                it[u] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    u = to[arcs[i]]
+                elif path:
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
+                else:
                     break
-                total += pushed
 
     def source_side(self, source) -> set:
         """Labels reachable from the source in the residual graph (a min cut)."""

@@ -79,8 +79,17 @@ class InfeasibleFill(ValueError):
 
 @dataclass
 class FillResult:
+    """A minimum sup-norm filler, with counters of the solve that found it.
+
+    ``solves`` is the number of max-flow calls, ``nodes`` and ``arcs`` the
+    size of the one transshipment network they shared.
+    """
+
     chain: OneChain
     norm: int
+    solves: int = 0
+    nodes: int = 0
+    arcs: int = 0
 
 
 def apply_boundary(h: OneChain) -> ZeroChain:
@@ -92,11 +101,11 @@ def apply_boundary(h: OneChain) -> ZeroChain:
     return ZeroChain(out)
 
 
-def _pair_components(window: WindowedSpace, P: int) -> list[set]:
-    space = window.space
+def _pair_components(balls: dict) -> list[set]:
+    """Components of the graph joining each point to its P-ball."""
     seen: set = set()
     components = []
-    for start in sorted(space.points, key=repr):
+    for start in sorted(balls, key=repr):
         if start in seen:
             continue
         comp = {start}
@@ -104,7 +113,7 @@ def _pair_components(window: WindowedSpace, P: int) -> list[set]:
         while frontier:
             nxt = []
             for p in frontier:
-                for q in ball(space, p, P):
+                for q in balls[p]:
                     if q not in comp:
                         comp.add(q)
                         nxt.append(q)
@@ -114,16 +123,15 @@ def _pair_components(window: WindowedSpace, P: int) -> list[set]:
     return components
 
 
-def _build_network(window: WindowedSpace, nodes: set, coeffs: dict, P: int, bound: int):
-    """Transshipment feasibility network at a given sup-norm bound."""
-    space = window.space
+def _build_network(window: WindowedSpace, nodes: set, balls: dict, coeffs: dict):
+    """Transshipment feasibility network at sup-norm bound 1."""
     net = FlowNetwork()
     pair_arcs: dict = {}
     snodes = sorted(nodes, key=repr)
     for p in snodes:
-        for q in sorted(ball(space, p, P), key=repr):
+        for q in sorted(balls[p], key=repr):
             if q != p and q in nodes:
-                pair_arcs[(p, q)] = net.add_edge(p, q, bound)
+                pair_arcs[(p, q)] = net.add_edge(p, q, 1)
     demand = 0
     total = 0
     for p in snodes:
@@ -148,13 +156,6 @@ def _build_network(window: WindowedSpace, nodes: set, coeffs: dict, P: int, boun
     return net, pair_arcs, demand
 
 
-def _feasible(window: WindowedSpace, nodes: set, coeffs: dict, P: int, bound: int):
-    net, pair_arcs, demand = _build_network(window, nodes, coeffs, P, bound)
-    if net.max_flow("s", "t") < demand:
-        return None
-    return net, pair_arcs
-
-
 def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
     """Fill c by a one chain of propagation P with the least possible sup norm.
 
@@ -162,10 +163,18 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
     depth, so mass exiting through the halo behaves as it would in the
     ambient space.  Raises :class:`InfeasibleFill` when some component of
     the distance-P graph lies entirely in the core yet carries nonzero
-    total mass; otherwise the optimum is found by binary search on the
-    bound, with max-flow integrality providing an integer filler.  The
-    filler is canonicalised to net flows: at most one of h(x,y), h(y,x) is
-    nonzero.
+    total mass.
+
+    Otherwise one transshipment network is built, with every pair arc at
+    bound 1, and solved by max flow.  While the flow falls short of the
+    demand, the min cut of the residual network, with k pair arcs and
+    ``fixed`` capacity on its other arcs, shows that every feasible bound b
+    has fixed + k*b >= demand.  So the bound is raised to
+    ceil((demand - fixed) / k) and the same residual network is solved
+    again from its current flow.  Each bound tried is a lower bound on the
+    optimum, so the first feasible one is the exact optimum, and max-flow
+    integrality gives an integer filler.  The filler is canonicalised to
+    net flows: at most one of h(x,y), h(y,x) is nonzero.
     """
     if P < 1:
         raise ValueError("propagation must be a positive integer")
@@ -179,8 +188,10 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
     if not c.coeffs:
         return FillResult(OneChain({}, P), 0)
 
+    space = window.space
+    balls = {p: ball(space, p, P) for p in space.points}
     relevant: set = set()
-    for comp in _pair_components(window, P):
+    for comp in _pair_components(balls):
         if not comp & c.support():
             continue
         if not comp & window.halo:
@@ -189,19 +200,22 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
                 raise InfeasibleFill(sorted(comp, key=repr), total)
         relevant |= comp
 
-    hi = sum(abs(v) for v in c.coeffs.values())
-    lo = 1
-    best = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        got = _feasible(window, relevant, c.coeffs, P, mid)
-        if got is not None:
-            best = (mid, got)
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    assert best is not None, "total mass bound must be feasible"
-    norm, (net, pair_arcs) = best
+    # a nonzero chain needs some nonzero pair, so 1 is a lower bound
+    norm = 1
+    net, pair_arcs, demand = _build_network(window, relevant, balls, c.coeffs)
+    flow = net.max_flow("s", "t")
+    solves = 1
+    while flow < demand:
+        side = net.source_side("s")
+        k = sum(1 for x, y in pair_arcs if x in side and y not in side)
+        assert k > 0, "a cut without pair arcs would make every bound infeasible"
+        # the cut's capacity, fixed + k*norm, equals the flow, and a feasible
+        # bound b needs fixed + k*b >= demand
+        norm += -(-(demand - flow) // k)
+        for e in pair_arcs.values():
+            net.raise_capacity(e, norm)
+        flow += net.max_flow("s", "t")
+        solves += 1
 
     flows: dict = {}
     for (x, y), e in pair_arcs.items():
@@ -223,4 +237,4 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
     assert chain.sup_norm() <= norm
     got = apply_boundary(chain).restricted_to(window.core)
     assert got == c.restricted_to(window.core), "fill does not bound the chain"
-    return FillResult(chain, norm)
+    return FillResult(chain, norm, solves, len(net.labels), len(net.to) // 2)

@@ -171,6 +171,30 @@ def test_homology_fill_cli(tmp_path, capsys, zwindow):
     assert "norm 1" in out
 
 
+def test_homology_fill_cli_on_long_path(tmp_path, capsys):
+    window = write(
+        tmp_path / "path.json",
+        {"interval": {"lo": 0, "hi": 2999, "halo_depth": 0}},
+    )
+    chain = write(tmp_path / "chain.json", {"coeffs": {"0": 1, "2999": -1}})
+    code, out, _ = run(capsys, "--json", "homology-fill", "--in", window, "--chain", chain, "--P", "1")
+    assert code == 0
+    assert json.loads(out)["result"]["norm"] == 1
+
+
+def test_homology_fill_reports_stable_solve_stats(tmp_path, capsys, zwindow):
+    chain = write(tmp_path / "chain.json", {"coeffs": {str(i): 1 for i in range(-20, 21)}})
+    outs = []
+    for _ in range(2):
+        code, out, _ = run(capsys, "--json", "homology-fill", "--in", zwindow, "--chain", chain, "--P", "2")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    stats = json.loads(outs[0])["stats"]
+    assert sorted(stats) == ["arcs", "nodes", "solves"]
+    assert stats["solves"] >= 1 and stats["nodes"] > 0 and stats["arcs"] > 0
+
+
 def test_monoid_cli_verdicts(tmp_path, capsys):
     pres = write(
         tmp_path / "num23.json",

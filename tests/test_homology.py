@@ -103,6 +103,58 @@ def test_fill_agrees_with_scan_oracle():
         assert apply_boundary(res.chain).restricted_to(w.core) == c
 
 
+def random_chain(rng: random.Random, points) -> ZeroChain:
+    support = rng.sample(sorted(points, key=repr), rng.randint(1, 6))
+    return ZeroChain({p: rng.choice([-3, -2, -1, 1, 2, 3]) for p in support})
+
+
+def assert_canonical_fill(res, w, c):
+    assert apply_boundary(res.chain).restricted_to(w.core) == c
+    assert res.chain.sup_norm() == res.norm
+    for (x, y) in res.chain.coeffs:
+        assert (y, x) not in res.chain.coeffs
+
+
+@pytest.mark.parametrize("P", [1, 2, 3])
+def test_parametric_norm_matches_scan_on_lines(P):
+    rng = random.Random(100 + P)
+    w = integer_window(0, 12, 3)
+    for _ in range(10):
+        c = random_chain(rng, w.core)
+        res = min_norm_fill(w, c, P)
+        assert res.norm == min_fill_norm_by_scan(w, c.coeffs, P)
+        assert_canonical_fill(res, w, c)
+
+
+def test_parametric_norm_matches_scan_on_trees():
+    rng = random.Random(5)
+    w = regular_tree_window(3, 3, 1)
+    for _ in range(10):
+        c = random_chain(rng, w.core)
+        res = min_norm_fill(w, c, 1)
+        assert res.norm == min_fill_norm_by_scan(w, c.coeffs, 1)
+        assert_canonical_fill(res, w, c)
+
+
+def test_fill_dipole_on_long_path():
+    w = integer_window(0, 2999, 0)
+    c = ZeroChain({0: 1, 2999: -1})
+    res = min_norm_fill(w, c, 1)
+    assert res.norm == 1
+    assert res.solves == 1
+    assert apply_boundary(res.chain) == c
+
+
+def test_fill_is_deterministic():
+    cases = [
+        (integer_window(0, 15, 3), ZeroChain({i: 1 for i in range(16)}), 2),
+        (regular_tree_window(3, 4, 1), ZeroChain({"v": 5, "v0": -2}), 1),
+    ]
+    for w, c, P in cases:
+        first, second = min_norm_fill(w, c, P), min_norm_fill(w, c, P)
+        assert first == second
+
+
 def test_fill_infeasible_component():
     # two components: core points {0..4} have no halo contact in a window
     # whose halo sits across a gap wider than P
