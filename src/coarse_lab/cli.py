@@ -11,13 +11,14 @@ bytes.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import __version__
 from .acceptance import CRITERIA, run_criteria
 from .amenability import ParadoxWitness, doubling_check, folner_search
 from .castle import (
+    Castle,
+    Tower,
     castle_from_tiling,
     compare,
     invariance_defect,
@@ -56,6 +57,7 @@ from .serialize import (
     window_from_spec,
     zero_chain_from_dict,
 )
+from .space import ball, outer_boundary
 from .tiling import (
     PartitionError,
     tile_box_space,
@@ -66,17 +68,6 @@ from .tiling import (
 )
 
 OK, NEGATIVE, USAGE = 0, 1, 2
-
-
-def _threads() -> int:
-    raw = os.environ.get("COARSE_LAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SchemaError(f"COARSE_LAB_THREADS={raw!r} is not an integer") from None
-    if n < 1:
-        raise SchemaError("COARSE_LAB_THREADS must be at least 1")
-    return n
 
 
 class Emitter:
@@ -93,7 +84,6 @@ class Emitter:
                 if k not in ("func", "json", "out") and v is not None
             },
             "seed": args.seed,
-            "threads": _threads(),
         }
 
     def say(self, line: str):
@@ -134,8 +124,6 @@ def cmd_boundary(args) -> int:
     window = _load_window(args.infile)
     codec = PointCodec(window.space)
     F = _point_set(args, codec)
-    from .space import outer_boundary
-
     bd = outer_boundary(window.space, F, args.R)
     contaminated = bool(bd & window.halo)
     em.say(f"outer {args.R}-boundary has {len(bd)} points"
@@ -154,8 +142,6 @@ def cmd_ball(args) -> int:
     em = Emitter(args, "ball")
     window = _load_window(args.infile)
     codec = PointCodec(window.space)
-    from .space import ball
-
     b = ball(window.space, codec.decode(args.center), args.R)
     em.say(f"ball of radius {args.R} around {args.center} has {len(b)} points")
     return em.finish(
@@ -327,8 +313,6 @@ def _load_castle(args, codec=None):
 def cmd_castle_validate(args) -> int:
     em = Emitter(args, "castle validate")
     data = load_json(args.infile)
-    from .castle import Castle, Tower
-
     towers = [
         Tower(td.get("height", 0), tuple(tuple(col) for col in td.get("columns", [])))
         for td in data.get("towers", [])
@@ -434,18 +418,24 @@ def cmd_castle_from_tiling(args) -> int:
     )
 
 
-def _verdict_result(v) -> dict:
+def _verdict_result(v, op: str) -> dict:
+    """JSON form of a verdict from the monoid operation ``op``.
+
+    The operation fixes the certificate's form: ``equal`` gives a rewrite
+    path, ``leq`` a :class:`LeqCertificate` and ``canc`` a (z, path) pair.
+    """
     out = {"verdict": v.kind, "detail": v.detail}
-    if v.certificate is not None:
-        cert = v.certificate
-        if hasattr(cert, "z"):
-            out["z"] = list(cert.z)
-            out["path"] = [[ri, fwd] for ri, fwd in cert.path]
-        elif isinstance(cert, tuple) and len(cert) == 2 and isinstance(cert[0], tuple):
-            out["z"] = list(cert[0])
-            out["path"] = [[ri, fwd] for ri, fwd in cert[1]]
-        else:
-            out["path"] = [[ri, fwd] for ri, fwd in cert]
+    if v.certificate is None:
+        return out
+    if op == "equal":
+        z, path = None, v.certificate
+    elif op == "leq":
+        z, path = v.certificate.z, v.certificate.path
+    else:
+        z, path = v.certificate
+    if z is not None:
+        out["z"] = list(z)
+    out["path"] = [[ri, fwd] for ri, fwd in path]
     return out
 
 
@@ -457,11 +447,11 @@ def cmd_monoid(args) -> int:
     if op == "equal":
         v = equal(p, vector_from_arg(args.u), vector_from_arg(args.v), depth, cap)
         em.say(f"{v.kind}: {v.detail}")
-        return em.finish(_verdict_result(v), OK if v.yes else NEGATIVE)
+        return em.finish(_verdict_result(v, "equal"), OK if v.yes else NEGATIVE)
     if op == "leq":
         v = leq(p, vector_from_arg(args.u), vector_from_arg(args.v), depth, zcap, cap)
         em.say(f"{v.kind}: {v.detail}")
-        return em.finish(_verdict_result(v), OK if v.yes else NEGATIVE)
+        return em.finish(_verdict_result(v, "leq"), OK if v.yes else NEGATIVE)
     if op == "aup":
         res = check_almost_unperforated(p, args.xcap, args.nmax, depth, zcap, cap)
         if res.found:
@@ -476,8 +466,8 @@ def cmd_monoid(args) -> int:
                     "x": list(ce.x),
                     "y": list(ce.y),
                     "n": ce.n,
-                    "scaled_leq": _verdict_result(ce.scaled_leq),
-                    "plain_leq": _verdict_result(ce.plain_leq),
+                    "scaled_leq": _verdict_result(ce.scaled_leq, "leq"),
+                    "plain_leq": _verdict_result(ce.plain_leq, "leq"),
                     "region": res.region,
                 },
                 NEGATIVE,
@@ -489,7 +479,7 @@ def cmd_monoid(args) -> int:
         em.say(f"2x <= x: {res.verdict.kind}; least doubling multiple: {res.least_multiple}")
         return em.finish(
             {
-                "verdict": _verdict_result(res.verdict),
+                "verdict": _verdict_result(res.verdict, "leq"),
                 "least_multiple": res.least_multiple,
             },
             OK if res.verdict.yes else NEGATIVE,
@@ -516,7 +506,7 @@ def cmd_monoid(args) -> int:
     if op == "canc":
         v = cancellative_equal(p, vector_from_arg(args.u), vector_from_arg(args.v), depth, zcap, cap)
         em.say(f"{v.kind}: {v.detail}")
-        return em.finish(_verdict_result(v), OK if v.yes else NEGATIVE)
+        return em.finish(_verdict_result(v, "canc"), OK if v.yes else NEGATIVE)
     raise SchemaError(f"unknown monoid operation {op!r}")
 
 

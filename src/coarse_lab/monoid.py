@@ -43,10 +43,6 @@ class MonoidPresentation:
             if any(v < 0 for v in lhs + rhs):
                 raise ValueError("relation vectors must be nonnegative")
 
-    @property
-    def free(self) -> bool:
-        return not self.relations
-
 
 def presentation(rank: int, relations: Iterable[Sequence[Sequence[int]]] = ()) -> MonoidPresentation:
     return MonoidPresentation(
@@ -276,38 +272,22 @@ def check_almost_unperforated(
 
     The sweep is ordered by (n, x, y) lexicographically and reports the
     first counterexample, whose Yes and No verdicts both carry their
-    evidence.  A counterexample requires the plain leq to fail strongly:
-    the congruence class of y is completely enumerated and no member
-    dominates x at all.  Refusals that only happen because the witness z
-    would exceed z_cap are skipped, as are truncated searches; neither is
-    a refutation.
+    evidence.  The scaled leq holds within bounds when some member w of the
+    bounded class of ny has (n+1)x <= w <= (n+1)x + z_cap entrywise, that
+    is when x lies in the box ceil((w - z_cap)/(n+1)) <= x <= floor(w/(n+1)).
+    So for each n only the (x, y) pairs inside those boxes are visited, in
+    sorted order, which is the order of the full (x, y) sweep: the first
+    counterexample is the one the full sweep would find.  A counterexample
+    requires the plain leq to fail strongly: the congruence class of y is
+    completely enumerated and no member dominates x at all.  Refusals that
+    only happen because the witness z would exceed z_cap are skipped, as
+    are truncated searches; neither is a refutation.
     """
     region = (
         f"x,y entries <= {x_cap}, 1 <= n <= {n_max}, depth {depth}, "
         f"z_cap {z_cap}, entry cap {entry_cap}"
     )
     vectors = list(product(range(x_cap + 1), repeat=p.rank))
-    if p.free:
-        # in a free commutative monoid both leq checks are plain arithmetic
-        for n in range(1, n_max + 1):
-            for x in vectors:
-                u = vscale(n + 1, x)
-                for y in vectors:
-                    w = vscale(n, y)
-                    if all(a >= b for a, b in zip(w, u)) and max(
-                        (a - b for a, b in zip(w, u)), default=0
-                    ) <= z_cap:
-                        if not all(a <= b for a, b in zip(x, y)):
-                            return AupResult(
-                                AupCounterexample(
-                                    x, y, n,
-                                    leq(p, u, w, depth, z_cap, entry_cap),
-                                    leq(p, x, y, depth, z_cap, entry_cap),
-                                ),
-                                region,
-                            )
-        return AupResult(None, region)
-
     closure_cache: dict[Vector, tuple] = {}
 
     def closure(v: Vector):
@@ -318,35 +298,26 @@ def check_almost_unperforated(
             closure_cache[v] = got
         return got
 
-    def bounded_yes(u: Vector, v: Vector) -> bool:
-        members, _ = closure(v)
-        return any(
-            all(a >= b for a, b in zip(w, u))
-            and max((a - b for a, b in zip(w, u)), default=0) <= z_cap
-            for w in members
-        )
-
-    def strong_no(u: Vector, v: Vector) -> bool:
-        members, complete = closure(v)
-        if not complete:
-            return False
-        return not any(all(a >= b for a, b in zip(w, u)) for w in members)
-
     for n in range(1, n_max + 1):
-        for x in vectors:
-            u = vscale(n + 1, x)
-            for y in vectors:
-                if not bounded_yes(u, vscale(n, y)):
-                    continue
-                if strong_no(x, y):
-                    return AupResult(
-                        AupCounterexample(
-                            x, y, n,
-                            leq(p, u, vscale(n, y), depth, z_cap, entry_cap),
-                            leq(p, x, y, depth, z_cap, entry_cap),
-                        ),
-                        region,
-                    )
+        pairs = set()
+        for y in vectors:
+            for w in closure(vscale(n, y))[0]:
+                box = (
+                    range(max(0, -((z_cap - a) // (n + 1))), min(x_cap, a // (n + 1)) + 1)
+                    for a in w
+                )
+                pairs.update((x, y) for x in product(*box))
+        for x, y in sorted(pairs):
+            members, complete = closure(y)
+            if complete and not any(all(a >= b for a, b in zip(w, x)) for w in members):
+                return AupResult(
+                    AupCounterexample(
+                        x, y, n,
+                        leq(p, vscale(n + 1, x), vscale(n, y), depth, z_cap, entry_cap),
+                        leq(p, x, y, depth, z_cap, entry_cap),
+                    ),
+                    region,
+                )
     return AupResult(None, region)
 
 
@@ -400,12 +371,12 @@ def refinement_instance(
     c: Sequence[int],
     d: Sequence[int],
     depth: int = DEFAULT_DEPTH,
-    cap: int = DEFAULT_ENTRY_CAP,
     entry_cap: int = DEFAULT_ENTRY_CAP,
 ) -> RefinementResult:
     """Bounded search for w,x,y,z refining a + b = c + d into a 2x2 grid.
 
-    The summand w is enumerated in descending lexicographic order, so free
+    The entry cap bounds both the saturations and the entries of w.  The
+    summand w is enumerated in descending lexicographic order, so free
     presentations return the entrywise-minimum decomposition first.
     """
     a = _check_vector(p, a)
@@ -424,7 +395,7 @@ def refinement_instance(
 
     CA, CB, CC, CD = members(a), members(b), members(c), members(d)
     ub = tuple(
-        min(max(m[i] for m in CA), max(m[i] for m in CC), cap)
+        min(max(m[i] for m in CA), max(m[i] for m in CC), entry_cap)
         for i in range(p.rank)
     )
     for w in sorted(product(*(range(u + 1) for u in ub)), reverse=True):
@@ -456,7 +427,7 @@ def refinement_instance(
                 if common:
                     return RefinementResult(True, (w, x, y, common[0]), "found")
     return RefinementResult(
-        False, None, f"no quadruple within entry bound {cap}, depth {depth}"
+        False, None, f"no quadruple within entry bound {entry_cap}, depth {depth}"
     )
 
 

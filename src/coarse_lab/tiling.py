@@ -77,7 +77,6 @@ class TilingReport:
     so the window cannot speak for the ambient space there.
     """
 
-    partition_ok: bool
     tiles: list[TileReport]
     max_ratio: Fraction
     max_diameter: int
@@ -366,7 +365,6 @@ def verify_tiling(t: Tiling) -> TilingReport:
     max_ratio = max((r.ratio for r in reports if not r.contaminated), default=Fraction(0))
     max_diam = max((r.diameter for r in reports), default=0)
     return TilingReport(
-        partition_ok=True,
         tiles=reports,
         max_ratio=max_ratio,
         max_diameter=max_diam,

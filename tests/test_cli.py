@@ -209,6 +209,23 @@ def test_monoid_cli_verdicts(tmp_path, capsys):
     assert "counterexample" in out
 
 
+def test_monoid_equal_two_step_path(tmp_path, capsys):
+    # 6a = 3a + 3a -> 2b + 3a -> 4b takes two rewrites; a two-step path
+    # has the shape of a (z, path) pair, so the operation must decide
+    pres = write(
+        tmp_path / "num23.json",
+        {"rank": 2, "relations": [[[3, 0], [0, 2]]]},
+    )
+    code, out, _ = run(
+        capsys, "--json", "monoid", "equal", "--in", pres, "--u", "6,0", "--v", "0,4"
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["verdict"] == "yes"
+    assert result["path"] == [[0, True], [0, True]]
+    assert "z" not in result
+
+
 def test_monoid_pinf_cli(tmp_path, capsys):
     pres = write(tmp_path / "idem.json", {"rank": 1, "relations": [[[2], [1]]]})
     code, out, _ = run(capsys, "monoid", "pinf", "--in", pres, "--x", "1")

@@ -4,6 +4,8 @@ from itertools import product
 import pytest
 
 from coarse_lab.monoid import (
+    DEFAULT_STATE_CAP,
+    _saturate,
     cancellative_equal,
     check_almost_unperforated,
     equal,
@@ -145,12 +147,54 @@ def test_aup_counterexample_found_at_small_bounds():
         assert (ce.x, ce.y, ce.n) == ((1, 0), (0, 1), 2)
 
 
-def test_aup_fast_path_matches_generic():
-    # a degenerate relation forces the generic code path on a free monoid
+def test_aup_free_and_trivially_related_agree():
+    # a relation that rewrites a vector to itself leaves the monoid free
     free_like = presentation(2, [[(1, 1), (1, 1)]])
-    fast = check_almost_unperforated(FREE2, x_cap=3, n_max=2)
-    slow = check_almost_unperforated(free_like, x_cap=3, n_max=2)
-    assert fast.found == slow.found == False  # noqa: E712
+    free = check_almost_unperforated(FREE2, x_cap=3, n_max=2)
+    related = check_almost_unperforated(free_like, x_cap=3, n_max=2)
+    assert free.found == related.found == False  # noqa: E712
+
+
+def _first_aup_triple(p, x_cap, n_max, depth, z_cap, entry_cap):
+    # every (n, x, y) in lexicographic order, each leq decided afresh
+    vectors = list(product(range(x_cap + 1), repeat=p.rank))
+    for n in range(1, n_max + 1):
+        for x in vectors:
+            for y in vectors:
+                if not leq(p, vscale(n + 1, x), vscale(n, y), depth, z_cap, entry_cap).yes:
+                    continue
+                parents, complete, _ = _saturate(p, y, depth, entry_cap, DEFAULT_STATE_CAP)
+                if complete and not any(all(a >= b for a, b in zip(w, x)) for w in parents):
+                    return x, y, n
+    return None
+
+
+def test_aup_sweep_agrees_with_triple_loop():
+    rng = random.Random(44)
+    found = 0
+    for _ in range(50):
+        rank = rng.randint(1, 3)
+        relations = [
+            [tuple(rng.randint(0, 3) for _ in range(rank)) for _ in range(2)]
+            for _ in range(rng.randint(0, 2))
+        ]
+        p = presentation(rank, relations)
+        x_cap = rng.randint(1, {1: 4, 2: 3, 3: 2}[rank])
+        n_max = rng.randint(1, 3)
+        depth = rng.randint(1, 12)
+        z_cap = rng.randint(0, 6)
+        entry_cap = rng.randint(3, 12)
+        res = check_almost_unperforated(p, x_cap, n_max, depth, z_cap, entry_cap)
+        expect = _first_aup_triple(p, x_cap, n_max, depth, z_cap, entry_cap)
+        if expect is None:
+            assert not res.found, relations
+            continue
+        found += 1
+        ce = res.counterexample
+        assert (ce.x, ce.y, ce.n) == expect, relations
+        assert ce.scaled_leq.kind == "yes" and ce.plain_leq.kind == "no"
+        ce.scaled_leq.certificate.replay(p, vscale(ce.n + 1, ce.x), vscale(ce.n, ce.y))
+    assert found >= 5
 
 
 # -- properly infinite --------------------------------------------------------
