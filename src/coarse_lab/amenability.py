@@ -19,7 +19,6 @@ from .space import (
     IntegerLineSpace,
     WindowedSpace,
     ball,
-    folner_ratio,
     outer_boundary,
 )
 
@@ -67,10 +66,6 @@ class HallViolator:
         assert len(b) < 2 * len(self.points), "claimed violator satisfies Hall"
 
 
-def _admissible(window: WindowedSpace, F: set, R: int) -> bool:
-    return not window.halo_contaminated(F, R)
-
-
 def _candidate_balls(window: WindowedSpace, R: int, budget: int):
     space = window.space
     centers = sorted((p for p in window.core), key=repr)
@@ -80,9 +75,12 @@ def _candidate_balls(window: WindowedSpace, R: int, budget: int):
         emitted = False
         for c in centers:
             F = ball(space, c, radius)
-            if F <= window.core and _admissible(window, F, R):
+            if not F <= window.core:
+                continue
+            ratio, contaminated = window.boundary_ratio(F, R)
+            if not contaminated:
                 emitted = True
-                yield F
+                yield F, ratio
                 produced += 1
                 if produced >= budget:
                     return
@@ -103,43 +101,45 @@ def _candidate_intervals(window: WindowedSpace, R: int, budget: int):
         if a < lo or b > hi:
             return
         F = set(range(a, b + 1))
-        if _admissible(window, F, R):
-            yield F
+        ratio, contaminated = window.boundary_ratio(F, R)
+        if not contaminated:
+            yield F, ratio
 
 
 def _candidate_greedy(window: WindowedSpace, R: int, budget: int):
     """Hill climbing: grow the set one boundary point at a time."""
-    space = window.space
-    singles = sorted(
-        (p for p in window.core if _admissible(window, {p}, R)), key=repr
-    )
+    singles = []
+    for p in sorted(window.core, key=repr):
+        ratio, contaminated = window.boundary_ratio({p}, R)
+        if not contaminated:
+            singles.append((ratio, p))
     if not singles:
         return
-    best = min(singles, key=lambda p: (folner_ratio(space, {p}, R), repr(p)))
+    ratio, best = min(singles, key=lambda s: s[0])
     F = {best}
-    yield set(F)
+    yield set(F), ratio
     produced = 1
     while produced < budget:
         frontier = sorted(
-            (p for p in outer_boundary(space, F, R) if p in window.core), key=repr
+            (p for p in outer_boundary(window.space, F, R) if p in window.core), key=repr
         )
         best_next = None
         best_ratio = None
         for p in frontier:
-            F2 = F | {p}
-            if not _admissible(window, F2, R):
+            r, contaminated = window.boundary_ratio(F | {p}, R)
+            if contaminated:
                 continue
-            r = folner_ratio(space, F2, R)
             if best_ratio is None or r < best_ratio:
                 best_ratio = r
                 best_next = p
         if best_next is None:
             return
         F.add(best_next)
-        yield set(F)
+        yield set(F), best_ratio
         produced += 1
 
 
+# each strategy yields (F, ratio) for halo-free candidates only, scored once
 _STRATEGIES = {
     "balls": _candidate_balls,
     "intervals": _candidate_intervals,
@@ -164,13 +164,11 @@ def folner_search(
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy!r}")
     epsilon = Fraction(epsilon)
-    space = window.space
     best: set | None = None
     best_ratio: Fraction | None = None
     examined = 0
-    for F in _STRATEGIES[strategy](window, R, budget):
+    for F, r in _STRATEGIES[strategy](window, R, budget):
         examined += 1
-        r = folner_ratio(space, F, R) if R > 0 else Fraction(0)
         if best_ratio is None or r < best_ratio:
             best, best_ratio = F, r
     if best is None:

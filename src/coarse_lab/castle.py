@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .space import WindowedSpace, outer_boundary
+from .space import WindowedSpace
 from .tiling import Tiling, verify_tiling
 
 
@@ -282,18 +282,14 @@ def invariance_defect(c: Castle, window: WindowedSpace, R: int) -> Fraction:
     speak for the ambient space there.
     """
     _require_valid(c)
-    space = window.space
-    atoms = c.atoms()
-    for a in atoms:
-        if a not in space:
+    for a in c.atoms():
+        if a not in window.space:
             raise ValueError(f"castle atom {a!r} is not a window point")
     best = None
     for orbit in c.orbits():
-        F = set(orbit)
-        bd = outer_boundary(space, F, R)
-        if bd & window.halo:
+        ratio, contaminated = window.boundary_ratio(orbit, R)
+        if contaminated:
             continue
-        ratio = Fraction(len(bd), len(F))
         if best is None or ratio > best:
             best = ratio
     if best is None:

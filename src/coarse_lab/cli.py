@@ -59,7 +59,6 @@ from .serialize import (
 )
 from .space import ball, outer_boundary
 from .tiling import (
-    PartitionError,
     tile_box_space,
     tile_interval,
     tile_sparse_subset,
@@ -657,13 +656,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, PartitionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE
-    except ValueError as e:
+    except (ValueError, FileNotFoundError) as e:  # SchemaError and PartitionError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return USAGE
 

@@ -94,7 +94,6 @@ def _saturate(
     start: Vector,
     depth: int,
     entry_cap: int,
-    state_cap: int,
     target: Vector | None = None,
 ):
     """Bounded closure of {start} under both directions of every relation.
@@ -119,7 +118,7 @@ def _saturate(
                     if max(w2) > entry_cap:
                         truncated = True
                         continue
-                    if len(parents) >= state_cap:
+                    if len(parents) >= DEFAULT_STATE_CAP:
                         truncated = True
                         continue
                     parents[w2] = (w, ri, forward)
@@ -164,7 +163,6 @@ def equal(
     v: Sequence[int],
     depth: int = DEFAULT_DEPTH,
     entry_cap: int = DEFAULT_ENTRY_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> Verdict:
     """Bounded word problem: can u be rewritten into v?
 
@@ -174,7 +172,7 @@ def equal(
     """
     u = _check_vector(p, u)
     v = _check_vector(p, v)
-    parents, complete, found = _saturate(p, u, depth, entry_cap, state_cap, target=v)
+    parents, complete, found = _saturate(p, u, depth, entry_cap, target=v)
     region = f"depth {depth}, entry cap {entry_cap}"
     if found:
         return Verdict(YES, f"rewrite path of length {len(_path(parents, v))}", _path(parents, v))
@@ -203,7 +201,6 @@ def leq(
     depth: int = DEFAULT_DEPTH,
     z_cap: int = DEFAULT_Z_CAP,
     entry_cap: int = DEFAULT_ENTRY_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> Verdict:
     """Algebraic preorder: is there z with u + z = v, entries of z <= z_cap?
 
@@ -211,7 +208,7 @@ def leq(
     """
     u = _check_vector(p, u)
     v = _check_vector(p, v)
-    parents, complete, _ = _saturate(p, v, depth, entry_cap, state_cap)
+    parents, complete, _ = _saturate(p, v, depth, entry_cap)
     candidates = []
     dominating = 0
     for w in parents:
@@ -223,9 +220,9 @@ def leq(
     region = f"depth {depth}, entry cap {entry_cap}, z_cap {z_cap}"
     if candidates:
         z = min(candidates)
-        target_path = equal(p, vadd(u, z), v, depth, entry_cap, state_cap)
-        assert target_path.yes, "a dominating class member must be reachable"
-        return Verdict(YES, f"z = {z}", LeqCertificate(z, target_path.certificate))
+        # v's saturation tree reaches u + z from v; reversing it rewrites u + z into v
+        path = tuple((ri, not fwd) for ri, fwd in reversed(_path(parents, vadd(u, z))))
+        return Verdict(YES, f"z = {z}", LeqCertificate(z, path))
     if complete:
         if dominating:
             detail = (
@@ -293,7 +290,7 @@ def check_almost_unperforated(
     def closure(v: Vector):
         got = closure_cache.get(v)
         if got is None:
-            parents, complete, _ = _saturate(p, v, depth, entry_cap, DEFAULT_STATE_CAP)
+            parents, complete, _ = _saturate(p, v, depth, entry_cap)
             got = (tuple(parents), complete)
             closure_cache[v] = got
         return got
@@ -390,7 +387,7 @@ def refinement_instance(
         )
 
     def members(v: Vector) -> list[Vector]:
-        parents, _, _ = _saturate(p, v, depth, entry_cap, DEFAULT_STATE_CAP)
+        parents, _, _ = _saturate(p, v, depth, entry_cap)
         return sorted(parents)
 
     CA, CB, CC, CD = members(a), members(b), members(c), members(d)

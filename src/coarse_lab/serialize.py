@@ -71,18 +71,6 @@ class PointCodec:
             raise SchemaError(f"unknown point key {key!r}")
         return self.key_to_point[key]
 
-    def decode_pair(self, key: str):
-        """Split an "x|y" pair key at the unique separator that parses."""
-        parts = key.split("|")
-        hits = []
-        for cut in range(1, len(parts)):
-            a, b = "|".join(parts[:cut]), "|".join(parts[cut:])
-            if a in self.key_to_point and b in self.key_to_point:
-                hits.append((self.key_to_point[a], self.key_to_point[b]))
-        if len(hits) != 1:
-            raise SchemaError(f"pair key {key!r} has {len(hits)} valid readings")
-        return hits[0]
-
 
 def _require(obj: dict, key: str, context: str):
     if key not in obj:
@@ -251,20 +239,6 @@ def presentation_from_dict(data: dict) -> MonoidPresentation:
 def zero_chain_from_dict(data: dict, codec: PointCodec) -> ZeroChain:
     coeffs = _require(data, "coeffs", "zero chain")
     return ZeroChain({codec.decode(k): int(v) for k, v in coeffs.items()})
-
-
-def zero_chain_to_dict(c: ZeroChain) -> dict:
-    return {
-        "coeffs": {encode_point(p): v for p, v in sorted(c.coeffs.items(), key=lambda kv: encode_point(kv[0]))}
-    }
-
-
-def one_chain_from_dict(data: dict, codec: PointCodec) -> OneChain:
-    coeffs = _require(data, "coeffs", "one chain")
-    P = _require(data, "P", "one chain")
-    return OneChain(
-        {codec.decode_pair(k): int(v) for k, v in coeffs.items()}, P
-    )
 
 
 def one_chain_to_dict(h: OneChain) -> dict:

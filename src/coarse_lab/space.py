@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Sequence
+from typing import Collection, Hashable, Iterable, Sequence
 
 Point = Hashable
 
@@ -462,16 +462,17 @@ class WindowedSpace:
         if self.halo_depth < 0:
             raise ValueError("halo depth must be nonnegative")
 
-    def is_core(self, p: Point) -> bool:
-        return p in self.core
+    def boundary_ratio(self, F: Collection[Point], R: int) -> tuple[Fraction, bool]:
+        """|outer R-boundary of F| / |F| exactly, and whether that boundary meets the halo.
 
-    def halo_contaminated(self, F: set, R: int) -> bool:
-        """True when the R-boundary of F meets the halo.
-
-        A contaminated computation may disagree with the ambient space the
-        window stands in for; callers downgrade such results to advisory.
+        F must be nonempty and free of repeats.  A contaminated ratio may
+        disagree with the ambient space the window stands in for; callers
+        skip such sets or downgrade them to advisory.
         """
-        return bool(self.space.boundary_of(set(F), R) & self.halo)
+        if not F:
+            raise ValueError("boundary ratio of the empty set is undefined")
+        bd = outer_boundary(self.space, F, R)
+        return Fraction(len(bd), len(F)), not bd.isdisjoint(self.halo)
 
     def halo_depth_report(self) -> int:
         if not self.halo:
@@ -512,14 +513,6 @@ def outer_boundary(space: FiniteMetricSpace, F: Iterable[Point], R: int) -> set:
     if not Fs or R == 0:
         return set()
     return space.boundary_of(Fs, R)
-
-
-def folner_ratio(space: FiniteMetricSpace, F: Iterable[Point], R: int) -> Fraction:
-    """|outer R-boundary of F| / |F| as an exact rational."""
-    Fs = set(F)
-    if not Fs:
-        raise ValueError("Folner ratio of the empty set is undefined")
-    return Fraction(len(outer_boundary(space, Fs, R)), len(Fs))
 
 
 def diameter(space: FiniteMetricSpace, F: Iterable[Point]) -> int:

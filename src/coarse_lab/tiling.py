@@ -19,7 +19,6 @@ from .space import (
     StackedSpace,
     WindowedSpace,
     box_window,
-    outer_boundary,
     subset_window,
 )
 
@@ -51,13 +50,8 @@ class Tiling:
     diameter_bound: int
     notes: list[str] = field(default_factory=list)
 
-    def max_ratio(self, include_contaminated: bool = False) -> Fraction:
-        ratios = [
-            m.ratio
-            for m in self.meta
-            if include_contaminated or not m.contaminated
-        ]
-        return max(ratios, default=Fraction(0))
+    def max_ratio(self) -> Fraction:
+        return max((m.ratio for m in self.meta if not m.contaminated), default=Fraction(0))
 
 
 @dataclass
@@ -108,12 +102,9 @@ def _chop(run: list, N: int) -> list[list]:
 
 
 def _tile_meta(window: WindowedSpace, tile: frozenset, R: int, forced_contaminated: bool = False) -> TileMeta:
-    space = window.space
-    bd = outer_boundary(space, tile, R)
-    ratio = Fraction(len(bd), len(tile))
-    diam = space.diameter_of(set(tile))
-    contaminated = forced_contaminated or bool(bd & window.halo)
-    return TileMeta(ratio=ratio, diameter=diam, contaminated=contaminated)
+    ratio, contaminated = window.boundary_ratio(tile, R)
+    diam = window.space.diameter_of(tile)
+    return TileMeta(ratio=ratio, diameter=diam, contaminated=forced_contaminated or contaminated)
 
 
 def tile_interval(window: WindowedSpace, R: int, epsilon: Fraction) -> Tiling:

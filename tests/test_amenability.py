@@ -13,6 +13,7 @@ from coarse_lab.oracles import (
     doubling_possible_by_matching,
     hall_violators_by_enumeration,
 )
+from coarse_lab import space
 from coarse_lab.space import ball, integer_window, outer_boundary, regular_tree_window
 
 
@@ -60,6 +61,35 @@ def test_search_deterministic():
     a = folner_search(w, 2, Fraction(1, 3), strategy="intervals", budget=25)
     b = folner_search(w, 2, Fraction(1, 3), strategy="intervals", budget=25)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "window, strategy",
+    [
+        (integer_window(-40, 40, 0), "intervals"),
+        (integer_window(-40, 40, 0), "balls"),
+        (regular_tree_window(3, 4, 0), "balls"),
+    ],
+)
+def test_search_scores_each_candidate_with_one_boundary(monkeypatch, window, strategy):
+    # with no halo every candidate is admissible, so each one examined
+    # should cost exactly one boundary computation
+    calls = {"outer_boundary": 0, "boundary_of": 0}
+    outer, boundary_of = space.outer_boundary, type(window.space).boundary_of
+
+    def counted_outer(*args):
+        calls["outer_boundary"] += 1
+        return outer(*args)
+
+    def counted_boundary_of(*args):
+        calls["boundary_of"] += 1
+        return boundary_of(*args)
+
+    monkeypatch.setattr(space, "outer_boundary", counted_outer)
+    monkeypatch.setattr(type(window.space), "boundary_of", counted_boundary_of)
+    res = folner_search(window, 2, Fraction(1, 3), strategy=strategy, budget=30)
+    assert res.examined > 1
+    assert calls == {"outer_boundary": res.examined, "boundary_of": res.examined}
 
 
 # -- doubling_check ----------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from coarse_lab.cli import main
+from coarse_lab.monoid import presentation, replay_path
 
 
 def write(path, data):
@@ -224,6 +225,33 @@ def test_monoid_equal_two_step_path(tmp_path, capsys):
     assert result["verdict"] == "yes"
     assert result["path"] == [[0, True], [0, True]]
     assert "z" not in result
+
+
+def test_monoid_leq_above_entry_cap(tmp_path, capsys):
+    # v = 5a sits above the entry cap 4, so no capped saturation from u + z
+    # can step back onto v; the certificate comes from v's own class
+    pres = write(tmp_path / "a32.json", {"rank": 1, "relations": [[[3], [2]]]})
+    code, out, err = run(
+        capsys, "--json", "monoid", "leq", "--in", pres,
+        "--u", "1", "--v", "5", "--cap", "4", "--zcap", "7",
+    )
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["verdict"] == "yes"
+    assert result["z"] == [1]
+    p = presentation(1, [[(3,), (2,)]])
+    assert replay_path(p, (2,), [tuple(step) for step in result["path"]]) == (5,)
+
+
+def test_monoid_aup_with_class_members_above_entry_cap(tmp_path, capsys):
+    pres = write(tmp_path / "n35.json", {"rank": 2, "relations": [[[5, 0], [0, 3]]]})
+    code, out, err = run(
+        capsys, "monoid", "aup", "--in", pres, "--xcap", "3", "--nmax", "2",
+        "--depth", "2", "--zcap", "3", "--cap", "4",
+    )
+    assert code == 1
+    assert "counterexample" in out
+    assert "Traceback" not in err
 
 
 def test_monoid_pinf_cli(tmp_path, capsys):

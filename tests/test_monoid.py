@@ -4,7 +4,6 @@ from itertools import product
 import pytest
 
 from coarse_lab.monoid import (
-    DEFAULT_STATE_CAP,
     _saturate,
     cancellative_equal,
     check_almost_unperforated,
@@ -163,7 +162,7 @@ def _first_aup_triple(p, x_cap, n_max, depth, z_cap, entry_cap):
             for y in vectors:
                 if not leq(p, vscale(n + 1, x), vscale(n, y), depth, z_cap, entry_cap).yes:
                     continue
-                parents, complete, _ = _saturate(p, y, depth, entry_cap, DEFAULT_STATE_CAP)
+                parents, complete, _ = _saturate(p, y, depth, entry_cap)
                 if complete and not any(all(a >= b for a, b in zip(w, x)) for w in parents):
                     return x, y, n
     return None

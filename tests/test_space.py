@@ -13,7 +13,6 @@ from coarse_lab.space import (
     box_window,
     build_graph_metric,
     diameter,
-    folner_ratio,
     geometry_profile,
     integer_window,
     outer_boundary,
@@ -179,25 +178,25 @@ def test_z_interval_boundary_is_2R():
 def test_folner_ratio_interval():
     w = integer_window(-200, 200, 0)
     F = set(range(0, 21))
-    assert folner_ratio(w.space, F, 1) == Fraction(2, 21)
+    assert w.boundary_ratio(F, 1) == (Fraction(2, 21), False)
 
 
 def test_folner_ratio_whole_window():
-    s = IntegerLineSpace(0, 9)
-    assert folner_ratio(s, set(s.points), 3) == 0
+    w = integer_window(0, 9, 0)
+    assert w.boundary_ratio(set(w.space.points), 3) == (0, False)
 
 
 def test_folner_ratio_tree_ball():
     w = regular_tree_window(3, 5, 0)
     F = ball(w.space, "v", 3)
     assert len(F) == 22
-    assert folner_ratio(w.space, F, 1) == Fraction(24, 22)
+    assert w.boundary_ratio(F, 1) == (Fraction(24, 22), False)
 
 
 def test_folner_ratio_empty_set_rejected():
-    s = IntegerLineSpace(0, 5)
+    w = integer_window(0, 5, 0)
     with pytest.raises(ValueError):
-        folner_ratio(s, set(), 1)
+        w.boundary_ratio(set(), 1)
 
 
 # -- diameter ---------------------------------------------------------------
@@ -361,8 +360,8 @@ def test_window_partition_enforced():
 
 def test_halo_contamination_flag():
     w = integer_window(0, 9, 3)
-    assert not w.halo_contaminated({4, 5}, 2)
-    assert w.halo_contaminated({0, 1}, 2)
+    assert w.boundary_ratio({4, 5}, 2) == (2, False)
+    assert w.boundary_ratio({0, 1}, 2) == (2, True)  # reaches -2, -1
 
 
 def test_geometry_profile():
