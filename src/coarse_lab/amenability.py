@@ -77,10 +77,10 @@ def _candidate_balls(window: WindowedSpace, R: int, budget: int):
             F = ball(space, c, radius)
             if not F <= window.core:
                 continue
-            ratio, contaminated = window.boundary_ratio(F, R)
+            bd, contaminated = window.boundary(F, R)
             if not contaminated:
                 emitted = True
-                yield F, ratio
+                yield F, Fraction(len(bd), len(F))
                 produced += 1
                 if produced >= budget:
                     return
@@ -101,42 +101,36 @@ def _candidate_intervals(window: WindowedSpace, R: int, budget: int):
         if a < lo or b > hi:
             return
         F = set(range(a, b + 1))
-        ratio, contaminated = window.boundary_ratio(F, R)
+        bd, contaminated = window.boundary(F, R)
         if not contaminated:
-            yield F, ratio
+            yield F, Fraction(len(bd), len(F))
 
 
 def _candidate_greedy(window: WindowedSpace, R: int, budget: int):
-    """Hill climbing: grow the set one boundary point at a time."""
-    singles = []
-    for p in sorted(window.core, key=repr):
-        ratio, contaminated = window.boundary_ratio({p}, R)
-        if not contaminated:
-            singles.append((ratio, p))
-    if not singles:
-        return
-    ratio, best = min(singles, key=lambda s: s[0])
-    F = {best}
-    yield set(F), ratio
-    produced = 1
-    while produced < budget:
-        frontier = sorted(
-            (p for p in outer_boundary(window.space, F, R) if p in window.core), key=repr
-        )
-        best_next = None
-        best_ratio = None
-        for p in frontier:
-            r, contaminated = window.boundary_ratio(F | {p}, R)
-            if contaminated:
-                continue
-            if best_ratio is None or r < best_ratio:
-                best_ratio = r
-                best_next = p
-        if best_next is None:
+    """Hill climbing: grow the set one boundary point at a time.
+
+    All candidates at one step have the same size, so boundary counts order
+    them as their ratios would.  The chosen candidate's boundary is the next
+    frontier, so no set is scored twice.
+    """
+
+    def fewest(base: set, points: list):
+        # the first halo-free base | {p} with the fewest boundary points
+        best = best_bd = None
+        for p in points:
+            bd, contaminated = window.boundary(base | {p}, R)
+            if not contaminated and (best_bd is None or len(bd) < len(best_bd)):
+                best, best_bd = p, bd
+        return best, best_bd
+
+    F: set = set()
+    p, bd = fewest(F, sorted(window.core, key=repr))
+    while bd is not None:
+        F.add(p)
+        yield set(F), Fraction(len(bd), len(F))
+        if len(F) >= budget:
             return
-        F.add(best_next)
-        yield set(F), best_ratio
-        produced += 1
+        p, bd = fewest(F, sorted((q for q in bd if q in window.core), key=repr))
 
 
 # each strategy yields (F, ratio) for halo-free candidates only, scored once

@@ -282,16 +282,18 @@ def invariance_defect(c: Castle, window: WindowedSpace, R: int) -> Fraction:
     speak for the ambient space there.
     """
     _require_valid(c)
-    for a in c.atoms():
-        if a not in window.space:
-            raise ValueError(f"castle atom {a!r} is not a window point")
+    # a generator, so that a failure names the first unknown atom in c.atoms() order
+    window.space.point_set(
+        (a for t in c.towers for col in t.columns for a in col),
+        "castle atom {!r} is not a window point",
+    )
     best = None
     for orbit in c.orbits():
-        ratio, contaminated = window.boundary_ratio(orbit, R)
+        bd, contaminated = window.boundary(orbit, R)
         if contaminated:
             continue
-        if best is None or ratio > best:
-            best = ratio
+        if best is None or len(bd) * best[1] > best[0] * len(orbit):
+            best = (len(bd), len(orbit))
     if best is None:
         raise ValueError("every orbit is halo-contaminated at this radius")
-    return best
+    return Fraction(*best)

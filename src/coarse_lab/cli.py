@@ -1,11 +1,12 @@
 """Command-line front door.
 
-Exit codes separate three situations: 0 means success or a mathematical
+Exit codes separate four situations: 0 means success or a mathematical
 pass, 1 means the mathematics said no (a failed verification, a comparison
-refusal, a Hall violator, an infeasible fill, a No verdict), and 2 means
-the invocation itself was wrong (unknown flags, missing files, schema
-violations).  Reports are deterministic JSON: same config and seed, same
-bytes.
+refusal, a Hall violator, an infeasible fill, a No verdict), 2 means the
+invocation itself was wrong (unknown flags, missing files, schema
+violations), and 3 means an internal error (any other exception, such as
+a certificate that failed to replay), so a crash never reads as a no.
+Reports are deterministic JSON: same config and seed, same bytes.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .tiling import (
     verify_tiling,
 )
 
-OK, NEGATIVE, USAGE = 0, 1, 2
+OK, NEGATIVE, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 class Emitter:
@@ -659,6 +660,9 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as e:  # SchemaError and PartitionError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return USAGE
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

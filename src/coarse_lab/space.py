@@ -14,8 +14,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Collection, Hashable, Iterable, Sequence
+from typing import AbstractSet, Collection, Hashable, Iterable, Sequence
 
 Point = Hashable
 
@@ -48,6 +47,22 @@ class FiniteMetricSpace:
 
     def __contains__(self, p: Point) -> bool:
         return p in self._index
+
+    def point_set(
+        self, F: Iterable[Point], message: str = "set contains an unknown point: {!r}"
+    ) -> AbstractSet[Point]:
+        """F as a set of points of this space; a set or frozenset is not copied.
+
+        Membership is one C-level subset test.  Only a failure walks the
+        points, in the order of a fresh ``set(F)``, to name the first unknown
+        one in ``message``.
+        """
+        Fs = F if isinstance(F, (set, frozenset)) else set(F)
+        if not self._index.keys() >= Fs:
+            for p in set(F) if Fs is F else Fs:
+                if p not in self._index:
+                    raise ValueError(message.format(p))
+        return Fs
 
     def dist(self, x: Point, y: Point) -> int:
         raise NotImplementedError
@@ -462,17 +477,19 @@ class WindowedSpace:
         if self.halo_depth < 0:
             raise ValueError("halo depth must be nonnegative")
 
-    def boundary_ratio(self, F: Collection[Point], R: int) -> tuple[Fraction, bool]:
-        """|outer R-boundary of F| / |F| exactly, and whether that boundary meets the halo.
+    def boundary(self, F: Collection[Point], R: int) -> tuple[set, bool]:
+        """The outer R-boundary of F, and whether it meets the halo.
 
-        F must be nonempty and free of repeats.  A contaminated ratio may
-        disagree with the ambient space the window stands in for; callers
-        skip such sets or downgrade them to advisory.
+        F must be nonempty and free of repeats, so that |∂_R F| / |F| is its
+        Følner ratio.  Callers compare ratios by cross-multiplying counts and
+        build a ``Fraction`` only for a ratio they store or report.  A
+        contaminated ratio may disagree with the ambient space the window
+        stands in for; callers skip such sets or downgrade them to advisory.
         """
         if not F:
             raise ValueError("boundary ratio of the empty set is undefined")
         bd = outer_boundary(self.space, F, R)
-        return Fraction(len(bd), len(F)), not bd.isdisjoint(self.halo)
+        return bd, not bd.isdisjoint(self.halo)
 
     def halo_depth_report(self) -> int:
         if not self.halo:
@@ -504,10 +521,7 @@ def ball(space: FiniteMetricSpace, center: Point, R: int) -> set:
 
 def outer_boundary(space: FiniteMetricSpace, F: Iterable[Point], R: int) -> set:
     """Outer R-boundary: the points outside F at distance at most R from F."""
-    Fs = set(F)
-    for p in Fs:
-        if p not in space:
-            raise ValueError(f"set contains an unknown point: {p!r}")
+    Fs = space.point_set(F)
     if R < 0:
         raise ValueError("radius must be nonnegative")
     if not Fs or R == 0:
@@ -517,12 +531,9 @@ def outer_boundary(space: FiniteMetricSpace, F: Iterable[Point], R: int) -> set:
 
 def diameter(space: FiniteMetricSpace, F: Iterable[Point]) -> int:
     """Largest pairwise distance within the nonempty set F."""
-    Fs = set(F)
+    Fs = space.point_set(F)
     if not Fs:
         raise ValueError("diameter of the empty set is undefined")
-    for p in Fs:
-        if p not in space:
-            raise ValueError(f"set contains an unknown point: {p!r}")
     return space.diameter_of(Fs)
 
 

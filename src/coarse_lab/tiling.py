@@ -56,11 +56,17 @@ class Tiling:
 
 @dataclass
 class TileReport:
+    """One tile as ``verify_tiling`` recomputed it; ``boundary`` is |∂_R T|."""
+
     index: int
     size: int
-    ratio: Fraction
+    boundary: int
     diameter: int
     contaminated: bool
+
+    @property
+    def ratio(self) -> Fraction:
+        return Fraction(self.boundary, self.size)
 
 
 @dataclass
@@ -102,9 +108,13 @@ def _chop(run: list, N: int) -> list[list]:
 
 
 def _tile_meta(window: WindowedSpace, tile: frozenset, R: int, forced_contaminated: bool = False) -> TileMeta:
-    ratio, contaminated = window.boundary_ratio(tile, R)
+    bd, contaminated = window.boundary(tile, R)
     diam = window.space.diameter_of(tile)
-    return TileMeta(ratio=ratio, diameter=diam, contaminated=forced_contaminated or contaminated)
+    return TileMeta(
+        ratio=Fraction(len(bd), len(tile)),
+        diameter=diam,
+        contaminated=forced_contaminated or contaminated,
+    )
 
 
 def tile_interval(window: WindowedSpace, R: int, epsilon: Fraction) -> Tiling:
@@ -302,62 +312,61 @@ def verify_tiling(t: Tiling) -> TilingReport:
     Raises :class:`PartitionError` when the tiles are not an exact partition
     of the core.  The verdict is a pass when every non-contaminated tile is
     strictly below epsilon, no tile exceeds the declared diameter bound, and
-    the bound itself is declared.
+    the bound itself is declared.  Ratios are compared as boundary and tile
+    counts, cross-multiplied; only the reported maximum is a ``Fraction``.
     """
     window = t.window
-    seen: dict = {}
-    overlap = set()
-    for tile in t.tiles:
-        if not tile:
-            raise PartitionError("empty tile", set())
-        for p in tile:
-            if p in seen:
-                overlap.add(p)
-            seen[p] = True
-    if overlap:
+    if not all(t.tiles):
+        raise PartitionError("empty tile", set())
+    covered = set().union(*t.tiles)
+    if len(covered) != sum(map(len, t.tiles)):
+        seen: set = set()
+        overlap: set = set()
+        for tile in t.tiles:
+            for p in tile:
+                if p in seen:
+                    overlap.add(p)
+                seen.add(p)
         raise PartitionError("tiles overlap", overlap)
-    covered = set(seen)
     if covered != window.core:
         missing = window.core - covered
         if missing:
             raise PartitionError("core points not covered", missing)
         raise PartitionError("tiles leave the core", covered - window.core)
 
+    eps = Fraction(t.epsilon)
+    eps_num, eps_den = eps.numerator, eps.denominator
+    best_b, best_n = 0, 1
     reports = []
     failures = []
     mismatches = []
     for i, tile in enumerate(t.tiles):
         declared = t.meta[i] if i < len(t.meta) else None
-        fresh = _tile_meta(
-            window, tile, t.R,
-            forced_contaminated=bool(declared and declared.contaminated),
-        )
-        reports.append(
-            TileReport(
-                index=i,
-                size=len(tile),
-                ratio=fresh.ratio,
-                diameter=fresh.diameter,
-                contaminated=fresh.contaminated,
-            )
-        )
+        bd, contaminated = window.boundary(tile, t.R)
+        contaminated = contaminated or bool(declared and declared.contaminated)
+        b, n = len(bd), len(tile)
+        diam = window.space.diameter_of(tile)
+        reports.append(TileReport(index=i, size=n, boundary=b, diameter=diam, contaminated=contaminated))
         if declared is not None and (
-            declared.ratio != fresh.ratio or declared.diameter != fresh.diameter
+            declared.ratio.numerator * n != b * declared.ratio.denominator
+            or declared.diameter != diam
         ):
             mismatches.append(i)
-        if not fresh.contaminated and fresh.ratio >= t.epsilon:
+        if not contaminated:
+            if b * eps_den >= eps_num * n:
+                failures.append(
+                    f"tile {i}: ratio {Fraction(b, n)} is not strictly below {t.epsilon}"
+                )
+            if b * best_n > best_b * n:
+                best_b, best_n = b, n
+        if diam > t.diameter_bound:
             failures.append(
-                f"tile {i}: ratio {fresh.ratio} is not strictly below {t.epsilon}"
+                f"tile {i}: diameter {diam} exceeds declared bound {t.diameter_bound}"
             )
-        if fresh.diameter > t.diameter_bound:
-            failures.append(
-                f"tile {i}: diameter {fresh.diameter} exceeds declared bound {t.diameter_bound}"
-            )
-    max_ratio = max((r.ratio for r in reports if not r.contaminated), default=Fraction(0))
     max_diam = max((r.diameter for r in reports), default=0)
     return TilingReport(
         tiles=reports,
-        max_ratio=max_ratio,
+        max_ratio=Fraction(best_b, best_n),
         max_diameter=max_diam,
         epsilon=t.epsilon,
         diameter_bound=t.diameter_bound,

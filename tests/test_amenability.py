@@ -13,7 +13,7 @@ from coarse_lab.oracles import (
     doubling_possible_by_matching,
     hall_violators_by_enumeration,
 )
-from coarse_lab import space
+from coarse_lab import amenability, space
 from coarse_lab.space import ball, integer_window, outer_boundary, regular_tree_window
 
 
@@ -90,6 +90,23 @@ def test_search_scores_each_candidate_with_one_boundary(monkeypatch, window, str
     res = folner_search(window, 2, Fraction(1, 3), strategy=strategy, budget=30)
     assert res.examined > 1
     assert calls == {"outer_boundary": res.examined, "boundary_of": res.examined}
+
+
+@pytest.mark.parametrize("window", [integer_window(-50, 50, 3), regular_tree_window(3, 4, 2)])
+def test_greedy_scores_no_set_twice(monkeypatch, window):
+    # the frontier of each step is read off the chosen candidate's boundary
+    scored = []
+    outer = space.outer_boundary
+
+    def recorded(sp, F, R):
+        scored.append(frozenset(F))
+        return outer(sp, F, R)
+
+    monkeypatch.setattr(space, "outer_boundary", recorded)
+    monkeypatch.setattr(amenability, "outer_boundary", recorded)
+    res = folner_search(window, 1, Fraction(1, 4), strategy="greedy", budget=20)
+    assert res.examined > 1
+    assert len(scored) == len(set(scored))
 
 
 # -- doubling_check ----------------------------------------------------------

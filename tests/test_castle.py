@@ -290,5 +290,12 @@ def test_defect_singleton_orbits():
 def test_defect_atom_mismatch():
     w = integer_window(0, 3, 0)
     c = make_castle([(1, [("nope",)])])
-    with pytest.raises(ValueError, match="window point"):
+    with pytest.raises(ValueError) as e:
         invariance_defect(c, w, 1)
+    assert str(e.value) == "castle atom 'nope' is not a window point"
+    # several strays: the first in c.atoms() order is named
+    c = make_castle([(2, [(0, 7), (1, 9)]), (1, [(2,), (8,)])])
+    first = next(a for a in c.atoms() if a not in w.space)
+    with pytest.raises(ValueError) as e:
+        invariance_defect(c, w, 1)
+    assert str(e.value) == f"castle atom {first!r} is not a window point"

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from coarse_lab import cli
 from coarse_lab.cli import main
 from coarse_lab.monoid import presentation, replay_path
 
@@ -357,3 +358,15 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as e:
         main(["definitely-not-a-command"])
     assert e.value.code == 2
+
+
+def test_internal_error_exits_3(monkeypatch, capsys, zwindow):
+    # a crash must not read as the mathematical "no" of exit code 1
+    def broken(args):
+        raise AssertionError("replay failed")
+
+    monkeypatch.setattr(cli, "cmd_boundary", broken)
+    code, out, err = run(capsys, "boundary", "--in", zwindow, "--points", "0", "--R", "1")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: AssertionError: replay failed\n"

@@ -172,31 +172,88 @@ def test_z_interval_boundary_is_2R():
         assert len(outer_boundary(w.space, F, R)) == 2 * R
 
 
+def test_boundary_names_the_unknown_point():
+    s = IntegerLineSpace(0, 100)
+    with pytest.raises(ValueError) as e:
+        outer_boundary(s, {3, 4, 999}, 1)
+    assert str(e.value) == "set contains an unknown point: 999"
+    with pytest.raises(ValueError) as e:
+        diameter(s, [3, "x"])
+    assert str(e.value) == "set contains an unknown point: 'x'"
+    # with several unknown points, the first in a fresh set(F) is named, also
+    # for a set whose emptied slots make it iterate in another order than its copy
+    shrunk = {1100} | set(range(200))
+    for p in range(200):
+        shrunk.discard(p)
+    shrunk.add(1500)
+    for F in ({150, 3, 250}, shrunk):
+        first = next(p for p in set(F) if p not in s)
+        for check in (lambda F: outer_boundary(s, F, 1), lambda F: diameter(s, F)):
+            with pytest.raises(ValueError) as e:
+                check(F)
+            assert str(e.value) == f"set contains an unknown point: {first!r}"
+
+
+def test_boundary_of_list_and_generator():
+    s = IntegerLineSpace(0, 20)
+    assert outer_boundary(s, [5, 6, 6, 7], 2) == {3, 4, 8, 9}
+    assert outer_boundary(s, (p for p in range(5, 8)), 2) == {3, 4, 8, 9}
+    assert diameter(s, (p for p in (2, 9))) == 7
+    with pytest.raises(ValueError, match="unknown point: 21"):
+        outer_boundary(s, (p for p in (5, 21)), 1)
+
+
+def test_boundary_leaves_the_callers_set_alone():
+    rng = random.Random(13)
+    windows = [
+        integer_window(-20, 20, 3),
+        regular_tree_window(3, 3, 1),
+        stacked_product_window(build_graph_metric("abc", [("a", "b"), ("b", "c")]), 8),
+        box_window([2, 4, 8, 16]),
+        subset_window([1, 2, 4, 8, 9, 10, 30]),
+    ]
+    for w in windows:
+        pts = sorted(w.core, key=repr)
+        for R in (0, 1, 2, 5):
+            for F in (set(rng.sample(pts, 3)), frozenset(rng.sample(pts, 4))):
+                before = set(F)
+                bd = outer_boundary(w.space, F, R)
+                assert bd is not F and F == before
+                assert bd == brute_boundary(w.space, F, R)
+                bd, _ = w.boundary(F, R)
+                diameter(w.space, F)
+                assert F == before
+
+
 # -- Folner ratio -----------------------------------------------------------
 
 
 def test_folner_ratio_interval():
     w = integer_window(-200, 200, 0)
     F = set(range(0, 21))
-    assert w.boundary_ratio(F, 1) == (Fraction(2, 21), False)
+    bd, contaminated = w.boundary(F, 1)
+    assert (Fraction(len(bd), len(F)), contaminated) == (Fraction(2, 21), False)
 
 
 def test_folner_ratio_whole_window():
     w = integer_window(0, 9, 0)
-    assert w.boundary_ratio(set(w.space.points), 3) == (0, False)
+    F = set(w.space.points)
+    bd, contaminated = w.boundary(F, 3)
+    assert (Fraction(len(bd), len(F)), contaminated) == (0, False)
 
 
 def test_folner_ratio_tree_ball():
     w = regular_tree_window(3, 5, 0)
     F = ball(w.space, "v", 3)
     assert len(F) == 22
-    assert w.boundary_ratio(F, 1) == (Fraction(24, 22), False)
+    bd, contaminated = w.boundary(F, 1)
+    assert (Fraction(len(bd), len(F)), contaminated) == (Fraction(24, 22), False)
 
 
 def test_folner_ratio_empty_set_rejected():
     w = integer_window(0, 5, 0)
     with pytest.raises(ValueError):
-        w.boundary_ratio(set(), 1)
+        w.boundary(set(), 1)
 
 
 # -- diameter ---------------------------------------------------------------
@@ -360,8 +417,9 @@ def test_window_partition_enforced():
 
 def test_halo_contamination_flag():
     w = integer_window(0, 9, 3)
-    assert w.boundary_ratio({4, 5}, 2) == (2, False)
-    assert w.boundary_ratio({0, 1}, 2) == (2, True)  # reaches -2, -1
+    for F, expected in (({4, 5}, (2, False)), ({0, 1}, (2, True))):  # {0, 1} reaches -2, -1
+        bd, contaminated = w.boundary(F, 2)
+        assert (Fraction(len(bd), len(F)), contaminated) == expected
 
 
 def test_geometry_profile():

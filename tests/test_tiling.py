@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from coarse_lab import space, tiling
 from coarse_lab.space import (
     build_graph_metric,
     integer_window,
@@ -262,6 +263,35 @@ def test_verifier_rejects_overlap():
     assert 2 in e.value.points
 
 
+def test_verifier_rejects_empty_tile_before_overlap():
+    w = integer_window(0, 5, 1)
+    tiles = [frozenset({0, 1, 2}), frozenset({2, 3}), frozenset(), frozenset({4, 5})]
+    t = Tiling(w, tiles, 1, Fraction(1, 2), [], 5)
+    with pytest.raises(PartitionError) as e:
+        verify_tiling(t)
+    assert str(e.value) == "empty tile: []"
+    assert e.value.points == set()
+
+
+def test_verifier_rejects_overlap_before_uncovered():
+    w = integer_window(0, 5, 1)
+    tiles = [frozenset({0, 1}), frozenset({1, 2})]
+    t = Tiling(w, tiles, 1, Fraction(1, 2), [], 5)
+    with pytest.raises(PartitionError) as e:
+        verify_tiling(t)
+    assert str(e.value) == "tiles overlap: [1]"
+
+
+def test_verifier_rejects_tiles_leaving_the_core():
+    w = integer_window(0, 5, 1)
+    tiles = [frozenset({0, 1, 2}), frozenset({3, 4, 5, 6})]  # 6 is a halo point
+    t = Tiling(w, tiles, 1, Fraction(1, 2), [], 5)
+    with pytest.raises(PartitionError) as e:
+        verify_tiling(t)
+    assert str(e.value) == "tiles leave the core: [6]"
+    assert e.value.points == {6}
+
+
 def test_verifier_rejects_uncovered():
     w = integer_window(0, 5, 1)
     tiles = [frozenset({0, 1, 2})]
@@ -299,3 +329,27 @@ def test_constructions_pass_verifier_sweep():
             assert verify_tiling(tile_interval(w, R, eps)).passed
             A = sorted(rng.sample(range(0, 2000), 150))
             assert verify_tiling(tile_sparse_subset(A, R, eps)).passed
+
+
+def test_verifier_compares_counts_not_fractions(monkeypatch):
+    # one Fraction for epsilon and one for the reported maximum, however many tiles
+    rng = random.Random(5)
+    A = sorted(rng.sample(range(0, 4000), 1200))
+    t = tile_sparse_subset(A, 1, Fraction(1, 2))
+    assert len(t.tiles) >= 300
+    expected = verify_tiling(t)
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    # a per-tile ratio built in either module would show up here
+    monkeypatch.setattr(space, "Fraction", counted, raising=False)
+    monkeypatch.setattr(tiling, "Fraction", counted)
+    report = verify_tiling(t)
+    assert len(built) <= 2
+    monkeypatch.undo()
+    assert report == expected
+    assert report.passed and report.max_ratio == t.max_ratio()
+    assert [r.ratio for r in report.tiles] == [m.ratio for m in t.meta]
