@@ -195,22 +195,22 @@ def doubling_check(window: WindowedSpace, F: Iterable, R: int) -> ParadoxWitness
         return ParadoxWitness(phi1={}, phi2={}, R=R)
 
     order = {p: i for i, p in enumerate(sorted(space.points, key=repr))}
-    net = FlowNetwork()
+    xs = sorted(Fs, key=order.__getitem__)
+    balls = [sorted(space.ball_of(x, R), key=order.__getitem__) for x in xs]
+    ys = sorted(set().union(*balls), key=order.__getitem__)
+    # nodes: s = 0, t = 1, ("L", x) for x in xs, then ("R", y) for y in ys
+    right = {y: i for i, y in enumerate(ys, 2 + len(xs))}
+    net = FlowNetwork(["s", "t"] + [("L", x) for x in xs] + [("R", y) for y in ys])
     big = 2 * len(Fs) + 1
     # per x, its (y, arc) pairs in ascending order of y
     target_arcs: dict = {}
-    targets: set = set()
-    for x in sorted(Fs, key=order.__getitem__):
-        net.add_edge("s", ("L", x), 2)
-        target_arcs[x] = [
-            (y, net.add_edge(("L", x), ("R", y), big))
-            for y in sorted(ball(space, x, R), key=order.__getitem__)
-        ]
-        targets.update(y for y, _ in target_arcs[x])
-    for y in sorted(targets, key=order.__getitem__):
-        net.add_edge(("R", y), "t", 1)
+    for i, (x, b) in enumerate(zip(xs, balls), 2):
+        net.add_edge(0, i, 2)
+        target_arcs[x] = [(y, net.add_edge(i, right[y], big)) for y in b]
+    for y in ys:
+        net.add_edge(right[y], 1, 1)
 
-    value = net.max_flow("s", "t")
+    value = net.max_flow(0, 1)
     if value == 2 * len(Fs):
         phi1: dict = {}
         phi2: dict = {}
@@ -220,8 +220,8 @@ def doubling_check(window: WindowedSpace, F: Iterable, R: int) -> ParadoxWitness
             phi1[x], phi2[x] = hits
         return ParadoxWitness(phi1=phi1, phi2=phi2, R=R)
 
-    side = net.source_side("s")
-    S = {x for x in Fs if ("L", x) in side}
+    side = net.source_side(0)
+    S = {x for i, x in enumerate(xs, 2) if i in side}
     violator = HallViolator(points=frozenset(S), R=R)
     b = S | outer_boundary(space, S, R)
     assert len(b) < 2 * len(S), "min cut failed to produce a Hall violator"

@@ -1,6 +1,8 @@
 """Integer maximum flow on small directed graphs (Dinic's algorithm).
 
-Nodes are arbitrary hashable labels added in a deterministic order; all
+Nodes are the dense indices 0 .. n-1, fixed when the network is built:
+node i stands for ``labels[i]``, and the labels are kept only for reports.
+Arcs join indices, so building a network does no label lookups.  All
 capacities are nonnegative integers, so every maximum flow found here is
 integral.  This backs both the doubling matchings and the transshipment
 feasibility solves.
@@ -15,38 +17,26 @@ network instead of building a new one.
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterable
 
 
 class FlowNetwork:
-    def __init__(self):
-        self._id: dict = {}
-        self.labels: list = []
-        self.adj: list[list[int]] = []
+    def __init__(self, labels: Iterable):
+        self.labels: list = list(labels)
+        self.adj: list[list[int]] = [[] for _ in self.labels]
         # parallel arrays: to[e], cap[e]; e ^ 1 is the reverse arc
         self.to: list[int] = []
         self.cap: list[int] = []
 
-    def node(self, label) -> int:
-        i = self._id.get(label)
-        if i is None:
-            i = len(self.labels)
-            self._id[label] = i
-            self.labels.append(label)
-            self.adj.append([])
-        return i
-
-    def add_edge(self, u, v, capacity: int) -> int:
+    def add_edge(self, u: int, v: int, capacity: int) -> int:
         """Add a directed arc u -> v; returns the arc index for flow queries."""
         if capacity < 0:
             raise ValueError("capacity must be nonnegative")
-        iu, iv = self.node(u), self.node(v)
         e = len(self.to)
-        self.to.append(iv)
-        self.cap.append(capacity)
-        self.adj[iu].append(e)
-        self.to.append(iu)
-        self.cap.append(0)
-        self.adj[iv].append(e + 1)
+        self.to += (v, u)
+        self.cap += (capacity, 0)
+        self.adj[u].append(e)
+        self.adj[v].append(e + 1)
         return e
 
     def flow_on(self, e: int) -> int:
@@ -59,7 +49,7 @@ class FlowNetwork:
             raise ValueError("capacity may only be raised")
         self.cap[e] += grow
 
-    def max_flow(self, source, sink) -> int:
+    def max_flow(self, s: int, t: int) -> int:
         """Augment the current flow to a maximum one; return the value added.
 
         Each phase builds BFS levels and then finds a blocking flow by a
@@ -67,7 +57,6 @@ class FlowNetwork:
         pointer per node.  Arcs are tried in insertion order, so a solve on a
         fresh network routes the same flow every time.
         """
-        s, t = self.node(source), self.node(sink)
         adj, to, cap = self.adj, self.to, self.cap
         n = len(adj)
         added = 0
@@ -91,7 +80,7 @@ class FlowNetwork:
             u = s
             while True:
                 if u == t:
-                    pushed = min(cap[e] for e in path)
+                    pushed = min(map(cap.__getitem__, path))
                     for e in path:
                         cap[e] -= pushed
                         cap[e ^ 1] += pushed
@@ -105,23 +94,25 @@ class FlowNetwork:
                     del path[i:]
                     continue
                 arcs = adj[u]
-                i = it[u]
+                i, end = it[u], len(arcs)
                 want = level[u] + 1
-                while i < len(arcs) and not (cap[arcs[i]] > 0 and level[to[arcs[i]]] == want):
+                while i < end:
+                    e = arcs[i]
+                    if cap[e] and level[to[e]] == want:
+                        break
                     i += 1
                 it[u] = i
-                if i < len(arcs):
-                    path.append(arcs[i])
-                    u = to[arcs[i]]
+                if i < end:
+                    path.append(e)
+                    u = to[e]
                 elif path:
                     u = to[path.pop() ^ 1]
                     it[u] += 1
                 else:
                     break
 
-    def source_side(self, source) -> set:
-        """Labels reachable from the source in the residual graph (a min cut)."""
-        s = self.node(source)
+    def source_side(self, s: int) -> set[int]:
+        """Nodes reachable from s in the residual graph (a min cut)."""
         seen = {s}
         queue = deque([s])
         while queue:
@@ -131,4 +122,4 @@ class FlowNetwork:
                 if self.cap[e] > 0 and v not in seen:
                     seen.add(v)
                     queue.append(v)
-        return {self.labels[i] for i in seen}
+        return seen

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .flows import FlowNetwork
-from .space import WindowedSpace, ball
+from .space import WindowedSpace
 
 
 @dataclass
@@ -101,58 +101,61 @@ def apply_boundary(h: OneChain) -> ZeroChain:
     return ZeroChain(out)
 
 
-def _pair_components(balls: dict) -> list[set]:
-    """Components of the graph joining each point to its P-ball."""
-    seen: set = set()
+def _components(nbrs: list[list[int]]) -> list[list[int]]:
+    """Components of the graph joining each point rank to its P-ball ranks."""
+    seen = [False] * len(nbrs)
     components = []
-    for start in sorted(balls, key=repr):
-        if start in seen:
+    for start in range(len(nbrs)):
+        if seen[start]:
             continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for q in balls[p]:
-                    if q not in comp:
-                        comp.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        seen |= comp
+        seen[start] = True
+        comp = [start]
+        for p in comp:  # breadth first: comp grows while it is read
+            for q in nbrs[p]:
+                if not seen[q]:
+                    seen[q] = True
+                    comp.append(q)
         components.append(comp)
     return components
 
 
-def _build_network(window: WindowedSpace, nodes: set, balls: dict, coeffs: dict):
-    """Transshipment feasibility network at sup-norm bound 1."""
-    net = FlowNetwork()
-    pair_arcs: dict = {}
-    snodes = sorted(nodes, key=repr)
-    for p in snodes:
-        for q in sorted(balls[p], key=repr):
-            if q != p and q in nodes:
-                pair_arcs[(p, q)] = net.add_edge(p, q, 1)
+def _build_network(window: WindowedSpace, points: list, rank: dict, rel: list, nbrs: list, coeffs: dict):
+    """Transshipment feasibility network at sup-norm bound 1.
+
+    Node k is the relevant point ``points[rel[k]]``; then come s, t and,
+    only when some arc uses it, the halo exit w.  Pair arcs are added per
+    point in rank order, so each node keeps its arcs in ``repr`` order.
+    """
+    n = len(rel)
+    s, t, w = n, n + 1, n + 2
+    node = dict(zip(rel, range(n)))
+    total = sum(coeffs.values())
+    halo = [k for k, r in enumerate(rel) if points[r] in window.halo]
+    labels = [points[r] for r in rel] + ["s", "t"] + (["w"] if total or halo else [])
+    net = FlowNetwork(labels)
+    pair_arcs = []
+    for k, r in enumerate(rel):
+        for q in nbrs[r]:
+            if q != r:
+                pair_arcs.append((k, node[q], net.add_edge(k, node[q], 1)))
     demand = 0
-    total = 0
-    for p in snodes:
-        c = coeffs.get(p, 0)
-        if p in window.core:
-            total += c
-            if c > 0:
-                net.add_edge(p, "t", c)
-                demand += c
-            elif c < 0:
-                net.add_edge("s", p, -c)
+    # the chain lives on the core, and every point of its support is relevant
+    for k in sorted(node[rank[p]] for p in coeffs):
+        c = coeffs[labels[k]]
+        if c > 0:
+            net.add_edge(k, t, c)
+            demand += c
+        else:
+            net.add_edge(s, k, -c)
     big = sum(abs(v) for v in coeffs.values()) + 1
     if total > 0:
-        net.add_edge("s", "w", total)
+        net.add_edge(s, w, total)
     elif total < 0:
-        net.add_edge("w", "t", -total)
+        net.add_edge(w, t, -total)
         demand += -total
-    for h in snodes:
-        if h in window.halo:
-            net.add_edge("w", h, big)
-            net.add_edge(h, "w", big)
+    for h in halo:
+        net.add_edge(w, h, big)
+        net.add_edge(h, w, big)
     return net, pair_arcs, demand
 
 
@@ -189,50 +192,49 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
         return FillResult(OneChain({}, P), 0)
 
     space = window.space
-    balls = {p: ball(space, p, P) for p in space.points}
-    relevant: set = set()
-    for comp in _pair_components(balls):
-        if not comp & c.support():
+    points = sorted(space.points, key=repr)
+    rank = {p: i for i, p in enumerate(points)}
+    nbrs = [sorted(map(rank.__getitem__, space.ball_of(p, P))) for p in points]
+    support = c.coeffs.keys()
+    rel: list[int] = []
+    for comp in _components(nbrs):
+        members = [points[i] for i in comp]
+        if support.isdisjoint(members):
             continue
-        if not comp & window.halo:
-            total = sum(c.coeffs.get(p, 0) for p in comp)
+        if window.halo.isdisjoint(members):
+            total = sum(c.coeffs.get(p, 0) for p in members)
             if total != 0:
-                raise InfeasibleFill(sorted(comp, key=repr), total)
-        relevant |= comp
+                raise InfeasibleFill([points[i] for i in sorted(comp)], total)
+        rel += comp
+    rel.sort()
 
     # a nonzero chain needs some nonzero pair, so 1 is a lower bound
     norm = 1
-    net, pair_arcs, demand = _build_network(window, relevant, balls, c.coeffs)
-    flow = net.max_flow("s", "t")
+    net, pair_arcs, demand = _build_network(window, points, rank, rel, nbrs, c.coeffs)
+    s, t = len(rel), len(rel) + 1
+    flow = net.max_flow(s, t)
     solves = 1
     while flow < demand:
-        side = net.source_side("s")
-        k = sum(1 for x, y in pair_arcs if x in side and y not in side)
+        side = net.source_side(s)
+        k = sum(1 for x, y, _ in pair_arcs if x in side and y not in side)
         assert k > 0, "a cut without pair arcs would make every bound infeasible"
         # the cut's capacity, fixed + k*norm, equals the flow, and a feasible
         # bound b needs fixed + k*b >= demand
         norm += -(-(demand - flow) // k)
-        for e in pair_arcs.values():
+        for _, _, e in pair_arcs:
             net.raise_capacity(e, norm)
-        flow += net.max_flow("s", "t")
+        flow += net.max_flow(s, t)
         solves += 1
 
-    flows: dict = {}
-    for (x, y), e in pair_arcs.items():
-        f = net.flow_on(e)
-        if f:
-            flows[(x, y)] = f
+    cap = net.cap  # cap[e ^ 1] is the flow on arc e
+    flows = {(x, y): cap[e ^ 1] for x, y, e in pair_arcs if cap[e ^ 1]}
+    # keep each pair's net flow once, in the direction it runs
+    labels = net.labels
     coeffs: dict = {}
-    done: set = set()
     for (x, y), f in flows.items():
-        if (y, x) in done:
-            continue
-        done.add((x, y))
-        net_flow = f - flows.get((y, x), 0)
-        if net_flow > 0:
-            coeffs[(x, y)] = net_flow
-        elif net_flow < 0:
-            coeffs[(y, x)] = -net_flow
+        back = flows.get((y, x), 0)
+        if f > back:
+            coeffs[(labels[x], labels[y])] = f - back
     chain = OneChain(coeffs, P)
     assert chain.sup_norm() <= norm
     got = apply_boundary(chain).restricted_to(window.core)

@@ -424,16 +424,22 @@ class BoxSpace(FiniteMetricSpace):
         return self.block_offsets[i] + self.block_offsets[j]
 
     def ball_of(self, center: tuple, R: int) -> set:
-        i, a = center
-        m = self.moduli[i]
-        if 2 * R + 1 >= m:
-            out = {(i, b) for b in range(m)}
-        else:
-            out = {(i, (a + d) % m) for d in range(-R, R + 1)}
+        return {center} | self.boundary_of({center}, R)
+
+    def boundary_of(self, F: set, R: int) -> set:
+        blocks: dict[int, list[int]] = {}
+        for i, a in F:
+            blocks.setdefault(i, []).append(a)
+        # D_j > m_j / 2, so a radius that crosses into a block F meets already
+        # covers its cycle; other blocks are reached from F's lowest block
+        near = min((self.block_offsets[i] for i in blocks), default=R + 1)
+        out: set = set()
         for j, mj in enumerate(self.moduli):
-            if j != i and self.cross_block_dist(i, j) <= R:
+            if j in blocks and 2 * R + 1 < mj:
+                out.update((j, (a + d) % mj) for a in blocks[j] for d in range(-R, R + 1))
+            elif j in blocks or near + self.block_offsets[j] <= R:
                 out.update((j, b) for b in range(mj))
-        return out
+        return out - F
 
     def diameter_of(self, F: set) -> int:
         blocks: dict[int, list[int]] = {}

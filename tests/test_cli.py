@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from coarse_lab import cli
 from coarse_lab.cli import main
 from coarse_lab.monoid import presentation, replay_path
+from coarse_lab.space import regular_tree_window
 
 
 def write(path, data):
@@ -81,6 +83,60 @@ def test_verify_fail_exit_code(tmp_path, capsys):
     code, out, _ = run(capsys, "verify-tiling", "--in", tiling)
     assert code == 1
     assert "FAIL" in out
+
+
+def tiling_file(tmp_path, tiles, epsilon="2/5", diameter_bound=14):
+    """A tiling of the core 0..14 of an interval window with halo depth 2."""
+    return write(
+        tmp_path / "tiling.json",
+        {
+            "R": 1,
+            "epsilon": epsilon,
+            "tiles": [[str(i) for i in tile] for tile in tiles],
+            "meta": [],
+            "diameter_bound": diameter_bound,
+            "space": {"interval": {"lo": 0, "hi": 14, "halo_depth": 2}},
+        },
+    )
+
+
+# exit 2: the input is not a tiling of the core
+@pytest.mark.parametrize("tiles, err", [
+    ([[], range(15)], "error: empty tile: []\n"),
+    ([range(0, 6), range(5, 11), range(10, 15)], "error: tiles overlap: [10, 5]\n"),
+    ([range(0, 5), range(5, 10)], "error: core points not covered: [10, 11, 12, 13, 14]\n"),
+    ([range(-1, 5), range(5, 10), range(10, 15)], "error: tiles leave the core: [-1]\n"),
+    ([list(range(15)) + [99]], "error: unknown point key '99'\n"),
+], ids=["empty-tile", "overlap", "uncovered-core", "halo-point", "unknown-point"])
+def test_verify_non_partition_exits_2(tmp_path, capsys, tiles, err):
+    code, out, got = run(capsys, "--json", "verify-tiling", "--in", tiling_file(tmp_path, tiles))
+    assert (code, out, got) == (2, "", err)
+
+
+# exit 1: a partition of the core that fails epsilon or the diameter bound
+@pytest.mark.parametrize("epsilon, bound, failures", [
+    ("2/5", 14, ["tile 1: ratio 2/5 is not strictly below 2/5"]),
+    ("1/2", 3, [f"tile {i}: diameter 4 exceeds declared bound 3" for i in range(3)]),
+], ids=["epsilon", "diameter"])
+def test_verify_failed_partition_exits_1(tmp_path, capsys, epsilon, bound, failures):
+    tiles = [range(0, 5), range(5, 10), range(10, 15)]
+    code, out, err = run(
+        capsys, "--json", "verify-tiling", "--in", tiling_file(tmp_path, tiles, epsilon, bound)
+    )
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["exit_code"] == 1
+    assert report["result"] == {
+        "failures": failures,
+        "max_diameter": 4,
+        "max_ratio": "2/5",
+        "meta_mismatches": [],
+        "passed": False,
+        "tiles": [
+            {"contaminated": i != 1, "diameter": 4, "index": i, "ratio": "2/5", "size": 5}
+            for i in range(3)
+        ],
+    }
 
 
 def test_missing_input_file_is_usage_error(capsys):
@@ -195,6 +251,55 @@ def test_homology_fill_reports_stable_solve_stats(tmp_path, capsys, zwindow):
     stats = json.loads(outs[0])["stats"]
     assert sorted(stats) == ["arcs", "nodes", "solves"]
     assert stats["solves"] >= 1 and stats["nodes"] > 0 and stats["arcs"] > 0
+
+
+GOLDEN = Path(__file__).parent / "golden"
+FILL = ["homology-fill", "--chain", "chain.json"]
+
+
+# golden file: (window, chain or None, subcommand and arguments); the goldens
+# are stdout bytes, so a change to any field, stats included, shows here
+GOLDEN_CASES = {
+    "homology-fill-dipole": (
+        {"vertices": list(range(40)), "edges": [[i, i + 1] for i in range(39)]},
+        {"0": 1, "39": -1},
+        FILL + ["--P", "1"],
+    ),
+    "homology-fill-line-halo": (  # P = 2 with a halo: the exit node w carries mass
+        {"interval": {"lo": -8, "hi": 8, "halo_depth": 2}},
+        {"-6": 2, "-1": 4, "0": 3, "1": 4, "3": -1, "7": 1},
+        FILL + ["--P", "2"],
+    ),
+    "homology-fill-tree": (
+        {"tree": {"degree": 3, "core_depth": 3, "halo_depth": 1}},
+        {p: 1 for p in sorted(regular_tree_window(3, 3, 1).core)},
+        FILL + ["--P", "1"],
+    ),
+    "paradox-witness": (
+        {"tree": {"degree": 3, "core_depth": 5, "halo_depth": 2}},
+        None,
+        ["paradox", "--points", "v,v0,v1,v2", "--R", "2"],
+    ),
+    "paradox-violator": (
+        {"interval": {"lo": -10, "hi": 10, "halo_depth": 2}},
+        None,
+        ["paradox", "--points", "0,1,2,3,4,5,6,7,8,9", "--R", "1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_flow_reports_match_golden_bytes(tmp_path, monkeypatch, capsys, name):
+    window, chain, argv = GOLDEN_CASES[name]
+    # relative paths, so the report's params are the same in every checkout
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "window.json", window)
+    if chain is not None:
+        write(tmp_path / "chain.json", {"coeffs": chain})
+    code, out, err = run(capsys, "--json", *argv, "--in", "window.json")
+    assert err == ""
+    assert code == json.loads(out)["exit_code"]
+    assert out == (GOLDEN / f"{name}.json").read_text()
 
 
 def test_monoid_cli_verdicts(tmp_path, capsys):

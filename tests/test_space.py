@@ -5,6 +5,7 @@ import pytest
 
 from coarse_lab.space import (
     BoxSpace,
+    FiniteMetricSpace,
     IntegerLineSpace,
     IntegerSubsetSpace,
     MatrixSpace,
@@ -365,6 +366,28 @@ def test_box_space_boundary_matches_brute():
         R = rng.randint(0, 10)
         assert s.boundary_of(F, R) == brute_boundary(s, F, R)
         assert s.diameter_of(F) == max(s.dist(p, q) for p in F for q in F)
+
+
+class GenericBox(BoxSpace):
+    """BoxSpace with the distance-only fallbacks of the base class."""
+
+    ball_of = FiniteMetricSpace.ball_of
+    boundary_of = FiniteMetricSpace.boundary_of
+
+
+def test_box_space_boundary_matches_generic_fallback():
+    rng = random.Random(31)
+    chains = ([2 ** k for k in range(1, 8)], [1, 3, 9, 27], [1, 1, 2, 1, 3, 8], [5, 1, 12, 2, 7], [6])
+    for moduli in chains:
+        s, generic = BoxSpace(moduli), GenericBox(moduli)
+        pts = sorted(s.points)
+        for R in range(6):
+            assert s.boundary_of(set(), R) == set()
+            for _ in range(15):
+                F = set(rng.sample(pts, rng.randint(1, min(12, len(pts)))))
+                assert s.boundary_of(F, R) == generic.boundary_of(F, R), (moduli, R, F)
+            for p in rng.sample(pts, min(5, len(pts))):
+                assert s.ball_of(p, R) == generic.ball_of(p, R), (moduli, R, p)
 
 
 def test_box_window_has_no_halo():
