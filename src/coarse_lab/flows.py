@@ -1,17 +1,19 @@
-"""Integer maximum flow on small directed graphs (Dinic's algorithm).
+"""Integer maximum flow on small graphs (Dinic's algorithm).
 
 Nodes are the dense indices 0 .. n-1, fixed when the network is built:
 node i stands for ``labels[i]``, and the labels are kept only for reports.
-Arcs join indices, so building a network does no label lookups.  All
-capacities are nonnegative integers, so every maximum flow found here is
-integral.  This backs both the doubling matchings and the transshipment
-feasibility solves.
+Each edge is one arc pair e, e ^ 1 joining two indices, with a capacity
+each way: ``back`` 0 for a directed arc, the same capacity both ways for
+an undirected edge, whose residual ``cap[e]`` is then that capacity minus
+its net flow.  All capacities are nonnegative integers, so every maximum
+flow found here is integral.  This backs both the doubling matchings and
+the transshipment feasibility solves.
 
 ``max_flow`` is iterative, so its stack does not grow with the length of
 an augmenting path, and warm-startable: it augments whatever flow the
-network already holds.  Raising capacities with ``raise_capacity`` keeps
-that flow feasible, so a parametric caller re-solves the same residual
-network instead of building a new one.
+network already holds.  Raising ``cap[e]``, or both ``cap[e]`` and
+``cap[e ^ 1]`` of an undirected edge by the same amount, keeps that flow
+feasible, so a parametric caller re-solves the same residual network.
 """
 
 from __future__ import annotations
@@ -28,26 +30,20 @@ class FlowNetwork:
         self.to: list[int] = []
         self.cap: list[int] = []
 
-    def add_edge(self, u: int, v: int, capacity: int) -> int:
-        """Add a directed arc u -> v; returns the arc index for flow queries."""
-        if capacity < 0:
+    def add_edge(self, u: int, v: int, capacity: int, back: int = 0) -> int:
+        """Add u -> v with ``capacity`` and v -> u with ``back``; returns the u -> v arc."""
+        if capacity < 0 or back < 0:
             raise ValueError("capacity must be nonnegative")
         e = len(self.to)
         self.to += (v, u)
-        self.cap += (capacity, 0)
+        self.cap += (capacity, back)
         self.adj[u].append(e)
         self.adj[v].append(e + 1)
         return e
 
     def flow_on(self, e: int) -> int:
+        """Flow on arc e of a pair added with ``back`` 0."""
         return self.cap[e ^ 1]
-
-    def raise_capacity(self, e: int, capacity: int) -> None:
-        """Raise arc e's capacity to ``capacity``, keeping the flow it carries."""
-        grow = capacity - self.cap[e] - self.cap[e ^ 1]
-        if grow < 0:
-            raise ValueError("capacity may only be raised")
-        self.cap[e] += grow
 
     def max_flow(self, s: int, t: int) -> int:
         """Augment the current flow to a maximum one; return the value added.

@@ -81,8 +81,8 @@ class InfeasibleFill(ValueError):
 class FillResult:
     """A minimum sup-norm filler, with counters of the solve that found it.
 
-    ``solves`` is the number of max-flow calls, ``nodes`` and ``arcs`` the
-    size of the one transshipment network they shared.
+    ``solves`` is the number of max-flow calls; ``nodes`` and ``arcs`` count the
+    nodes and arc pairs (one per point pair or halo exit) of the network they shared.
     """
 
     chain: OneChain
@@ -123,8 +123,9 @@ def _build_network(window: WindowedSpace, points: list, rank: dict, rel: list, n
     """Transshipment feasibility network at sup-norm bound 1.
 
     Node k is the relevant point ``points[rel[k]]``; then come s, t and,
-    only when some arc uses it, the halo exit w.  Pair arcs are added per
-    point in rank order, so each node keeps its arcs in ``repr`` order.
+    only when some arc uses it, the halo exit w.  Each point pair and each
+    halo exit {w, h} is one undirected edge; a pair is added from its
+    lower-ranked end, so each node keeps its pair edges in ``repr`` order.
     """
     n = len(rel)
     s, t, w = n, n + 1, n + 2
@@ -136,8 +137,8 @@ def _build_network(window: WindowedSpace, points: list, rank: dict, rel: list, n
     pair_arcs = []
     for k, r in enumerate(rel):
         for q in nbrs[r]:
-            if q != r:
-                pair_arcs.append((k, node[q], net.add_edge(k, node[q], 1)))
+            if q > r:
+                pair_arcs.append(net.add_edge(k, node[q], 1, 1))
     demand = 0
     # the chain lives on the core, and every point of its support is relevant
     for k in sorted(node[rank[p]] for p in coeffs):
@@ -154,8 +155,7 @@ def _build_network(window: WindowedSpace, points: list, rank: dict, rel: list, n
         net.add_edge(w, t, -total)
         demand += -total
     for h in halo:
-        net.add_edge(w, h, big)
-        net.add_edge(h, w, big)
+        net.add_edge(w, h, big, big)
     return net, pair_arcs, demand
 
 
@@ -168,16 +168,17 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
     the distance-P graph lies entirely in the core yet carries nonzero
     total mass.
 
-    Otherwise one transshipment network is built, with every pair arc at
-    bound 1, and solved by max flow.  While the flow falls short of the
-    demand, the min cut of the residual network, with k pair arcs and
-    ``fixed`` capacity on its other arcs, shows that every feasible bound b
-    has fixed + k*b >= demand.  So the bound is raised to
-    ceil((demand - fixed) / k) and the same residual network is solved
-    again from its current flow.  Each bound tried is a lower bound on the
+    Otherwise one transshipment network is built, with every point pair an
+    undirected edge at bound 1, and solved by max flow.  While the flow falls
+    short of the demand, the min cut of the residual network, crossed by k
+    pair edges and with ``fixed`` capacity on its other arcs, shows that
+    every feasible bound b has fixed + k*b >= demand.  So the bound is raised
+    to ceil((demand - fixed) / k) in both directions of every pair edge,
+    which keeps its net flow, and the same residual network is solved again
+    from its current flow.  Each bound tried is a lower bound on the
     optimum, so the first feasible one is the exact optimum, and max-flow
-    integrality gives an integer filler.  The filler is canonicalised to
-    net flows: at most one of h(x,y), h(y,x) is nonzero.
+    integrality gives an integer filler.  The filler holds each pair's net
+    flow: at most one of h(x,y), h(y,x) is nonzero.
     """
     if P < 1:
         raise ValueError("propagation must be a positive integer")
@@ -199,10 +200,11 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
     rel: list[int] = []
     for comp in _components(nbrs):
         members = [points[i] for i in comp]
-        if support.isdisjoint(members):
+        charged = support & members
+        if not charged:
             continue
         if window.halo.isdisjoint(members):
-            total = sum(c.coeffs.get(p, 0) for p in members)
+            total = sum(c.coeffs[p] for p in charged)
             if total != 0:
                 raise InfeasibleFill([points[i] for i in sorted(comp)], total)
         rel += comp
@@ -212,29 +214,31 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
     norm = 1
     net, pair_arcs, demand = _build_network(window, points, rank, rel, nbrs, c.coeffs)
     s, t = len(rel), len(rel) + 1
+    to, cap, labels = net.to, net.cap, net.labels
     flow = net.max_flow(s, t)
     solves = 1
     while flow < demand:
         side = net.source_side(s)
-        k = sum(1 for x, y, _ in pair_arcs if x in side and y not in side)
-        assert k > 0, "a cut without pair arcs would make every bound infeasible"
+        k = sum(1 for e in pair_arcs if (to[e] in side) != (to[e ^ 1] in side))
+        assert k > 0, "a cut without pair edges would make every bound infeasible"
         # the cut's capacity, fixed + k*norm, equals the flow, and a feasible
         # bound b needs fixed + k*b >= demand
-        norm += -(-(demand - flow) // k)
-        for _, _, e in pair_arcs:
-            net.raise_capacity(e, norm)
+        grow = -(-(demand - flow) // k)
+        norm += grow
+        for e in pair_arcs:
+            cap[e] += grow
+            cap[e ^ 1] += grow
         flow += net.max_flow(s, t)
         solves += 1
 
-    cap = net.cap  # cap[e ^ 1] is the flow on arc e
-    flows = {(x, y): cap[e ^ 1] for x, y, e in pair_arcs if cap[e ^ 1]}
-    # keep each pair's net flow once, in the direction it runs
-    labels = net.labels
     coeffs: dict = {}
-    for (x, y), f in flows.items():
-        back = flows.get((y, x), 0)
-        if f > back:
-            coeffs[(labels[x], labels[y])] = f - back
+    # the net flow along pair edge e is norm - cap[e]: keep it as it runs
+    for e in pair_arcs:
+        f = norm - cap[e]
+        if f > 0:
+            coeffs[(labels[to[e ^ 1]], labels[to[e]])] = f
+        elif f < 0:
+            coeffs[(labels[to[e]], labels[to[e ^ 1]])] = -f
     chain = OneChain(coeffs, P)
     assert chain.sup_norm() <= norm
     got = apply_boundary(chain).restricted_to(window.core)

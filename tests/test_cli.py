@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -300,6 +304,104 @@ def test_flow_reports_match_golden_bytes(tmp_path, monkeypatch, capsys, name):
     assert err == ""
     assert code == json.loads(out)["exit_code"]
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+# the child runs every subcommand in one process and prints each exit code
+# and --json report; its inputs come on stdin as {file: data} and argv lists
+ALL_SUBCOMMANDS = """
+import json, sys
+from coarse_lab.cli import main
+files, calls = json.load(sys.stdin)
+for name, data in files.items():
+    with open(name, "w") as f:
+        json.dump(data, f)
+for argv in calls:
+    print(main(["--json", *argv]), flush=True)
+"""
+
+
+def all_subcommand_inputs():
+    towers = {
+        "towers": [
+            {"height": 3, "columns": [["a0", "a1", "a2"], ["b0", "b1", "b2"]]},
+            {"height": 2, "columns": [["c0", "c1"]]},
+        ]
+    }
+    files = {
+        "line.json": {"interval": {"lo": -30, "hi": 30, "halo_depth": 3}},
+        "tree.json": {"tree": {"degree": 3, "core_depth": 4, "halo_depth": 2}},
+        "graph.json": {
+            "vertices": ["a", "b", "c", "d", "e"],
+            "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["e", "a"]],
+            "core": ["b", "c", "d"],
+            "halo_depth": 1,
+        },
+        "cycle.json": {  # two shortest routes between opposite points
+            "vertices": [f"p{i}" for i in range(6)],
+            "edges": [[f"p{i}", f"p{(i + 1) % 6}"] for i in range(6)],
+        },
+        "subset.json": {"A": list(range(0, 12)) + list(range(40, 52))},
+        "towers.json": towers,
+        "targets.json": {"targets": [["a0", "b1", "c0"], ["a2", "c1"]]},
+        "num23.json": {"rank": 2, "relations": [[[3, 0], [0, 2]]]},
+        "idem.json": {"rank": 1, "relations": [[[2], [1]]]},
+        "tree-chain.json": {"coeffs": {"v0": 1, "v10": 2, "v211": -1}},
+        "closed-chain.json": {"coeffs": {"3": 1, "4": 1}},
+        "cycle-chain.json": {"coeffs": {"p0": 1, "p3": -1}},
+    }
+    calls = [
+        ["boundary", "--in", "tree.json", "--points", "v,v0,v11", "--R", "1"],
+        ["ball", "--in", "graph.json", "--center", "c", "--R", "1"],
+        ["tile", "--strategy", "sparse", "--R", "1", "--epsilon", "1/2",
+         "--in", "subset.json", "--out", "tiling.json"],
+        ["verify-tiling", "--in", "tiling.json"],
+        ["folner", "--in", "tree.json", "--R", "1", "--epsilon", "1/2",
+         "--strategy", "greedy", "--budget", "20"],
+        ["paradox", "--in", "tree.json", "--points", "v,v0,v1,v2,v00", "--R", "1"],
+        ["homology-fill", "--in", "tree.json", "--chain", "tree-chain.json", "--P", "2"],
+        ["homology-fill", "--in", "subset.json", "--chain", "closed-chain.json", "--P", "1"],
+        ["homology-fill", "--in", "cycle.json", "--chain", "cycle-chain.json", "--P", "1"],
+        ["castle", "validate", "--in", "towers.json"],
+        ["castle", "refine", "--in", "towers.json", "--targets", "targets.json"],
+        ["castle", "compare", "--in", "towers.json", "--A", "a0,b0", "--B", "a1,b1,a2,b2,c0"],
+        ["castle", "from-tiling", "--in", "tiling.json", "--out", "castle.json"],
+        ["castle", "defect", "--in", "castle.json", "--space", "subset.json", "--R", "1"],
+        ["monoid", "equal", "--in", "num23.json", "--u", "6,0", "--v", "0,4"],
+        ["monoid", "leq", "--in", "num23.json", "--u", "1,0", "--v", "0,2"],
+        ["monoid", "aup", "--in", "num23.json"],
+        ["monoid", "pinf", "--in", "idem.json", "--x", "1"],
+        ["monoid", "refine", "--in", "num23.json",
+         "--a", "3,0", "--b", "0,2", "--c", "0,2", "--d", "3,0"],
+        ["monoid", "canc", "--in", "num23.json", "--u", "3,0", "--v", "0,2"],
+        ["selftest", "--criteria", "9"],
+    ]
+    for name, (window, chain, argv) in GOLDEN_CASES.items():
+        files[f"{name}-window.json"] = window
+        if chain is not None:
+            files[f"{name}-chain.json"] = {"coeffs": chain}
+            argv = [f"{name}-chain.json" if a == "chain.json" else a for a in argv]
+        calls.append(argv + ["--in", f"{name}-window.json"])
+    return files, calls
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    inputs = json.dumps(all_subcommand_inputs())
+    src = str(Path(cli.__file__).parents[1])
+    outs = []
+    for seed in ("0", "1"):
+        cwd = tmp_path / seed
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", ALL_SUBCOMMANDS],
+            input=inputs, cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        outs.append(done.stdout)
+    # selftest reports each criterion's wall time, the one field that may differ
+    same = [re.sub(r'"elapsed_s": [0-9.]+', '"elapsed_s": 0', out) for out in outs]
+    assert same[0] == same[1]
+    assert same[0].count('"tool": "coarse-lab"') == len(json.loads(inputs)[1])
 
 
 def test_monoid_cli_verdicts(tmp_path, capsys):

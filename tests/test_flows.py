@@ -15,20 +15,32 @@ def random_edges(rng: random.Random):
     return n, edges
 
 
+def random_mixed_edges(rng: random.Random):
+    """Edges (u, v, c, back): directed with back 0 or undirected with back c."""
+    n, edges = random_edges(rng)
+    return n, [(u, v, c, c if rng.random() < 0.5 else 0) for u, v, c in edges]
+
+
 def network(n, edges) -> FlowNetwork:
     net = FlowNetwork(range(n))
-    for u, v, c in edges:
-        net.add_edge(u, v, c)
+    for u, v, c, *back in edges:
+        net.add_edge(u, v, c, *back)
     return net
 
 
-def cut_capacity(net: FlowNetwork, side: set) -> int:
-    """Original capacity of the arcs leaving ``side``."""
-    return sum(
-        net.cap[e] + net.cap[e ^ 1]
-        for e in range(0, len(net.to), 2)
-        if net.to[e ^ 1] in side and net.to[e] not in side
-    )
+def edmonds_karp(n, edges) -> int:
+    """The oracle's max flow from 0 to n - 1, an undirected edge added both ways."""
+    ek = _EKGraph(n)
+    for u, v, c, back in edges:
+        ek.add(u, v, c)
+        if back:
+            ek.add(v, u, back)
+    return ek.max_flow(0, n - 1)
+
+
+def cut_capacity(edges, side: set) -> int:
+    """Capacity of the edges leaving ``side``; an undirected edge counts once."""
+    return sum(c if u in side else back for u, v, c, back in edges if (u in side) != (v in side))
 
 
 def test_long_chain_has_no_recursion_limit():
@@ -42,11 +54,8 @@ def test_long_chain_has_no_recursion_limit():
 def test_flow_value_matches_edmonds_karp():
     for seed in range(50):
         rng = random.Random(seed)
-        n, edges = random_edges(rng)
-        ek = _EKGraph(n)
-        for u, v, c in edges:
-            ek.add(u, v, c)
-        assert network(n, edges).max_flow(0, n - 1) == ek.max_flow(0, n - 1), seed
+        n, edges = random_mixed_edges(rng)
+        assert network(n, edges).max_flow(0, n - 1) == edmonds_karp(n, edges), seed
 
 
 def test_warm_solve_adds_only_the_new_flow():
@@ -59,29 +68,43 @@ def test_warm_solve_adds_only_the_new_flow():
         for e, (u, v, c) in enumerate(edges):
             if rng.random() < 0.5:
                 raised[e] = (u, v, c + rng.randint(1, 4))
-                net.raise_capacity(2 * e, raised[e][2])
+                net.cap[2 * e] += raised[e][2] - c
         added = net.max_flow(0, n - 1)
         assert first + added == network(n, raised).max_flow(0, n - 1), seed
         assert net.max_flow(0, n - 1) == 0
 
 
-def test_raise_capacity_refuses_to_lower():
+def test_warm_solve_after_raising_undirected_edges():
+    for seed in range(50):
+        rng = random.Random(seed)
+        n, edges = random_mixed_edges(rng)
+        net = network(n, edges)
+        first = net.max_flow(0, n - 1)
+        grow = rng.randint(1, 4)
+        raised = [(u, v, c + grow, back + grow) if back else (u, v, c, 0) for u, v, c, back in edges]
+        for e, (_, _, _, back) in enumerate(edges):
+            if back:  # both directions, so the edge keeps its net flow
+                net.cap[2 * e] += grow
+                net.cap[2 * e + 1] += grow
+        added = net.max_flow(0, n - 1)
+        assert first + added == network(n, raised).max_flow(0, n - 1), seed
+        assert net.max_flow(0, n - 1) == 0
+
+
+def test_add_edge_rejects_negative_capacity():
     net = FlowNetwork(["s", "t"])
-    e = net.add_edge(0, 1, 2)
-    net.max_flow(0, 1)
-    with pytest.raises(ValueError, match="raised"):
-        net.raise_capacity(e, 1)
-    net.raise_capacity(e, 5)
-    assert net.flow_on(e) == 2
-    assert net.max_flow(0, 1) == 3
+    for capacity, back in [(-1, 0), (1, -1)]:
+        with pytest.raises(ValueError, match="nonnegative"):
+            net.add_edge(0, 1, capacity, back)
+    assert net.to == [] and net.cap == []
 
 
 def test_source_side_is_a_min_cut():
     for seed in range(50):
         rng = random.Random(seed)
-        n, edges = random_edges(rng)
+        n, edges = random_mixed_edges(rng)
         net = network(n, edges)
         value = net.max_flow(0, n - 1)
         side = net.source_side(0)
         assert 0 in side and n - 1 not in side
-        assert cut_capacity(net, side) == value, seed
+        assert cut_capacity(edges, side) == value, seed
