@@ -210,8 +210,10 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
         rel += comp
     rel.sort()
 
-    # a nonzero chain needs some nonzero pair, so 1 is a lower bound
+    # a nonzero chain needs some nonzero pair, so 1 is a lower bound; at
+    # the bound ``mass`` every pair edge carries the whole demand
     norm = 1
+    mass = sum(map(abs, c.coeffs.values()))
     net, pair_arcs, demand = _build_network(window, points, rank, rel, nbrs, c.coeffs)
     s, t = len(rel), len(rel) + 1
     to, cap, labels = net.to, net.cap, net.labels
@@ -225,6 +227,7 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
         # bound b needs fixed + k*b >= demand
         grow = -(-(demand - flow) // k)
         norm += grow
+        assert norm <= mass, f"bound {norm} exceeds the chain's total absolute mass {mass}"
         for e in pair_arcs:
             cap[e] += grow
             cap[e ^ 1] += grow

@@ -13,7 +13,8 @@ claims more than the region it searched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
+from operator import add, ge, mul, sub
 from typing import Iterable, Sequence
 
 DEFAULT_DEPTH = 12
@@ -76,17 +77,11 @@ def _check_vector(p: MonoidPresentation, v: Sequence[int]) -> Vector:
 
 
 def vadd(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vscale(n: int, u: Vector) -> Vector:
-    return tuple(n * a for a in u)
-
-
-def _apply(w: Vector, take: Vector, give: Vector) -> Vector | None:
-    if all(a >= b for a, b in zip(w, take)):
-        return tuple(a - b + c for a, b, c in zip(w, take, give))
-    return None
+    return tuple(map(mul, repeat(n), u))
 
 
 def _saturate(
@@ -100,31 +95,40 @@ def _saturate(
 
     Returns (parents, complete, found) where parents maps each reached
     vector to its predecessor step and complete means nothing was cut off
-    by a bound, so the closure is the whole congruence class.
+    by a bound, so the closure is the whole congruence class.  From each
+    vector the moves run in relation-index order, each relation forward
+    (lhs to rhs) before backward; the certificate paths read off parents
+    depend on this order.
     """
     parents: dict[Vector, tuple | None] = {start: None}
     if target is not None and target == start:
         return parents, True, True
+    # (take, give - take, relation index, forward) per relation direction
+    moves = []
+    for ri, (lhs, rhs) in enumerate(p.relations):
+        moves.append((lhs, tuple(map(sub, rhs, lhs)), ri, True))
+        moves.append((rhs, tuple(map(sub, lhs, rhs)), ri, False))
     frontier = [start]
     truncated = False
     for _ in range(depth):
         nxt = []
         for w in frontier:
-            for ri, (lhs, rhs) in enumerate(p.relations):
-                for forward, take, give in ((True, lhs, rhs), (False, rhs, lhs)):
-                    w2 = _apply(w, take, give)
-                    if w2 is None or w2 in parents:
-                        continue
-                    if max(w2) > entry_cap:
-                        truncated = True
-                        continue
-                    if len(parents) >= DEFAULT_STATE_CAP:
-                        truncated = True
-                        continue
-                    parents[w2] = (w, ri, forward)
-                    if target is not None and w2 == target:
-                        return parents, not truncated, True
-                    nxt.append(w2)
+            for take, delta, ri, forward in moves:
+                if not all(map(ge, w, take)):
+                    continue
+                w2 = tuple(map(add, w, delta))
+                if w2 in parents:
+                    continue
+                if max(w2) > entry_cap:
+                    truncated = True
+                    continue
+                if len(parents) >= DEFAULT_STATE_CAP:
+                    truncated = True
+                    continue
+                parents[w2] = (w, ri, forward)
+                if target is not None and w2 == target:
+                    return parents, not truncated, True
+                nxt.append(w2)
         if not nxt:
             break
         frontier = nxt
@@ -150,10 +154,9 @@ def replay_path(p: MonoidPresentation, start: Vector, steps) -> Vector:
     for ri, forward in steps:
         lhs, rhs = p.relations[ri]
         take, give = (lhs, rhs) if forward else (rhs, lhs)
-        nxt = _apply(cur, take, give)
-        if nxt is None:
+        if not all(map(ge, cur, take)):
             raise ValueError(f"step ({ri}, {forward}) does not apply to {cur}")
-        cur = nxt
+        cur = tuple(map(add, map(sub, cur, take), give))
     return cur
 
 
@@ -212,9 +215,9 @@ def leq(
     candidates = []
     dominating = 0
     for w in parents:
-        if all(a >= b for a, b in zip(w, u)):
+        if all(map(ge, w, u)):
             dominating += 1
-            z = tuple(a - b for a, b in zip(w, u))
+            z = tuple(map(sub, w, u))
             if max(z, default=0) <= z_cap:
                 candidates.append(z)
     region = f"depth {depth}, entry cap {entry_cap}, z_cap {z_cap}"
@@ -296,17 +299,19 @@ def check_almost_unperforated(
         return got
 
     for n in range(1, n_max + 1):
+        # the box's side for each entry value a of w; the start vector ny
+        # may exceed the entry cap
+        side = [
+            range(max(0, -((z_cap - a) // (n + 1))), min(x_cap, a // (n + 1)) + 1)
+            for a in range(max(entry_cap, n * x_cap) + 1)
+        ]
         pairs = set()
         for y in vectors:
             for w in closure(vscale(n, y))[0]:
-                box = (
-                    range(max(0, -((z_cap - a) // (n + 1))), min(x_cap, a // (n + 1)) + 1)
-                    for a in w
-                )
-                pairs.update((x, y) for x in product(*box))
+                pairs.update(zip(product(*map(side.__getitem__, w)), repeat(y)))
         for x, y in sorted(pairs):
             members, complete = closure(y)
-            if complete and not any(all(a >= b for a, b in zip(w, x)) for w in members):
+            if complete and not any(all(map(ge, w, x)) for w in members):
                 return AupResult(
                     AupCounterexample(
                         x, y, n,
@@ -396,30 +401,14 @@ def refinement_instance(
         for i in range(p.rank)
     )
     for w in sorted(product(*(range(u + 1) for u in ub)), reverse=True):
-        xs = sorted(
-            tuple(m_i - w_i for m_i, w_i in zip(m, w))
-            for m in CA
-            if all(m_i >= w_i for m_i, w_i in zip(m, w))
-        )
+        xs = sorted(tuple(map(sub, m, w)) for m in CA if all(map(ge, m, w)))
         if not xs:
             continue
-        ys = sorted(
-            tuple(m_i - w_i for m_i, w_i in zip(m, w))
-            for m in CC
-            if all(m_i >= w_i for m_i, w_i in zip(m, w))
-        )
+        ys = sorted(tuple(map(sub, m, w)) for m in CC if all(map(ge, m, w)))
         for x in xs:
             for y in ys:
-                zb = {
-                    tuple(m_i - y_i for m_i, y_i in zip(m, y))
-                    for m in CB
-                    if all(m_i >= y_i for m_i, y_i in zip(m, y))
-                }
-                zd = {
-                    tuple(m_i - x_i for m_i, x_i in zip(m, x))
-                    for m in CD
-                    if all(m_i >= x_i for m_i, x_i in zip(m, x))
-                }
+                zb = {tuple(map(sub, m, y)) for m in CB if all(map(ge, m, y))}
+                zd = {tuple(map(sub, m, x)) for m in CD if all(map(ge, m, x))}
                 common = sorted(zb & zd)
                 if common:
                     return RefinementResult(True, (w, x, y, common[0]), "found")

@@ -462,6 +462,17 @@ def test_monoid_aup_with_class_members_above_entry_cap(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_monoid_unknown_exits_1(tmp_path, capsys):
+    # an Unknown verdict exits 1, like No; the JSON verdict tells them apart
+    pres = write(tmp_path / "idem.json", {"rank": 1, "relations": [[[2], [1]]]})
+    code, out, err = run(
+        capsys, "--json", "monoid", "equal", "--in", pres,
+        "--u", "1", "--v", "19", "--depth", "30", "--cap", "3",
+    )
+    assert code == 1, err
+    assert json.loads(out)["result"]["verdict"] == "unknown"
+
+
 def test_monoid_pinf_cli(tmp_path, capsys):
     pres = write(tmp_path / "idem.json", {"rank": 1, "relations": [[[2], [1]]]})
     code, out, _ = run(capsys, "monoid", "pinf", "--in", pres, "--x", "1")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from coarse_lab.flows import FlowNetwork
 from coarse_lab.homology import (
     InfeasibleFill,
     OneChain,
@@ -64,6 +65,17 @@ def test_fill_dipole_along_path():
     res = min_norm_fill(w, c, 1)
     assert res.norm == 1
     assert apply_boundary(res.chain).restricted_to(w.core) == c
+
+
+def test_fill_bound_never_passes_the_mass(monkeypatch):
+    # a solver that never finds flow, under a cut that always crosses a pair
+    # edge, would raise the bound forever; the optimum is at most the chain's
+    # total absolute mass, so the loop must stop there
+    monkeypatch.setattr(FlowNetwork, "max_flow", lambda self, s, t: 0)
+    monkeypatch.setattr(FlowNetwork, "source_side", lambda self, s: {s, 0})
+    w = integer_window(0, 10, 1)
+    with pytest.raises(AssertionError, match="total absolute mass"):
+        min_norm_fill(w, ZeroChain({0: 1, 10: -1}), 1)
 
 
 def test_fill_constant_one_exits_both_ends():

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from coarse_lab import monoid
 from coarse_lab.monoid import (
     _saturate,
     cancellative_equal,
@@ -28,6 +29,82 @@ SHRINK = presentation(1, [[(3,), (2,)]])  # 3a = 2a
 def image23(v):
     # the isomorphism onto the numerical monoid <2,3>: a -> 2, b -> 3
     return 2 * v[0] + 3 * v[1]
+
+
+def reference_saturate(p, start, depth, entry_cap, target=None, state_cap=monoid.DEFAULT_STATE_CAP):
+    """Plain breadth-first closure of start, independent of _saturate.
+
+    Each level rewrites every vector of the previous level by every relation,
+    forward then backward, one coordinate at a time.  A new vector is kept
+    unless it has an entry above entry_cap or state_cap vectors are already
+    kept; either refusal, or a nonempty level left after depth levels, makes
+    the closure incomplete.  Returns (parents, complete, found) with
+    parents[v] = (predecessor, relation index, forward).
+    """
+    parents = {start: None}
+    if target == start:
+        return parents, True, True
+    complete = True
+    level = [start]
+    for _ in range(depth):
+        if not level:
+            break
+        new_level = []
+        for w in level:
+            for ri, (lhs, rhs) in enumerate(p.relations):
+                for forward in (True, False):
+                    take, give = (lhs, rhs) if forward else (rhs, lhs)
+                    v = []
+                    for i in range(p.rank):
+                        if w[i] < take[i]:
+                            break
+                        v.append(w[i] - take[i] + give[i])
+                    else:
+                        v = tuple(v)
+                        if v in parents:
+                            continue
+                        if max(v) > entry_cap or len(parents) >= state_cap:
+                            complete = False
+                            continue
+                        parents[v] = (w, ri, forward)
+                        if v == target:
+                            return parents, complete, True
+                        new_level.append(v)
+        level = new_level
+    if level:
+        complete = False
+    return parents, complete, target in parents
+
+
+@pytest.mark.parametrize("state_cap", [None, 12])
+def test_saturate_matches_reference_bfs(monkeypatch, state_cap):
+    if state_cap is not None:
+        monkeypatch.setattr(monoid, "DEFAULT_STATE_CAP", state_cap)
+    cap = monoid.DEFAULT_STATE_CAP
+    rng = random.Random(808)
+    kinds = set()
+    for _ in range(500):
+        rank = rng.randint(1, 3)
+        relations = [
+            [tuple(rng.randint(0, 3) for _ in range(rank)) for _ in range(2)]
+            for _ in range(rng.randint(0, 3))
+        ]
+        p = presentation(rank, relations)
+        start = tuple(rng.randint(0, 5) for _ in range(rank))
+        depth = rng.randint(0, 12)
+        entry_cap = rng.randint(2, 15)
+        target = tuple(rng.randint(0, 5) for _ in range(rank)) if rng.random() < 0.5 else None
+        parents, complete, found = _saturate(p, start, depth, entry_cap, target)
+        want, want_complete, want_found = reference_saturate(
+            p, start, depth, entry_cap, target, cap
+        )
+        assert list(parents.items()) == list(want.items()), (relations, start, depth, entry_cap)
+        assert (complete, found) == (want_complete, want_found)
+        kinds.add((complete, found, len(parents) == cap))
+    # complete and truncated closures, hit and missed targets, and in the
+    # capped run closures stopped by the state cap all occurred
+    assert {(True, False), (False, False), (True, True), (False, True)} <= {k[:2] for k in kinds}
+    assert any(k[2] for k in kinds) == (state_cap is not None)
 
 
 # -- equal --------------------------------------------------------------------
@@ -162,7 +239,7 @@ def _first_aup_triple(p, x_cap, n_max, depth, z_cap, entry_cap):
             for y in vectors:
                 if not leq(p, vscale(n + 1, x), vscale(n, y), depth, z_cap, entry_cap).yes:
                     continue
-                parents, complete, _ = _saturate(p, y, depth, entry_cap)
+                parents, complete, _ = reference_saturate(p, y, depth, entry_cap)
                 if complete and not any(all(a >= b for a, b in zip(w, x)) for w in parents):
                     return x, y, n
     return None
