@@ -223,6 +223,5 @@ def doubling_check(window: WindowedSpace, F: Iterable, R: int) -> ParadoxWitness
     side = net.source_side(0)
     S = {x for i, x in enumerate(xs, 2) if i in side}
     violator = HallViolator(points=frozenset(S), R=R)
-    b = S | outer_boundary(space, S, R)
-    assert len(b) < 2 * len(S), "min cut failed to produce a Hall violator"
+    violator.replay(window)
     return violator

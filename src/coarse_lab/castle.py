@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .space import WindowedSpace
 from .tiling import Tiling, verify_tiling
@@ -51,18 +51,6 @@ class TypeVector:
         if self.orbits != other.orbits:
             raise ValueError("type vectors over different castles")
         return all(a <= b for a, b in zip(self.masses, other.masses))
-
-    def by_orbit(self) -> dict:
-        return dict(zip(self.orbits, self.masses))
-
-    def strictly_positive(self) -> bool:
-        return all(m > 0 for m in self.masses)
-
-
-def make_castle(towers: Iterable[tuple[int, Sequence[Sequence]]]) -> Castle:
-    return Castle(
-        [Tower(h, tuple(tuple(col) for col in cols)) for h, cols in towers]
-    )
 
 
 def validate(c: Castle) -> list[str]:
@@ -123,23 +111,14 @@ def refine(c: Castle, targets: Sequence[Iterable]) -> Castle:
     return Castle(new_towers)
 
 
-def type_vector(c: Castle, f: Callable | dict) -> TypeVector:
-    """Sum the values of f over each orbit (column)."""
+def type_vector(c: Castle, f: dict) -> TypeVector:
+    """Sum the values of f over each orbit (column); absent atoms count 0."""
     _require_valid(c)
-    get = f.get if isinstance(f, dict) else None
-    masses = []
-    orbits = []
-    for tower in c.towers:
-        for col in tower.columns:
-            if get is not None:
-                m = sum(get(a, 0) for a in col)
-            else:
-                m = sum(f(a) for a in col)
-            if m < 0:
-                raise ValueError("type vectors need nonnegative functions")
-            masses.append(m)
-            orbits.append(col)
-    return TypeVector(tuple(masses), tuple(orbits))
+    orbits = tuple(c.orbits())
+    masses = tuple(sum(f.get(a, 0) for a in col) for col in orbits)
+    if any(m < 0 for m in masses):
+        raise ValueError("type vectors need nonnegative functions")
+    return TypeVector(masses, orbits)
 
 
 def indicator(A: Iterable) -> dict:
@@ -191,7 +170,6 @@ def compare(c: Castle, A: Iterable, B: Iterable) -> ComparisonResult:
     inside B; A is subequivalent to B iff the A-count never exceeds the
     B-count, and in that case level-to-level bisections realise the move.
     """
-    _require_valid(c)
     A = frozenset(A)
     B = frozenset(B)
     refined = refine(c, [A, B])
@@ -207,30 +185,6 @@ def compare(c: Castle, A: Iterable, B: Iterable) -> ComparisonResult:
         for j, k in zip(a_levels, b_levels):
             bisections.append({col[j]: col[k] for col in tower.columns})
     return ComparisonResult(ok=True, witness=ComparisonWitness(bisections))
-
-
-def is_order_unit(c: Castle, f: Callable | dict) -> bool:
-    """True iff the support of f meets every orbit."""
-    return type_vector(c, f).strictly_positive()
-
-
-def order_ideal_lattice(c: Castle, max_orbits: int = 16) -> list[frozenset]:
-    """All order ideals of the castle's type semigroup, as orbit index sets.
-
-    Ideals correspond to invariant atom sets, i.e. unions of orbits; each is
-    reported by its generating set of orbit indices.  There are 2^k of them
-    for k orbits, so enumeration is capped.
-    """
-    _require_valid(c)
-    k = len(c.orbits())
-    if k > max_orbits:
-        raise ValueError(
-            f"{k} orbits give 2^{k} ideals; raise max_orbits to enumerate anyway"
-        )
-    out = []
-    for mask in range(1 << k):
-        out.append(frozenset(i for i in range(k) if mask >> i & 1))
-    return out
 
 
 def castle_from_tiling(t: Tiling) -> Castle:

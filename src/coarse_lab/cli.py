@@ -18,8 +18,6 @@ from . import __version__
 from .acceptance import CRITERIA, run_criteria
 from .amenability import ParadoxWitness, doubling_check, folner_search
 from .castle import (
-    Castle,
-    Tower,
     castle_from_tiling,
     compare,
     invariance_defect,
@@ -312,12 +310,7 @@ def _load_castle(args, codec=None):
 
 def cmd_castle_validate(args) -> int:
     em = Emitter(args, "castle validate")
-    data = load_json(args.infile)
-    towers = [
-        Tower(td.get("height", 0), tuple(tuple(col) for col in td.get("columns", [])))
-        for td in data.get("towers", [])
-    ]
-    violations = validate_castle(Castle(towers))
+    violations = validate_castle(_load_castle(args))
     for v in violations:
         em.say("violation: " + v)
     if not violations:

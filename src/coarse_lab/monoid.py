@@ -345,7 +345,7 @@ def properly_infinite(
     mv = None
     for m in range(1, m_cap + 1):
         mx = vscale(m, x)
-        got = leq(p, vscale(2, mx), mx, depth, z_cap, entry_cap)
+        got = verdict if m == 1 else leq(p, vscale(2, mx), mx, depth, z_cap, entry_cap)
         if got.yes:
             least, mv = m, got
             break

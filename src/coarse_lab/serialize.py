@@ -2,8 +2,10 @@
 
 Rationals travel as "p/q" strings end to end; points travel as string keys
 (pairs joined with "|"), so no verdict ever depends on floating point.
-Loaders validate the structural invariants of whatever they admit and name
-the first offending key on failure.
+Loaders check the shape of what they read: objects, lists and integers
+where the schema puts them, naming the first offending key on failure.
+Mathematical invariants (a castle's partition property, say) are checked
+by the operations that rely on them, which raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .castle import Castle, Tower, validate as validate_castle
+from .castle import Castle, Tower
 from .homology import OneChain, ZeroChain
 from .monoid import MonoidPresentation, presentation
 from .space import (
@@ -72,8 +74,18 @@ class PointCodec:
         return self.key_to_point[key]
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", int: "an integer"}
+
+
+def _expect(value, kind: type, context: str):
+    """value if its type is exactly kind, so a float or a bool is no integer."""
+    if type(value) is not kind:
+        raise SchemaError(f"{context}: expected {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def _require(obj: dict, key: str, context: str):
-    if key not in obj:
+    if key not in _expect(obj, dict, context):
         raise SchemaError(f"{context}: missing key {key!r}")
     return obj[key]
 
@@ -209,27 +221,31 @@ def castle_to_dict(c: Castle) -> dict:
 
 
 def castle_from_dict(data: dict, codec: PointCodec | None = None) -> Castle:
+    """The castle as written; ``castle.validate`` lists its violations."""
     towers = []
-    for i, td in enumerate(_require(data, "towers", "castle")):
-        height = _require(td, "height", f"castle tower {i}")
-        cols = _require(td, "columns", f"castle tower {i}")
-        decoded = tuple(
-            tuple(codec.decode(a) if codec else a for a in col) for col in cols
-        )
-        towers.append(Tower(height, decoded))
-    c = Castle(towers)
-    violations = validate_castle(c)
-    if violations:
-        raise SchemaError("castle: " + violations[0])
-    return c
+    for i, td in enumerate(_expect(_require(data, "towers", "castle"), list, "castle 'towers'")):
+        context = f"castle tower {i}"
+        height = _expect(_require(td, "height", context), int, f"{context} 'height'")
+        cols = _expect(_require(td, "columns", context), list, f"{context} 'columns'")
+        decoded = []
+        for ci, col in enumerate(cols):
+            for a in _expect(col, list, f"{context} column {ci}"):
+                if isinstance(a, (list, dict)):
+                    raise SchemaError(f"{context} column {ci}: atom {a!r} is not a scalar")
+            decoded.append(tuple(map(codec.decode, col)) if codec else tuple(col))
+        towers.append(Tower(height, tuple(decoded)))
+    return Castle(towers)
 
 
 def presentation_from_dict(data: dict) -> MonoidPresentation:
-    rank = _require(data, "rank", "presentation")
-    rels = data.get("relations", [])
+    rank = _expect(_require(data, "rank", "presentation"), int, "presentation 'rank'")
+    rels = _expect(data.get("relations", []), list, "presentation 'relations'")
     for i, r in enumerate(rels):
-        if len(r) != 2:
+        if not isinstance(r, list) or len(r) != 2:
             raise SchemaError(f"presentation relation {i}: expected a pair of vectors")
+        for side in r:
+            for x in _expect(side, list, f"presentation relation {i}"):
+                _expect(x, int, f"presentation relation {i} entry")
     try:
         return presentation(rank, rels)
     except ValueError as e:
@@ -237,8 +253,10 @@ def presentation_from_dict(data: dict) -> MonoidPresentation:
 
 
 def zero_chain_from_dict(data: dict, codec: PointCodec) -> ZeroChain:
-    coeffs = _require(data, "coeffs", "zero chain")
-    return ZeroChain({codec.decode(k): int(v) for k, v in coeffs.items()})
+    coeffs = _expect(_require(data, "coeffs", "zero chain"), dict, "zero chain 'coeffs'")
+    return ZeroChain(
+        {codec.decode(k): _expect(v, int, f"zero chain coefficient {k!r}") for k, v in coeffs.items()}
+    )
 
 
 def one_chain_to_dict(h: OneChain) -> dict:

@@ -231,6 +231,19 @@ class GraphSpace(FiniteMetricSpace):
         return best
 
 
+def _runs(values: list[int]) -> list[tuple[int, int]]:
+    """Maximal runs of consecutive integers in a sorted nonempty list, as (first, last)."""
+    runs = []
+    start = prev = values[0]
+    for v in values[1:]:
+        if v != prev + 1:
+            runs.append((start, prev))
+            start = v
+        prev = v
+    runs.append((start, prev))
+    return runs
+
+
 class IntegerLineSpace(FiniteMetricSpace):
     """A finite integer interval with the metric |a - b|."""
 
@@ -250,18 +263,8 @@ class IntegerLineSpace(FiniteMetricSpace):
     def boundary_of(self, F: set, R: int) -> set:
         if not F:
             return set()
-        pts = sorted(F)
         out: set = set()
-        run_start = pts[0]
-        prev = pts[0]
-        runs = []
-        for p in pts[1:]:
-            if p != prev + 1:
-                runs.append((run_start, prev))
-                run_start = p
-            prev = p
-        runs.append((run_start, prev))
-        for a, b in runs:
+        for a, b in _runs(sorted(F)):
             out.update(range(max(self.lo, a - R), a))
             out.update(range(b + 1, min(self.hi, b + R) + 1))
         return out - F
@@ -331,16 +334,7 @@ class StackedSpace(FiniteMetricSpace):
         return n + m + self.base.dist(x, y)
 
     def ball_of(self, center: tuple, R: int) -> set:
-        x, n = center
-        out = {(x, m) for m in range(max(0, n - R), min(self.K, n + R + 1))}
-        budget = R - n
-        if budget >= 1:
-            for y in self.base.ball_of(x, budget):
-                if y == x:
-                    continue
-                top = budget - self.base.dist(x, y)
-                out.update((y, m) for m in range(0, min(self.K - 1, top) + 1))
-        return out
+        return {center} | self.boundary_of({center}, R)
 
     def boundary_of(self, F: set, R: int) -> set:
         cols: dict[Point, list[int]] = {}
@@ -349,15 +343,7 @@ class StackedSpace(FiniteMetricSpace):
         out: set = set()
         for x, levels in cols.items():
             levels.sort()
-            run_start = prev = levels[0]
-            runs = []
-            for n in levels[1:]:
-                if n != prev + 1:
-                    runs.append((run_start, prev))
-                    run_start = n
-                prev = n
-            runs.append((run_start, prev))
-            for a, b in runs:
+            for a, b in _runs(levels):
                 out.update((x, m) for m in range(max(0, a - R), a))
                 out.update((x, m) for m in range(b + 1, min(self.K - 1, b + R) + 1))
             # only levels below R can reach other columns
@@ -416,11 +402,10 @@ class BoxSpace(FiniteMetricSpace):
         (i, a), (j, b) = p, q
         if i == j:
             return self._cycle_dist(self.moduli[i], a, b)
-        return self.block_offsets[i] + self.block_offsets[j]
+        return self.cross_block_dist(i, j)
 
     def cross_block_dist(self, i: int, j: int) -> int:
-        if i == j:
-            return 0
+        """The distance between any two points of distinct blocks i and j."""
         return self.block_offsets[i] + self.block_offsets[j]
 
     def ball_of(self, center: tuple, R: int) -> set:
@@ -465,8 +450,8 @@ class WindowedSpace:
 
     The halo absorbs truncation artifacts; computations whose R-neighbourhood
     stays off the halo are faithful to the ambient space the window was cut
-    from.  Whether every halo point really lies within ``halo_depth`` of the
-    core is reported by :meth:`halo_depth_report`, not enforced.
+    from.  ``halo_depth`` is declared by the window's constructor; nothing
+    checks that every halo point lies within it of the core.
     """
 
     space: FiniteMetricSpace
@@ -496,11 +481,6 @@ class WindowedSpace:
             raise ValueError("boundary ratio of the empty set is undefined")
         bd = outer_boundary(self.space, F, R)
         return bd, not bd.isdisjoint(self.halo)
-
-    def halo_depth_report(self) -> int:
-        if not self.halo:
-            return 0
-        return max(min(self.space.dist(h, c) for c in self.core) for h in self.halo)
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +523,6 @@ def diameter(space: FiniteMetricSpace, F: Iterable[Point]) -> int:
     return space.diameter_of(Fs)
 
 
-def geometry_profile(space: FiniteMetricSpace, R: int) -> int:
-    """The largest cardinality of an R-ball; finite by construction."""
-    return max(len(space.ball_of(x, R)) for x in space.points)
-
-
 def stacked_product_window(X: FiniteMetricSpace, K: int, halo_depth: int | None = None) -> WindowedSpace:
     """Stack K copies of X into a column space and quarantine the top layers.
 
@@ -555,8 +530,6 @@ def stacked_product_window(X: FiniteMetricSpace, K: int, halo_depth: int | None 
     window lies about boundaries; by default the top quarter (rounded down)
     is declared halo.
     """
-    if K < 2:
-        raise ValueError("stacked window needs height K >= 2")
     space = StackedSpace(X, K)
     H = K // 4 if halo_depth is None else halo_depth
     if H < 0 or H >= K:

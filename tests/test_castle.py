@@ -10,9 +10,6 @@ from coarse_lab.castle import (
     compare,
     indicator,
     invariance_defect,
-    is_order_unit,
-    make_castle,
-    order_ideal_lattice,
     random_castle,
     refine,
     type_vector,
@@ -22,9 +19,14 @@ from coarse_lab.space import integer_window
 from coarse_lab.tiling import PartitionError, Tiling, tile_interval
 
 
+def castle_of(towers) -> Castle:
+    """A castle from (height, columns) pairs, each column a sequence of atoms."""
+    return Castle([Tower(h, tuple(map(tuple, cols))) for h, cols in towers])
+
+
 def two_tower_castle():
     # towers: (height 3, 2 columns) and (height 2, 1 column)
-    return make_castle(
+    return castle_of(
         [
             (3, [("a0", "a1", "a2"), ("b0", "b1", "b2")]),
             (2, [("c0", "c1")]),
@@ -38,19 +40,19 @@ def level_partition(c: Castle) -> set:
 
 def orbit_masses(c: Castle, f) -> dict:
     tv = type_vector(c, f)
-    return {frozenset(o): m for o, m in tv.by_orbit().items()}
+    return {frozenset(o): m for o, m in zip(tv.orbits, tv.masses)}
 
 
 # -- validation ---------------------------------------------------------------
 
 
 def test_validate_ok():
-    c = make_castle([(2, [("a", "c"), ("b", "d")])])
+    c = castle_of([(2, [("a", "c"), ("b", "d")])])
     assert validate(c) == []
 
 
 def test_validate_repeated_atom():
-    c = make_castle([(2, [("a", "c"), ("a", "d")])])
+    c = castle_of([(2, [("a", "c"), ("a", "d")])])
     assert any("appears" in v for v in validate(c))
 
 
@@ -68,7 +70,7 @@ def test_validate_column_length_mismatch():
 
 
 def test_refine_pattern_split():
-    c = make_castle([(2, [("a", "c"), ("b", "d")])])
+    c = castle_of([(2, [("a", "c"), ("b", "d")])])
     r = refine(c, [{"a", "d"}])
     assert len(r.towers) == 2
     assert all(len(t.columns) == 1 for t in r.towers)
@@ -124,7 +126,7 @@ def test_refine_idempotent_and_preserves_type_vectors():
 
 def test_type_vector_constant_one_gives_heights():
     c = two_tower_castle()
-    tv = type_vector(c, lambda a: 1)
+    tv = type_vector(c, dict.fromkeys(c.atoms(), 1))
     assert tv.masses == (3, 3, 2)
 
 
@@ -136,7 +138,7 @@ def test_type_vector_level_indicator():
 
 def test_type_vector_zero():
     c = two_tower_castle()
-    assert type_vector(c, lambda a: 0).masses == (0, 0, 0)
+    assert type_vector(c, dict.fromkeys(c.atoms(), 0)).masses == (0, 0, 0)
 
 
 # -- comparison ---------------------------------------------------------------
@@ -168,6 +170,13 @@ def test_compare_empty_A():
     res.witness.replay(set(), {"a0"})
 
 
+def test_compare_rejects_an_invalid_castle():
+    c = castle_of([(2, [("a", "c"), ("a", "d")])])
+    with pytest.raises(ValueError) as e:
+        compare(c, {"a"}, {"c"})
+    assert str(e.value) == "invalid castle: atom 'a' appears in tower 0 and tower 0"
+
+
 def test_compare_matches_type_vector_oracle():
     rng = random.Random(17)
     for _ in range(200):
@@ -192,37 +201,6 @@ def test_almost_unperforation_holds_exactly():
         v = [rng.randint(0, 9) for _ in range(k)]
         if all((n + 1) * a <= n * b for a, b in zip(v, w)):
             assert all(a <= b for a, b in zip(v, w))
-
-
-# -- order units and ideals ---------------------------------------------------
-
-
-def test_order_unit_constant_one():
-    c = two_tower_castle()
-    assert is_order_unit(c, lambda a: 1)
-
-
-def test_order_unit_misses_a_tower():
-    c = two_tower_castle()
-    assert not is_order_unit(c, indicator({"a0", "b1"}))
-
-
-def test_order_unit_single_orbit():
-    c = make_castle([(3, [("x", "y", "z")])])
-    assert is_order_unit(c, indicator({"y"}))
-
-
-def test_ideal_lattice_counts():
-    single = make_castle([(2, [("x", "y")])])
-    assert order_ideal_lattice(single) == [frozenset(), frozenset({0})]
-    two = make_castle([(1, [("x",), ("y",)])])
-    assert len(order_ideal_lattice(two)) == 4
-    three = make_castle([(1, [("x",), ("y",), ("z",)])])
-    assert len(order_ideal_lattice(three)) == 8
-    big = random_castle(random.Random(1), 60)
-    if len(big.orbits()) > 16:
-        with pytest.raises(ValueError):
-            order_ideal_lattice(big)
 
 
 # -- castle from tiling and invariance defect ---------------------------------
@@ -277,24 +255,24 @@ def test_defect_equals_max_tile_ratio():
 
 def test_defect_whole_window_single_orbit():
     w = integer_window(0, 9, 0)
-    c = make_castle([(10, [tuple(range(10))])])
+    c = castle_of([(10, [tuple(range(10))])])
     assert invariance_defect(c, w, 3) == 0
 
 
 def test_defect_singleton_orbits():
     w = integer_window(-5, 5, 1)
-    c = make_castle([(1, [(i,) for i in range(-5, 6)])])
+    c = castle_of([(1, [(i,) for i in range(-5, 6)])])
     assert invariance_defect(c, w, 1) == 2
 
 
 def test_defect_atom_mismatch():
     w = integer_window(0, 3, 0)
-    c = make_castle([(1, [("nope",)])])
+    c = castle_of([(1, [("nope",)])])
     with pytest.raises(ValueError) as e:
         invariance_defect(c, w, 1)
     assert str(e.value) == "castle atom 'nope' is not a window point"
     # several strays: the first in c.atoms() order is named
-    c = make_castle([(2, [(0, 7), (1, 9)]), (1, [(2,), (8,)])])
+    c = castle_of([(2, [(0, 7), (1, 9)]), (1, [(2,), (8,)])])
     first = next(a for a in c.atoms() if a not in w.space)
     with pytest.raises(ValueError) as e:
         invariance_defect(c, w, 1)

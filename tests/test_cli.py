@@ -206,6 +206,55 @@ def test_castle_compare_witness(tmp_path, capsys):
     assert "subequivalent" in out
 
 
+TOWERS = [
+    {"height": 3, "columns": [["a0", "a1", "a2"], ["b0", "b1", "b2"]]},
+    {"height": 2, "columns": [["c0", "c1"]]},
+]
+
+
+@pytest.mark.parametrize(
+    "castle, err",
+    [
+        ({"towers": [5]}, "castle tower 0: expected an object, got 5"),
+        ({"towers": 5}, "castle 'towers': expected a list, got 5"),
+        ({"towers": [{"height": 1, "columns": "a"}]}, "castle tower 0 'columns': expected a list"),
+        ({"towers": [{"height": 1, "columns": ["a"]}]}, "castle tower 0 column 0: expected a list"),
+        ({"towers": [{"height": 1, "columns": [[["a"]]]}]}, "atom ['a'] is not a scalar"),
+        ({"towers": [{"height": 1.0, "columns": [["a"]]}]}, "castle tower 0 'height': expected an integer"),
+        ([TOWERS], "castle: expected an object"),
+        ({"towers": [{"columns": [["a"]]}]}, "castle tower 0: missing key 'height'"),
+        ({"towers": [TOWERS[0], {"columns": [["c0", "c1"]]}]}, "castle tower 1: missing key 'height'"),
+    ],
+)
+@pytest.mark.parametrize("op", [["validate"], ["compare", "--A", "a0", "--B", "a1"]])
+def test_malformed_castle_is_a_schema_error(tmp_path, capsys, castle, err, op):
+    path = write(tmp_path / "castle.json", castle)
+    code, out, stderr = run(capsys, "castle", op[0], "--in", path, *op[1:])
+    assert (code, out) == (2, "")
+    assert err in stderr
+
+
+def test_castle_validate_lists_every_violation(tmp_path, capsys):
+    castle = write(
+        tmp_path / "castle.json",
+        {"towers": [{"height": 2, "columns": [["a", "a"], ["b"]]}, {"height": 0, "columns": [["b"]]}]},
+    )
+    code, out, _ = run(capsys, "--json", "castle", "validate", "--in", castle)
+    assert code == 1
+    assert json.loads(out)["result"]["violations"] == [
+        "tower 0 column 0: repeated atom",
+        "atom 'a' appears in tower 0 and tower 0",
+        "tower 0 column 1: length 1 != height 2",
+        "tower 1: height must be at least 1",
+        "tower 1 column 0: length 1 != height 0",
+        "atom 'b' appears in tower 0 and tower 1",
+    ]
+    # the other subcommands refuse an invalid castle as bad input
+    code, out, err = run(capsys, "castle", "compare", "--in", castle, "--A", "a", "--B", "b")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid castle: tower 0 column 0: repeated atom; ")
+
+
 def test_paradox_violator_and_witness(tmp_path, capsys, zwindow):
     code, out, _ = run(
         capsys,
@@ -231,6 +280,23 @@ def test_homology_fill_cli(tmp_path, capsys, zwindow):
     code, out, _ = run(capsys, "homology-fill", "--in", zwindow, "--chain", chain, "--P", "1")
     assert code == 0
     assert "norm 1" in out
+
+
+@pytest.mark.parametrize(
+    "coeffs, err",
+    [
+        ({"0": 0.5}, "zero chain coefficient '0': expected an integer, got 0.5"),
+        ({"0": 1.5, "3": -1.5}, "zero chain coefficient '0': expected an integer, got 1.5"),
+        ({"0": 1, "3": True}, "zero chain coefficient '3': expected an integer, got True"),
+        ({"0": "1"}, "zero chain coefficient '0': expected an integer, got '1'"),
+        ([["0", 1]], "zero chain 'coeffs': expected an object"),
+    ],
+)
+def test_non_integer_chain_is_a_schema_error(tmp_path, capsys, zwindow, coeffs, err):
+    chain = write(tmp_path / "chain.json", {"coeffs": coeffs})
+    code, out, stderr = run(capsys, "homology-fill", "--in", zwindow, "--chain", chain, "--P", "1")
+    assert (code, out) == (2, "")
+    assert err in stderr
 
 
 def test_homology_fill_cli_on_long_path(tmp_path, capsys):
@@ -384,6 +450,33 @@ def all_subcommand_inputs():
     return files, calls
 
 
+CORPUS_FILES, CORPUS_CALLS = all_subcommand_inputs()
+CASTLE_CALLS = {f"castle-{argv[1]}": i for i, argv in enumerate(CORPUS_CALLS) if argv[0] == "castle"}
+
+
+def without_out(argv):
+    i = argv.index("--out") if "--out" in argv else len(argv)
+    return argv[:i] + argv[i + 2:]
+
+
+@pytest.mark.parametrize("name", CASTLE_CALLS)
+def test_castle_reports_match_golden_bytes(tmp_path, monkeypatch, capsys, name):
+    # the castle calls of the hash-seed corpus; the earlier calls that write a
+    # file (the tiling, the castle) run first, and the measured call runs
+    # without --out so that its payload is part of the report
+    monkeypatch.chdir(tmp_path)
+    for file, data in CORPUS_FILES.items():
+        write(tmp_path / file, data)
+    i = CASTLE_CALLS[name]
+    for argv in CORPUS_CALLS[:i]:
+        if "--out" in argv:
+            assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, "--json", *without_out(CORPUS_CALLS[i]))
+    assert err == ""
+    assert code == json.loads(out)["exit_code"]
+    assert out == (GOLDEN / f"{name}.json").read_text()
+
+
 def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
     inputs = json.dumps(all_subcommand_inputs())
     src = str(Path(cli.__file__).parents[1])
@@ -473,6 +566,25 @@ def test_monoid_unknown_exits_1(tmp_path, capsys):
     assert json.loads(out)["result"]["verdict"] == "unknown"
 
 
+@pytest.mark.parametrize(
+    "pres, err",
+    [
+        ({"rank": 2, "relations": [[[1.5, 0], [0, 1]]]}, "presentation relation 0 entry: expected an integer, got 1.5"),
+        ({"rank": 2, "relations": [[[1, 0], [0, False]]]}, "presentation relation 0 entry: expected an integer, got False"),
+        ({"rank": 2.0, "relations": []}, "presentation 'rank': expected an integer, got 2.0"),
+        ({"rank": True}, "presentation 'rank': expected an integer, got True"),
+        ({"rank": 2, "relations": [[1, [0, 1]]]}, "presentation relation 0: expected a list, got 1"),
+        ({"rank": 2, "relations": [5]}, "presentation relation 0: expected a pair of vectors"),
+        ({"rank": 2, "relations": {"0": 1}}, "presentation 'relations': expected a list"),
+    ],
+)
+def test_non_integer_presentation_is_a_schema_error(tmp_path, capsys, pres, err):
+    path = write(tmp_path / "pres.json", pres)
+    code, out, stderr = run(capsys, "monoid", "equal", "--in", path, "--u", "1,0", "--v", "0,1")
+    assert (code, out) == (2, "")
+    assert err in stderr
+
+
 def test_monoid_pinf_cli(tmp_path, capsys):
     pres = write(tmp_path / "idem.json", {"rank": 1, "relations": [[[2], [1]]]})
     code, out, _ = run(capsys, "monoid", "pinf", "--in", pres, "--x", "1")
@@ -498,7 +610,7 @@ def test_reports_are_byte_identical(tmp_path, capsys, zwindow):
             "ball", "--in", zwindow, "--center", "0", "--R", "2",
         )
         assert code == 0
-    assert open(r1, "rb").read() == open(r2, "rb").read()
+    assert Path(r1).read_bytes() == Path(r2).read_bytes()
 
 
 def test_json_mode_emits_only_json(capsys, zwindow):

@@ -295,6 +295,23 @@ def test_pinf_shrink_multiple_two():
     assert res.multiple_verdict.yes
 
 
+@pytest.mark.parametrize("p, x", [(IDEM, (1,)), (FREE1, (1,)), (SHRINK, (1,)), (NUM23, (1, 1))])
+def test_pinf_decides_2x_le_x_once(monkeypatch, p, x):
+    # m = 1 of the multiple search asks the verdict's question again
+    expected = leq(p, vscale(2, x), x)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return leq(*args)
+
+    monkeypatch.setattr(monoid, "leq", counted)
+    res = properly_infinite(p, x, m_cap=1)
+    assert len(calls) == 1
+    assert res.verdict == expected
+    assert (res.least_multiple, res.multiple_verdict) == ((1, expected) if expected.yes else (None, None))
+
+
 # -- refinement ---------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import pytest
 from coarse_lab.space import (
     BoxSpace,
     FiniteMetricSpace,
+    GraphSpace,
     IntegerLineSpace,
     IntegerSubsetSpace,
     MatrixSpace,
@@ -14,7 +15,6 @@ from coarse_lab.space import (
     box_window,
     build_graph_metric,
     diameter,
-    geometry_profile,
     integer_window,
     outer_boundary,
     regular_tree_window,
@@ -368,18 +368,17 @@ def test_box_space_boundary_matches_brute():
         assert s.diameter_of(F) == max(s.dist(p, q) for p in F for q in F)
 
 
-class GenericBox(BoxSpace):
-    """BoxSpace with the distance-only fallbacks of the base class."""
-
-    ball_of = FiniteMetricSpace.ball_of
-    boundary_of = FiniteMetricSpace.boundary_of
+def with_fallbacks(cls):
+    """cls with the distance-only bulk operations of the base class."""
+    fallbacks = ("ball_of", "boundary_of", "diameter_of")
+    return type(f"Generic{cls.__name__}", (cls,), {f: getattr(FiniteMetricSpace, f) for f in fallbacks})
 
 
 def test_box_space_boundary_matches_generic_fallback():
     rng = random.Random(31)
     chains = ([2 ** k for k in range(1, 8)], [1, 3, 9, 27], [1, 1, 2, 1, 3, 8], [5, 1, 12, 2, 7], [6])
     for moduli in chains:
-        s, generic = BoxSpace(moduli), GenericBox(moduli)
+        s, generic = BoxSpace(moduli), with_fallbacks(BoxSpace)(moduli)
         pts = sorted(s.points)
         for R in range(6):
             assert s.boundary_of(set(), R) == set()
@@ -388,6 +387,36 @@ def test_box_space_boundary_matches_generic_fallback():
                 assert s.boundary_of(F, R) == generic.boundary_of(F, R), (moduli, R, F)
             for p in rng.sample(pts, min(5, len(pts))):
                 assert s.ball_of(p, R) == generic.ball_of(p, R), (moduli, R, p)
+
+
+# a path, a triangle and an isolated vertex, so the sentinel distance shows
+FOREST = (range(9), [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 4), (3, 7)])
+
+FALLBACK_SPACES = {
+    "line": (IntegerLineSpace, (-3, 9)),
+    "subset": (IntegerSubsetSpace, ([0, 1, 2, 5, 6, 9, 15, 16, 30],)),
+    "graph": (GraphSpace, FOREST),
+    "stacked-forest": (StackedSpace, (GraphSpace(*FOREST), 6)),
+    "stacked-line": (StackedSpace, (IntegerLineSpace(0, 4), 5)),
+    "box": (BoxSpace, ([1, 3, 6, 12],)),
+}
+
+
+@pytest.mark.parametrize("name", FALLBACK_SPACES)
+def test_bulk_operations_match_generic_fallbacks(name):
+    cls, args = FALLBACK_SPACES[name]
+    s, generic = cls(*args), with_fallbacks(cls)(*args)
+    rng = random.Random(name)
+    pts = sorted(s.points, key=repr)
+    sets = [set(rng.sample(pts, rng.randint(1, min(10, len(pts))))) for _ in range(20)]
+    for F in sets:
+        assert s.diameter_of(F) == generic.diameter_of(F), F
+    for R in range(6):
+        assert s.boundary_of(set(), R) == generic.boundary_of(set(), R) == set()
+        for F in sets:
+            assert s.boundary_of(F, R) == generic.boundary_of(F, R), (R, F)
+        for p in pts:
+            assert s.ball_of(p, R) == generic.ball_of(p, R), (R, p)
 
 
 def test_box_window_has_no_halo():
@@ -427,7 +456,6 @@ def test_integer_window_split():
     w = integer_window(0, 9, 2)
     assert w.core == frozenset(range(0, 10))
     assert w.halo == frozenset({-2, -1, 10, 11})
-    assert w.halo_depth_report() == 2
 
 
 def test_window_partition_enforced():
@@ -443,13 +471,6 @@ def test_halo_contamination_flag():
     for F, expected in (({4, 5}, (2, False)), ({0, 1}, (2, True))):  # {0, 1} reaches -2, -1
         bd, contaminated = w.boundary(F, 2)
         assert (Fraction(len(bd), len(F)), contaminated) == expected
-
-
-def test_geometry_profile():
-    w = regular_tree_window(3, 3, 0)
-    assert geometry_profile(w.space, 1) == 4  # interior point plus 3 neighbours
-    s = IntegerLineSpace(0, 100)
-    assert geometry_profile(s, 5) == 11
 
 
 def test_subset_window():
