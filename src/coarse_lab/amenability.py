@@ -80,7 +80,7 @@ def _candidate_balls(window: WindowedSpace, R: int, budget: int):
             bd, contaminated = window.boundary(F, R)
             if not contaminated:
                 emitted = True
-                yield F, Fraction(len(bd), len(F))
+                yield F, len(bd)
                 produced += 1
                 if produced >= budget:
                     return
@@ -103,37 +103,58 @@ def _candidate_intervals(window: WindowedSpace, R: int, budget: int):
         F = set(range(a, b + 1))
         bd, contaminated = window.boundary(F, R)
         if not contaminated:
-            yield F, Fraction(len(bd), len(F))
+            yield F, len(bd)
 
 
 def _candidate_greedy(window: WindowedSpace, R: int, budget: int):
     """Hill climbing: grow the set one boundary point at a time.
 
-    All candidates at one step have the same size, so boundary counts order
-    them as their ratios would.  The chosen candidate's boundary is the next
-    frontier, so no set is scored twice.
+    The R-neighbourhood of a set is the union of the R-balls of its points,
+    so in every metric space ∂_R(F ∪ {p}) = (∂_R F ∪ B_R(p)) − F − {p}.  A
+    candidate p is therefore scored from its ball alone, as
+    |∂_R F| + |B_R(p) − ∂_R F − F| − 1: the − 1 is p itself, which lies in
+    its own ball and never in F.  All candidates at one step have the same
+    size, so these counts order them as their ratios would, and the first
+    one in ``repr`` order wins a tie.
+
+    The kept boundary ∂_R F is halo-free, and F and p lie in the core, so
+    F ∪ {p} has a halo-contaminated boundary exactly when B_R(p) meets the
+    halo.  Only the winner's boundary is built, and it is the next frontier.
+
+    Every core point is scored at the first step.  Its ball is kept until
+    the point joins F, since a point outside one frontier may enter a later
+    one; so no ball is computed twice in one search, and no more balls are
+    held at once than the first step holds.  F itself grows in place: each
+    yielded F is valid until the next step.
     """
-
-    def fewest(base: set, points: list):
-        # the first halo-free base | {p} with the fewest boundary points
-        best = best_bd = None
-        for p in points:
-            bd, contaminated = window.boundary(base | {p}, R)
-            if not contaminated and (best_bd is None or len(bd) < len(best_bd)):
-                best, best_bd = p, bd
-        return best, best_bd
-
+    space, halo = window.space, window.halo
+    balls: dict = {}
     F: set = set()
-    p, bd = fewest(F, sorted(window.core, key=repr))
-    while bd is not None:
-        F.add(p)
-        yield set(F), Fraction(len(bd), len(F))
+    bd: set = set()
+    candidates = sorted(window.core, key=repr)
+    while True:
+        best = best_count = None
+        for p in candidates:
+            b = balls.get(p)
+            if b is None:
+                b = balls[p] = space.ball_of(p, R)
+            if not b.isdisjoint(halo):
+                continue
+            count = len(bd) + len(b - bd - F) - 1
+            if best_count is None or count < best_count:
+                best, best_count = p, count
+        if best is None:
+            return
+        F.add(best)
+        bd = (bd | balls.pop(best)) - F
+        yield F, best_count
         if len(F) >= budget:
             return
-        p, bd = fewest(F, sorted((q for q in bd if q in window.core), key=repr))
+        candidates = sorted((q for q in bd if q in window.core), key=repr)
 
 
-# each strategy yields (F, ratio) for halo-free candidates only, scored once
+# each strategy yields (F, |∂_R F|) for halo-free candidates only, each F
+# scored once; F may change after the next step, so a caller keeps a copy
 _STRATEGIES = {
     "balls": _candidate_balls,
     "intervals": _candidate_intervals,
@@ -153,24 +174,30 @@ def folner_search(
     Candidates are restricted to core sets whose R-ball stays off the halo,
     so every reported ratio is faithful to the ambient space.  The search is
     deliberately incomplete: success means a witness was found, failure only
-    means none was found among the examined candidates.
+    means none was found among the examined candidates.  Ratios are compared
+    as cross-multiplied counts; the first of equal ratios is kept.
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy!r}")
+    if R < 0:
+        raise ValueError("radius must be nonnegative")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     epsilon = Fraction(epsilon)
-    best: set | None = None
-    best_ratio: Fraction | None = None
+    best: frozenset | None = None
+    best_count = 0
     examined = 0
-    for F, r in _STRATEGIES[strategy](window, R, budget):
+    for F, count in _STRATEGIES[strategy](window, R, budget):
         examined += 1
-        if best_ratio is None or r < best_ratio:
-            best, best_ratio = F, r
+        if best is None or count * len(best) < best_count * len(F):
+            best, best_count = frozenset(F), count
     if best is None:
         raise ValueError("no admissible candidate set; window too small for R")
+    ratio = Fraction(best_count, len(best))
     return FolnerResult(
-        points=frozenset(best),
-        ratio=best_ratio,
-        success=best_ratio < epsilon,
+        points=best,
+        ratio=ratio,
+        success=ratio < epsilon,
         examined=examined,
         strategy=strategy,
     )

@@ -45,6 +45,7 @@ from .serialize import (
     dump_json,
     encode_point,
     format_fraction,
+    integer_list,
     load_json,
     one_chain_to_dict,
     parse_fraction,
@@ -155,21 +156,19 @@ def cmd_tile(args) -> int:
         window = window_from_spec(spec)
         t = tile_interval(window, args.R, eps)
     elif args.strategy == "sparse":
-        if "A" not in spec:
+        if not isinstance(spec, dict) or "A" not in spec:
             raise SchemaError("sparse tiling input needs an 'A' list")
         t = tile_sparse_subset(
-            spec["A"], args.R, eps, bool(spec.get("prefix_of_unbounded", False))
+            integer_list(spec["A"], "subset 'A'"), args.R, eps, bool(spec.get("prefix_of_unbounded", False))
         )
     elif args.strategy == "stack":
         window = window_from_spec(spec)
         t = tile_stacked_product(window, args.R, eps)
     else:
-        if "box" in spec:
-            moduli = spec["box"].get("moduli", [])
-        else:
-            moduli = spec.get("moduli", [])
-        if not moduli:
+        box = spec.get("box", spec) if isinstance(spec, dict) else None
+        if not isinstance(box, dict) or not box.get("moduli"):
             raise SchemaError("box tiling input needs 'moduli'")
+        moduli = integer_list(box["moduli"], "box 'moduli'")
         t = tile_box_space(moduli, args.R, eps)
         spec = {"box": {"moduli": moduli}}
     payload = tiling_to_dict(t, space_spec=spec)
@@ -342,7 +341,9 @@ def cmd_castle_refine(args) -> int:
 def cmd_castle_compare(args) -> int:
     em = Emitter(args, "castle compare")
     c = _load_castle(args)
-    atoms = {str(a): a for a in c.atoms()}
+    atoms: dict = {}
+    for a in c.atoms():
+        atoms.setdefault(str(a), []).append(a)
 
     def decode_set(text):
         out = set()
@@ -352,7 +353,9 @@ def cmd_castle_compare(args) -> int:
                 continue
             if k not in atoms:
                 raise SchemaError(f"unknown atom {k!r}")
-            out.add(atoms[k])
+            if len(atoms[k]) > 1:
+                raise SchemaError(f"ambiguous atom {k!r}: {len(atoms[k])} atoms have this name")
+            out.add(atoms[k][0])
         return out
 
     A, B = decode_set(args.A), decode_set(args.B)

@@ -98,6 +98,22 @@ def load_json(path) -> dict:
         raise SchemaError(f"{path}: not valid JSON ({e})") from None
 
 
+def _integer(obj: dict, key: str, context: str, default=None) -> int:
+    """obj[key] as an integer; a missing key is an error unless a default is given."""
+    if default is None:
+        value = _require(obj, key, context)
+    else:
+        value = _expect(obj, dict, context).get(key, default)
+    return _expect(value, int, f"{context} {key!r}")
+
+
+def integer_list(values, context: str) -> list:
+    """values if it is a list of integers."""
+    for v in _expect(values, list, context):
+        _expect(v, int, f"{context} entry")
+    return values
+
+
 def space_from_spec(spec: dict) -> FiniteMetricSpace:
     """Bare space forms: a graph or an explicit matrix."""
     if "vertices" in spec:
@@ -107,7 +123,10 @@ def space_from_spec(spec: dict) -> FiniteMetricSpace:
                 raise SchemaError(f"edges: {e!r} is not a pair")
         return build_graph_metric(spec["vertices"], edges)
     if "points" in spec:
-        return MatrixSpace(spec["points"], _require(spec, "matrix", "matrix space"))
+        rows = _expect(_require(spec, "matrix", "matrix space"), list, "matrix space 'matrix'")
+        for i, row in enumerate(rows):
+            integer_list(row, f"matrix space row {i}")
+        return MatrixSpace(spec["points"], rows)
     raise SchemaError("space: expected 'vertices' or 'points'")
 
 
@@ -116,38 +135,43 @@ def window_from_spec(spec: dict) -> WindowedSpace:
 
     Shorthands: {"interval": {lo, hi, halo_depth}}, {"tree": {degree,
     core_depth, halo_depth}}, {"stack": {base, K, halo_depth}},
-    {"box": {moduli}}, {"A": [...]} for integer subsets.
+    {"box": {moduli}}, {"A": [...]} for integer subsets.  Every number in
+    a window must be a JSON integer.
     """
+    _expect(spec, dict, "window")
     if "interval" in spec:
         iv = spec["interval"]
         return integer_window(
-            _require(iv, "lo", "interval"),
-            _require(iv, "hi", "interval"),
-            iv.get("halo_depth", 0),
+            _integer(iv, "lo", "interval"),
+            _integer(iv, "hi", "interval"),
+            _integer(iv, "halo_depth", "interval", 0),
         )
     if "tree" in spec:
         tr = spec["tree"]
         return regular_tree_window(
-            _require(tr, "degree", "tree"),
-            _require(tr, "core_depth", "tree"),
-            tr.get("halo_depth", 0),
+            _integer(tr, "degree", "tree"),
+            _integer(tr, "core_depth", "tree"),
+            _integer(tr, "halo_depth", "tree", 0),
         )
     if "stack" in spec:
         st = spec["stack"]
         base = space_from_spec(_require(st, "base", "stack"))
+        depth = st.get("halo_depth")
         return stacked_product_window(
-            base, _require(st, "K", "stack"), st.get("halo_depth")
+            base,
+            _integer(st, "K", "stack"),
+            None if depth is None else _expect(depth, int, "stack 'halo_depth'"),
         )
     if "box" in spec:
-        return box_window(_require(spec["box"], "moduli", "box"))
+        return box_window(integer_list(_require(spec["box"], "moduli", "box"), "box 'moduli'"))
     if "A" in spec:
-        return subset_window(spec["A"])
+        return subset_window(integer_list(spec["A"], "subset 'A'"))
     space = space_from_spec(spec)
     if "core" in spec:
         codec = PointCodec(space)
         core = frozenset(codec.decode(k) for k in spec["core"])
         halo = frozenset(space.points) - core
-        return WindowedSpace(space, core, halo, spec.get("halo_depth", 0))
+        return WindowedSpace(space, core, halo, _integer(spec, "halo_depth", "window", 0))
     pts = frozenset(space.points)
     return WindowedSpace(space, pts, frozenset(), 0)
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -92,21 +93,125 @@ def test_search_scores_each_candidate_with_one_boundary(monkeypatch, window, str
     assert calls == {"outer_boundary": res.examined, "boundary_of": res.examined}
 
 
-@pytest.mark.parametrize("window", [integer_window(-50, 50, 3), regular_tree_window(3, 4, 2)])
+def reference_greedy(window, R, epsilon, budget):
+    """The greedy search with every candidate's boundary built from scratch.
+
+    Returns (points, ratio, success, examined) as ``folner_search`` reports
+    them, or None where it finds no admissible candidate.
+    """
+    F: set = set()
+    best = None
+    examined = 0
+    candidates = sorted(window.core, key=repr)
+    while True:
+        chosen = None
+        for p in candidates:
+            bd = outer_boundary(window.space, F | {p}, R)
+            if not bd & window.halo and (chosen is None or len(bd) < len(chosen[1])):
+                chosen = (p, bd)
+        if chosen is None:
+            break
+        F.add(chosen[0])
+        examined += 1
+        ratio = Fraction(len(chosen[1]), len(F))
+        if best is None or ratio < best[1]:
+            best = (frozenset(F), ratio)
+        if len(F) >= budget:
+            break
+        candidates = sorted((q for q in chosen[1] if q in window.core), key=repr)
+    if best is None:
+        return None
+    return best[0], best[1], best[1] < Fraction(epsilon), examined
+
+
+def graph_window(n, extra, seed, core_size):
+    rng = random.Random(seed)
+    edges = [(i, i + 1) for i in range(n - 1)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(extra)]
+    sp = space.GraphSpace(range(n), edges)
+    core = frozenset(rng.sample(range(n), core_size))
+    return space.WindowedSpace(sp, core, frozenset(sp.points) - core, 1)
+
+
+def stacked_window(K, halo_depth):
+    return space.stacked_product_window(space.IntegerLineSpace(0, 2), K, halo_depth)
+
+
+GREEDY_WINDOWS = {
+    "line": integer_window(-12, 12, 0),
+    "line-halo": integer_window(-12, 12, 3),
+    "line-narrow-halo": integer_window(0, 3, 2),  # nothing is admissible at R = 3
+    "subset": space.subset_window([0, 1, 2, 3, 5, 6, 7, 9, 10, 11, 12, 13, 16, 17, 18, 20, 21, 22, 23]),
+    "tree": regular_tree_window(3, 3, 0),
+    "tree-halo": regular_tree_window(3, 3, 2),
+    "stacked": stacked_window(10, 0),
+    "stacked-halo": stacked_window(10, 3),
+    "box": space.box_window([3, 5, 8, 13]),
+    "graph": space.WindowedSpace(
+        space.GraphSpace(range(16), [(i, (i + 1) % 16) for i in range(16)] + [(0, 8), (3, 11)]),
+        frozenset(range(16)),
+        frozenset(),
+        0,
+    ),
+    "graph-halo": graph_window(24, 6, 5, 16),
+}
+
+
+@pytest.mark.parametrize("name", GREEDY_WINDOWS)
+def test_greedy_matches_full_boundary_reference(name):
+    window = GREEDY_WINDOWS[name]
+    eps = Fraction(1, 3)
+    for R in range(4):
+        for budget in (1, 2, 5, 12, 40):
+            expect = reference_greedy(window, R, eps, budget)
+            if expect is None:
+                with pytest.raises(ValueError, match="admissible"):
+                    folner_search(window, R, eps, "greedy", budget)
+                continue
+            res = folner_search(window, R, eps, "greedy", budget)
+            assert (res.points, res.ratio, res.success, res.examined) == expect, (R, budget)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [
+        integer_window(-50, 50, 3),
+        regular_tree_window(3, 4, 2),
+        stacked_window(16, 4),
+        space.box_window([2, 4, 8, 16]),
+    ],
+)
 def test_greedy_scores_no_set_twice(monkeypatch, window):
-    # the frontier of each step is read off the chosen candidate's boundary
-    scored = []
-    outer = space.outer_boundary
+    # each candidate is scored from its ball: greedy builds no boundary of a
+    # set of two or more points, and computes each point's ball at most once
+    cls = type(window.space)
+    ball_of, boundary_of, outer = cls.ball_of, cls.boundary_of, space.outer_boundary
+    balls = Counter()
+    sets = []
 
-    def recorded(sp, F, R):
-        scored.append(frozenset(F))
-        return outer(sp, F, R)
+    def counted_ball_of(sp, center, R):
+        balls[center] += 1
+        return ball_of(sp, center, R)
 
-    monkeypatch.setattr(space, "outer_boundary", recorded)
-    monkeypatch.setattr(amenability, "outer_boundary", recorded)
+    def counted_boundary_of(sp, F, R):
+        # the stacked and box balls are the boundary of their center, plus it
+        sets.append(len(F))
+        return boundary_of(sp, F, R)
+
+    def counted_outer(*args):
+        sets.append("outer_boundary")
+        return outer(*args)
+
+    monkeypatch.setattr(cls, "ball_of", counted_ball_of)
+    monkeypatch.setattr(cls, "boundary_of", counted_boundary_of)
+    monkeypatch.setattr(space, "outer_boundary", counted_outer)
+    monkeypatch.setattr(amenability, "outer_boundary", counted_outer)
     res = folner_search(window, 1, Fraction(1, 4), strategy="greedy", budget=20)
     assert res.examined > 1
-    assert len(scored) == len(set(scored))
+    assert set(sets) <= {1}
+    # the first step scores every core point; later steps reuse those balls
+    assert set(balls) == set(window.core)
+    assert max(balls.values()) == 1
 
 
 # -- doubling_check ----------------------------------------------------------

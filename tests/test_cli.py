@@ -234,6 +234,20 @@ def test_malformed_castle_is_a_schema_error(tmp_path, capsys, castle, err, op):
     assert err in stderr
 
 
+def test_castle_compare_refuses_an_ambiguous_atom_name(tmp_path, capsys):
+    # atoms 1 and "1" are distinct, so the name 1 cannot pick one of them
+    castle = write(tmp_path / "castle.json", {"towers": [{"height": 1, "columns": [[1], ["1"], ["x"]]}]})
+    assert run(capsys, "castle", "validate", "--in", castle)[0] == 0
+    for A, B in (("1", "x"), ("x", "1")):
+        code, out, err = run(capsys, "castle", "compare", "--in", castle, "--A", A, "--B", B)
+        assert (code, out) == (2, "")
+        assert err == "error: ambiguous atom '1': 2 atoms have this name\n"
+    # names that are not shared resolve as before
+    code, out, _ = run(capsys, "--json", "castle", "compare", "--in", castle, "--A", "x", "--B", "x")
+    assert code == 0
+    assert json.loads(out)["result"]["bisections"] == [{"x": "x"}]
+
+
 def test_castle_validate_lists_every_violation(tmp_path, capsys):
     castle = write(
         tmp_path / "castle.json",
@@ -358,9 +372,34 @@ GOLDEN_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", GOLDEN_CASES)
-def test_flow_reports_match_golden_bytes(tmp_path, monkeypatch, capsys, name):
-    window, chain, argv = GOLDEN_CASES[name]
+# greedy Følner searches on a line with a halo, a tree and a column space over
+# a path; the goldens pin the search's points, ratio and examined count
+FOLNER_GOLDEN_CASES = {
+    "folner-greedy-line": (
+        {"interval": {"lo": -30, "hi": 30, "halo_depth": 3}},
+        None,
+        ["folner", "--strategy", "greedy", "--R", "2", "--epsilon", "1/5", "--budget", "40"],
+    ),
+    "folner-greedy-tree": (
+        {"tree": {"degree": 3, "core_depth": 4, "halo_depth": 2}},
+        None,
+        ["folner", "--strategy", "greedy", "--R", "1", "--epsilon", "1/2", "--budget", "25"],
+    ),
+    "folner-greedy-stacked": (
+        {
+            "stack": {
+                "base": {"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["b", "c"], ["c", "d"]]},
+                "K": 12,
+                "halo_depth": 3,
+            }
+        },
+        None,
+        ["folner", "--strategy", "greedy", "--R", "2", "--epsilon", "1/2", "--budget", "30"],
+    ),
+}
+
+
+def check_golden(tmp_path, monkeypatch, capsys, name, window, chain, argv):
     # relative paths, so the report's params are the same in every checkout
     monkeypatch.chdir(tmp_path)
     write(tmp_path / "window.json", window)
@@ -370,6 +409,16 @@ def test_flow_reports_match_golden_bytes(tmp_path, monkeypatch, capsys, name):
     assert err == ""
     assert code == json.loads(out)["exit_code"]
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_flow_reports_match_golden_bytes(tmp_path, monkeypatch, capsys, name):
+    check_golden(tmp_path, monkeypatch, capsys, name, *GOLDEN_CASES[name])
+
+
+@pytest.mark.parametrize("name", FOLNER_GOLDEN_CASES)
+def test_folner_reports_match_golden_bytes(tmp_path, monkeypatch, capsys, name):
+    check_golden(tmp_path, monkeypatch, capsys, name, *FOLNER_GOLDEN_CASES[name])
 
 
 # the child runs every subcommand in one process and prints each exit code
@@ -441,7 +490,7 @@ def all_subcommand_inputs():
         ["monoid", "canc", "--in", "num23.json", "--u", "3,0", "--v", "0,2"],
         ["selftest", "--criteria", "9"],
     ]
-    for name, (window, chain, argv) in GOLDEN_CASES.items():
+    for name, (window, chain, argv) in {**GOLDEN_CASES, **FOLNER_GOLDEN_CASES}.items():
         files[f"{name}-window.json"] = window
         if chain is not None:
             files[f"{name}-chain.json"] = {"coeffs": chain}
@@ -585,6 +634,53 @@ def test_non_integer_presentation_is_a_schema_error(tmp_path, capsys, pres, err)
     assert err in stderr
 
 
+@pytest.mark.parametrize(
+    "window, err",
+    [
+        ({"interval": {"lo": 0.5, "hi": 5, "halo_depth": 1}}, "interval 'lo': expected an integer, got 0.5"),
+        ({"interval": {"lo": 0, "hi": 5, "halo_depth": True}}, "interval 'halo_depth': expected an integer, got True"),
+        ({"tree": {"degree": 3, "core_depth": 2.0}}, "tree 'core_depth': expected an integer, got 2.0"),
+        ({"box": {"moduli": [2.0, 4]}}, "box 'moduli' entry: expected an integer, got 2.0"),
+        ({"box": {"moduli": 4}}, "box 'moduli': expected a list, got 4"),
+        ({"A": [1.5, 3]}, "subset 'A' entry: expected an integer, got 1.5"),
+        ({"A": 3}, "subset 'A': expected a list, got 3"),
+        ({"stack": {"base": {"vertices": [3], "edges": []}, "K": 4.0}}, "stack 'K': expected an integer, got 4.0"),
+        (
+            {"stack": {"base": {"vertices": [3], "edges": []}, "K": 4, "halo_depth": "1"}},
+            "stack 'halo_depth': expected an integer, got '1'",
+        ),
+        ({"points": [3, 4], "matrix": [[0, 1.5], [1.5, 0]]}, "matrix space row 0 entry: expected an integer, got 1.5"),
+        ({"vertices": [3, 4], "edges": [[3, 4]], "core": ["3"], "halo_depth": 1.0}, "window 'halo_depth': expected an integer"),
+        ([3, 4], "window: expected an object, got [3, 4]"),
+    ],
+)
+def test_malformed_window_is_a_schema_error(tmp_path, capsys, window, err):
+    path = write(tmp_path / "window.json", window)
+    code, out, stderr = run(capsys, "ball", "--in", path, "--center", "3", "--R", "1")
+    assert (code, out) == (2, "")
+    assert err in stderr
+
+
+@pytest.mark.parametrize(
+    "strategy, spec, err",
+    [
+        ("sparse", {"A": [0, 1.5, 3]}, "subset 'A' entry: expected an integer, got 1.5"),
+        ("sparse", {"A": 3}, "subset 'A': expected a list, got 3"),
+        ("box", {"moduli": [2.0, 4]}, "box 'moduli' entry: expected an integer, got 2.0"),
+        ("box", {"box": {"moduli": [2, 4.0]}}, "box 'moduli' entry: expected an integer, got 4.0"),
+        ("box", {"box": [2, 4]}, "box tiling input needs 'moduli'"),
+        ("sparse", 5, "sparse tiling input needs an 'A' list"),
+        ("box", 5, "box tiling input needs 'moduli'"),
+        ("interval", 5, "window: expected an object, got 5"),
+    ],
+)
+def test_malformed_tiling_input_is_a_schema_error(tmp_path, capsys, strategy, spec, err):
+    path = write(tmp_path / "space.json", spec)
+    code, out, stderr = run(capsys, "tile", "--strategy", strategy, "--R", "1", "--epsilon", "1/2", "--in", path)
+    assert (code, out) == (2, "")
+    assert err in stderr
+
+
 def test_monoid_pinf_cli(tmp_path, capsys):
     pres = write(tmp_path / "idem.json", {"rank": 1, "relations": [[[2], [1]]]})
     code, out, _ = run(capsys, "monoid", "pinf", "--in", pres, "--x", "1")
@@ -629,6 +725,23 @@ def test_folner_cli(capsys, zwindow):
     )
     assert code == 0
     assert "success" in out
+
+
+@pytest.mark.parametrize("strategy", ["balls", "intervals", "greedy"])
+@pytest.mark.parametrize(
+    "flags, err",
+    [
+        (["--R", "-1", "--budget", "20"], "error: radius must be nonnegative\n"),
+        (["--R", "1", "--budget", "0"], "error: budget must be at least 1, got 0\n"),
+        (["--R", "1", "--budget", "-3"], "error: budget must be at least 1, got -3\n"),
+    ],
+    ids=["negative-R", "zero-budget", "negative-budget"],
+)
+def test_folner_rejects_bad_arguments(capsys, zwindow, strategy, flags, err):
+    code, out, stderr = run(
+        capsys, "folner", "--in", zwindow, "--epsilon", "1/2", "--strategy", strategy, *flags
+    )
+    assert (code, out, stderr) == (2, "", err)
 
 
 def test_castle_from_tiling_and_defect(tmp_path, capsys, zwindow):
