@@ -36,7 +36,7 @@ class SchemaError(ValueError):
 
 
 def parse_fraction(text) -> Fraction:
-    if isinstance(text, int):
+    if type(text) is int:
         return Fraction(text)
     if not isinstance(text, str):
         raise SchemaError(f"expected a rational 'p/q' string, got {text!r}")
@@ -69,18 +69,23 @@ class PointCodec:
             self.key_to_point[k] = p
 
     def decode(self, key: str):
-        if key not in self.key_to_point:
+        if not isinstance(key, str) or key not in self.key_to_point:
             raise SchemaError(f"unknown point key {key!r}")
         return self.key_to_point[key]
 
 
-_JSON_KINDS = {dict: "an object", list: "a list", int: "an integer"}
+_JSON_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string", bool: "a boolean"}
+
+# point identifiers: the JSON values a graph or matrix space may name a point by
+_POINT_KINDS = (int, str)
 
 
-def _expect(value, kind: type, context: str):
-    """value if its type is exactly kind, so a float or a bool is no integer."""
-    if type(value) is not kind:
-        raise SchemaError(f"{context}: expected {_JSON_KINDS[kind]}, got {value!r}")
+def _expect(value, kind: type | tuple[type, ...], context: str):
+    """value if its type is exactly kind (or one of kinds), so a float or a bool is no integer."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if type(value) not in kinds:
+        expected = " or ".join(_JSON_KINDS[k] for k in kinds)
+        raise SchemaError(f"{context}: expected {expected}, got {value!r}")
     return value
 
 
@@ -107,26 +112,31 @@ def _integer(obj: dict, key: str, context: str, default=None) -> int:
     return _expect(value, int, f"{context} {key!r}")
 
 
-def integer_list(values, context: str) -> list:
-    """values if it is a list of integers."""
+def _list_of(values, kind, context: str) -> list:
+    """values if it is a list whose entries are all of the given kind."""
     for v in _expect(values, list, context):
-        _expect(v, int, f"{context} entry")
+        _expect(v, kind, f"{context} entry")
     return values
 
 
+def integer_list(values, context: str) -> list:
+    """values if it is a list of integers."""
+    return _list_of(values, int, context)
+
+
 def space_from_spec(spec: dict) -> FiniteMetricSpace:
-    """Bare space forms: a graph or an explicit matrix."""
+    """Bare space forms: a graph or an explicit matrix; points are JSON integers or strings."""
     if "vertices" in spec:
-        edges = [tuple(e) for e in spec.get("edges", [])]
+        edges = _expect(spec.get("edges", []), list, "graph 'edges'")
         for e in edges:
-            if len(e) != 2:
-                raise SchemaError(f"edges: {e!r} is not a pair")
-        return build_graph_metric(spec["vertices"], edges)
+            if len(_list_of(e, _POINT_KINDS, "graph 'edges' pair")) != 2:
+                raise SchemaError(f"graph 'edges' pair: expected 2 vertices, got {e!r}")
+        return build_graph_metric(_list_of(spec["vertices"], _POINT_KINDS, "graph 'vertices'"), edges)
     if "points" in spec:
         rows = _expect(_require(spec, "matrix", "matrix space"), list, "matrix space 'matrix'")
         for i, row in enumerate(rows):
             integer_list(row, f"matrix space row {i}")
-        return MatrixSpace(spec["points"], rows)
+        return MatrixSpace(_list_of(spec["points"], _POINT_KINDS, "matrix space 'points'"), rows)
     raise SchemaError("space: expected 'vertices' or 'points'")
 
 
@@ -155,7 +165,7 @@ def window_from_spec(spec: dict) -> WindowedSpace:
         )
     if "stack" in spec:
         st = spec["stack"]
-        base = space_from_spec(_require(st, "base", "stack"))
+        base = space_from_spec(_expect(_require(st, "base", "stack"), dict, "stack 'base'"))
         depth = st.get("halo_depth")
         return stacked_product_window(
             base,
@@ -169,7 +179,7 @@ def window_from_spec(spec: dict) -> WindowedSpace:
     space = space_from_spec(spec)
     if "core" in spec:
         codec = PointCodec(space)
-        core = frozenset(codec.decode(k) for k in spec["core"])
+        core = frozenset(codec.decode(k) for k in _expect(spec["core"], list, "window 'core'"))
         halo = frozenset(space.points) - core
         return WindowedSpace(space, core, halo, _integer(spec, "halo_depth", "window", 0))
     pts = frozenset(space.points)
@@ -198,6 +208,7 @@ def tiling_to_dict(t: Tiling, space_spec: dict | None = None) -> dict:
 
 
 def tiling_from_dict(data: dict, window: WindowedSpace | None = None) -> Tiling:
+    _expect(data, dict, "tiling")
     if window is None:
         if "space" not in data:
             raise SchemaError(
@@ -206,29 +217,26 @@ def tiling_from_dict(data: dict, window: WindowedSpace | None = None) -> Tiling:
         window = window_from_spec(data["space"])
     codec = PointCodec(window.space)
     tiles = [
-        frozenset(codec.decode(k) for k in tile)
-        for tile in _require(data, "tiles", "tiling")
+        frozenset(codec.decode(k) for k in _expect(tile, list, f"tiling tile {i}"))
+        for i, tile in enumerate(_expect(_require(data, "tiles", "tiling"), list, "tiling 'tiles'"))
     ]
-    meta_in = data.get("meta", [])
     meta = [
         TileMeta(
             ratio=parse_fraction(_require(m, "ratio", "tiling meta")),
-            diameter=_require(m, "diam", "tiling meta"),
-            contaminated=bool(m.get("contaminated", False)),
+            diameter=_integer(m, "diam", "tiling meta"),
+            contaminated=_expect(m.get("contaminated", False), bool, "tiling meta 'contaminated'"),
         )
-        for m in meta_in
+        for m in _expect(data.get("meta", []), list, "tiling 'meta'")
     ]
-    diam_bound = data.get(
-        "diameter_bound", max((m.diameter for m in meta), default=0)
-    )
+    diam_bound = _integer(data, "diameter_bound", "tiling", max((m.diameter for m in meta), default=0))
     return Tiling(
         window=window,
         tiles=tiles,
-        R=_require(data, "R", "tiling"),
+        R=_integer(data, "R", "tiling"),
         epsilon=parse_fraction(_require(data, "epsilon", "tiling")),
         meta=meta,
         diameter_bound=diam_bound,
-        notes=list(data.get("notes", [])),
+        notes=list(_expect(data.get("notes", []), list, "tiling 'notes'")),
     )
 
 

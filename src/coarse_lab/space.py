@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
 from typing import AbstractSet, Collection, Hashable, Iterable, Sequence
 
@@ -135,8 +134,9 @@ class GraphSpace(FiniteMetricSpace):
 
     Pairs in distinct components get the documented sentinel distance
     ``len(points) + 1``, which keeps the metric total; every radius used in
-    practice stays below the sentinel.  Distance rows are produced by BFS
-    and cached per source point.
+    practice stays below the sentinel.  Every query is a breadth-first
+    search bounded to the question asked, built from ``_step``; nothing is
+    cached per point, so memory grows with the searched region, not with n.
     """
 
     def __init__(self, points: Iterable[Point], edges: Iterable[tuple[Point, Point]]):
@@ -158,48 +158,46 @@ class GraphSpace(FiniteMetricSpace):
             adj[p].sort(key=self._index.__getitem__)
         self._adj = adj
         self.sentinel = len(self.points) + 1
-        self._rows: dict[Point, list[int]] = {}
 
-    def _row(self, source: Point) -> list[int]:
-        row = self._rows.get(source)
-        if row is None:
-            row = [self.sentinel] * len(self.points)
-            row[self._index[source]] = 0
-            queue = deque([source])
-            while queue:
-                u = queue.popleft()
-                du = row[self._index[u]]
-                for v in self._adj[u]:
-                    iv = self._index[v]
-                    if row[iv] == self.sentinel:
-                        row[iv] = du + 1
-                        queue.append(v)
-            self._rows[source] = row
-        return row
+    def _step(self, seen: set, frontier: list) -> list:
+        """The breadth-first layer after frontier; its points are added to seen."""
+        adj = self._adj
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        return nxt
+
+    def _eccentricity(self, f: Point, F: AbstractSet[Point]) -> int:
+        """The largest distance from f to a point of F: layers until F is seen."""
+        seen = {f}
+        frontier = [f]
+        d = 0
+        while not seen >= F:
+            frontier = self._step(seen, frontier)
+            if not frontier:
+                return self.sentinel
+            d += 1
+        return d
 
     def dist(self, x: Point, y: Point) -> int:
-        if x == y:
-            if x not in self._index:
-                raise KeyError(x)
-            return 0
-        return self._row(x)[self._index[y]]
+        for p in (x, y):
+            if p not in self._index:
+                raise KeyError(p)
+        return self._eccentricity(x, {y})
 
     def ball_of(self, center: Point, R: int) -> set:
         if R >= self.sentinel:
             return set(self.points)
-        out = {center}
+        seen = {center}
         frontier = [center]
         for _ in range(R):
-            nxt = []
-            for u in frontier:
-                for v in self._adj[u]:
-                    if v not in out:
-                        out.add(v)
-                        nxt.append(v)
-            if not nxt:
+            frontier = self._step(seen, frontier)
+            if not frontier:
                 break
-            frontier = nxt
-        return out
+        return seen
 
     def boundary_of(self, F: set, R: int) -> set:
         if R >= self.sentinel:
@@ -208,27 +206,14 @@ class GraphSpace(FiniteMetricSpace):
         out: set = set()
         frontier = list(F)
         for _ in range(R):
-            nxt = []
-            for u in frontier:
-                for v in self._adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        out.add(v)
-                        nxt.append(v)
-            if not nxt:
+            frontier = self._step(seen, frontier)
+            if not frontier:
                 break
-            frontier = nxt
+            out.update(frontier)
         return out
 
     def diameter_of(self, F: set) -> int:
-        best = 0
-        for f in F:
-            row = self._row(f)
-            for g in F:
-                d = row[self._index[g]]
-                if d > best:
-                    best = d
-        return best
+        return max((self._eccentricity(f, F) for f in F), default=0)
 
 
 def _runs(values: list[int]) -> list[tuple[int, int]]:
@@ -346,16 +331,20 @@ class StackedSpace(FiniteMetricSpace):
             for a, b in _runs(levels):
                 out.update((x, m) for m in range(max(0, a - R), a))
                 out.update((x, m) for m in range(b + 1, min(self.K - 1, b + R) + 1))
-            # only levels below R can reach other columns
-            for n in levels:
-                budget = R - n
-                if budget < 1:
-                    continue
-                for y in self.base.ball_of(x, budget):
-                    if y == x:
-                        continue
-                    top = budget - self.base.dist(x, y)
-                    out.update((y, m) for m in range(0, min(self.K - 1, top) + 1))
+            # a route to another column passes through level 0, so the
+            # lowest level reaches furthest: column y at base distance r
+            # gets levels 0 .. R - levels[0] - r, every level once r <= full,
+            # so at most K base balls are read however large R is
+            budget = R - levels[0]
+            full = budget - self.K + 1
+            inner = {x}
+            if full >= 1:
+                inner = self.base.ball_of(x, full)
+                out.update((y, m) for y in inner - {x} for m in range(self.K))
+            for r in range(max(1, full + 1), budget + 1):
+                ring = self.base.ball_of(x, r)
+                out.update((y, m) for y in ring - inner for m in range(budget - r + 1))
+                inner = ring
         return out - F
 
     def diameter_of(self, F: set) -> int:

@@ -652,6 +652,20 @@ def test_non_integer_presentation_is_a_schema_error(tmp_path, capsys, pres, err)
         ({"points": [3, 4], "matrix": [[0, 1.5], [1.5, 0]]}, "matrix space row 0 entry: expected an integer, got 1.5"),
         ({"vertices": [3, 4], "edges": [[3, 4]], "core": ["3"], "halo_depth": 1.0}, "window 'halo_depth': expected an integer"),
         ([3, 4], "window: expected an object, got [3, 4]"),
+        ({"vertices": [1, 2], "edges": [5]}, "graph 'edges' pair: expected a list, got 5"),
+        ({"vertices": [1, 2], "edges": [[1, 2, 3]]}, "graph 'edges' pair: expected 2 vertices, got [1, 2, 3]"),
+        ({"vertices": [1, 2], "edges": [[1, [2]]]}, "graph 'edges' pair entry: expected an integer or a string, got [2]"),
+        ({"vertices": [[1], 2], "edges": []}, "graph 'vertices' entry: expected an integer or a string, got [1]"),
+        ({"vertices": None, "edges": []}, "graph 'vertices': expected a list, got None"),
+        ({"vertices": [1, 2], "edges": None}, "graph 'edges': expected a list, got None"),
+        ({"vertices": [1, 2.5], "edges": []}, "graph 'vertices' entry: expected an integer or a string, got 2.5"),
+        ({"vertices": [1, True], "edges": []}, "graph 'vertices' entry: expected an integer or a string, got True"),
+        ({"vertices": {"a": 1}, "edges": []}, "graph 'vertices': expected a list, got {'a': 1}"),
+        ({"points": None, "matrix": []}, "matrix space 'points': expected a list, got None"),
+        ({"points": [1, [2]], "matrix": [[0, 1], [1, 0]]}, "matrix space 'points' entry: expected an integer or a string, got [2]"),
+        ({"stack": {"base": 5, "K": 4}}, "stack 'base': expected an object, got 5"),
+        ({"vertices": [1, 2, 3], "edges": [[1, 2]], "core": "12"}, "window 'core': expected a list, got '12'"),
+        ({"vertices": [1, 2, 3], "edges": [[1, 2]], "core": [["1"]]}, "unknown point key ['1']"),
     ],
 )
 def test_malformed_window_is_a_schema_error(tmp_path, capsys, window, err):
@@ -659,6 +673,23 @@ def test_malformed_window_is_a_schema_error(tmp_path, capsys, window, err):
     code, out, stderr = run(capsys, "ball", "--in", path, "--center", "3", "--R", "1")
     assert (code, out) == (2, "")
     assert err in stderr
+
+
+def tiling_with(**fields):
+    """A two-tile interval tiling with top-level fields, or a field of its first tile's meta, replaced."""
+    meta = [{"ratio": "2/5", "diam": 4, "contaminated": False} for _ in range(2)]
+    data = {
+        "space": {"interval": {"lo": 0, "hi": 9, "halo_depth": 1}},
+        "R": 1,
+        "epsilon": "1/2",
+        "tiles": [[str(i) for i in range(5)], [str(i) for i in range(5, 10)]],
+        "meta": meta,
+        "diameter_bound": 4,
+        "notes": [],
+    }
+    for key, value in fields.items():
+        (meta[0] if key in meta[0] else data)[key] = value
+    return data
 
 
 @pytest.mark.parametrize(
@@ -672,11 +703,32 @@ def test_malformed_window_is_a_schema_error(tmp_path, capsys, window, err):
         ("sparse", 5, "sparse tiling input needs an 'A' list"),
         ("box", 5, "box tiling input needs 'moduli'"),
         ("interval", 5, "window: expected an object, got 5"),
+        ("verify-tiling", tiling_with(R="1"), "tiling 'R': expected an integer, got '1'"),
+        ("verify-tiling", tiling_with(R=1.5), "tiling 'R': expected an integer, got 1.5"),
+        ("verify-tiling", tiling_with(R=None), "tiling 'R': expected an integer, got None"),
+        ("verify-tiling", tiling_with(diam="3"), "tiling meta 'diam': expected an integer, got '3'"),
+        ("verify-tiling", tiling_with(diam=None), "tiling meta 'diam': expected an integer, got None"),
+        ("verify-tiling", tiling_with(contaminated="no"), "tiling meta 'contaminated': expected a boolean, got 'no'"),
+        ("verify-tiling", tiling_with(diameter_bound="9"), "tiling 'diameter_bound': expected an integer, got '9'"),
+        ("verify-tiling", tiling_with(epsilon=True), "expected a rational 'p/q' string, got True"),
+        ("verify-tiling", tiling_with(tiles=[["0", [1]]]), "unknown point key [1]"),
+        ("verify-tiling", tiling_with(tiles=["01"]), "tiling tile 0: expected a list, got '01'"),
+        ("verify-tiling", tiling_with(tiles=None), "tiling 'tiles': expected a list, got None"),
+        ("verify-tiling", tiling_with(tiles=5), "tiling 'tiles': expected a list, got 5"),
+        ("verify-tiling", tiling_with(meta=None), "tiling 'meta': expected a list, got None"),
+        ("verify-tiling", tiling_with(meta=5), "tiling 'meta': expected a list, got 5"),
+        ("verify-tiling", tiling_with(notes=None), "tiling 'notes': expected a list, got None"),
+        ("verify-tiling", tiling_with(notes=5), "tiling 'notes': expected a list, got 5"),
+        ("verify-tiling", 5, "tiling: expected an object, got 5"),
     ],
 )
 def test_malformed_tiling_input_is_a_schema_error(tmp_path, capsys, strategy, spec, err):
+    # "verify-tiling" loads spec as a tiling; any other value tiles spec with that strategy
     path = write(tmp_path / "space.json", spec)
-    code, out, stderr = run(capsys, "tile", "--strategy", strategy, "--R", "1", "--epsilon", "1/2", "--in", path)
+    if strategy == "verify-tiling":
+        code, out, stderr = run(capsys, "verify-tiling", "--in", path)
+    else:
+        code, out, stderr = run(capsys, "tile", "--strategy", strategy, "--R", "1", "--epsilon", "1/2", "--in", path)
     assert (code, out) == (2, "")
     assert err in stderr
 

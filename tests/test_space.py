@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,88 @@ def test_graph_ball_crosses_sentinel():
     s = build_graph_metric(["a", "b", "c"], [("a", "b")])
     assert ball(s, "a", 1) == {"a", "b"}
     assert ball(s, "a", 4) == {"a", "b", "c"}
+
+
+def random_forest(rng):
+    """A seeded random graph with at least two components, and its vertex list."""
+    n = rng.randint(2, 14)
+    labels = [0, 1] + [rng.randrange(rng.randint(2, 4)) for _ in range(n - 2)]
+    rng.shuffle(labels)
+    vertices = [f"v{i}" if i % 3 else i for i in range(n)]
+    edges = [
+        (vertices[i], vertices[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if labels[i] == labels[j] and rng.random() < 0.4
+    ]
+    return vertices, edges
+
+
+def floyd_warshall(vertices, edges):
+    """All-pairs hop distances, with n + 1 between components."""
+    n = len(vertices)
+    D = {x: {y: 0 if x == y else n + 1 for y in vertices} for x in vertices}
+    for a, b in edges:
+        D[a][b] = D[b][a] = 1
+    for k in vertices:
+        for i in vertices:
+            for j in vertices:
+                if D[i][k] + D[k][j] < D[i][j]:
+                    D[i][j] = D[i][k] + D[k][j]
+    return D
+
+
+def test_graph_dist_and_diameter_match_floyd_warshall():
+    rng = random.Random(41)
+    sentinels = 0
+    for _ in range(60):
+        vertices, edges = random_forest(rng)
+        D = floyd_warshall(vertices, edges)
+        s = GraphSpace(vertices, edges)
+        for x in vertices:
+            for y in vertices:
+                assert s.dist(x, y) == D[x][y], (x, y)
+        for _ in range(10):
+            F = set(rng.sample(vertices, rng.randint(1, len(vertices))))
+            want = max(D[x][y] for x in F for y in F)
+            assert s.diameter_of(F) == want, F
+            sentinels += want == s.sentinel
+    assert sentinels > 0
+
+
+def test_stacked_boundary_over_a_forest_matches_the_formula():
+    rng = random.Random(43)
+    for _ in range(40):
+        vertices, edges = random_forest(rng)
+        D = floyd_warshall(vertices, edges)
+        K = rng.randint(2, 6)
+        s = StackedSpace(GraphSpace(vertices, edges), K)
+
+        def d(p, q):
+            (x, n), (y, m) = p, q
+            return abs(n - m) if x == y else n + m + D[x][y]
+
+        for _ in range(5):
+            F = set(rng.sample(s.points, rng.randint(1, min(8, len(s.points)))))
+            R = rng.randint(0, len(vertices) + 4)
+            want = {p for p in s.points if p not in F and any(d(p, f) <= R for f in F)}
+            assert s.boundary_of(F, R) == want, (F, R)
+
+
+def test_graph_diameters_keep_no_state():
+    n = 2000
+    s = GraphSpace(range(n), [(i, i + 1) for i in range(n - 1)])
+    tiles = [set(range(i, i + 10)) for i in range(0, n, 10)]
+    state = {k: v.copy() if isinstance(v, (dict, list)) else v for k, v in vars(s).items()}
+    tracemalloc.start()
+    try:
+        assert all(s.diameter_of(T) == 9 for T in tiles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.dist(0, n - 1) == n - 1
+    assert len(tiles) == 200 and peak < 10 * 2 ** 20, peak
+    assert vars(s) == state
 
 
 # -- balls ------------------------------------------------------------------
