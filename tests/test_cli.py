@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -546,6 +548,38 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
     assert same[0].count('"tool": "coarse-lab"') == len(json.loads(inputs)[1])
 
 
+CLI_CORPUS = GOLDEN / "cli-corpus.txt"
+
+
+def cli_corpus_text() -> str:
+    """Every corpus call, run in the current directory: exit code, --json report, human lines.
+
+    Wall times, the only fields that may differ between runs, read 0.
+    """
+    for file, data in CORPUS_FILES.items():
+        write(Path(file), data)
+    blocks = []
+    for argv in CORPUS_CALLS:
+        outs = []
+        for mode in (["--json"], []):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*mode, *argv])
+            assert err.getvalue() == "", err.getvalue()
+            outs.append((code, out.getvalue()))
+        (code, report), (human_code, human) = outs
+        assert code == human_code
+        blocks.append(f"$ {' '.join(argv)}\nexit {code}\n{report}--- human\n{human}")
+    text = re.sub(r'"elapsed_s": [0-9.]+', '"elapsed_s": 0', "".join(blocks))
+    return re.sub(r"\([0-9.]+s\)$", "(0s)", text, flags=re.M)
+
+
+def test_cli_corpus_matches_golden_bytes(tmp_path, monkeypatch):
+    # rewrite with: cd "$(mktemp -d)" && PYTHONPATH=<repo>/src python <repo>/tests/test_cli.py
+    monkeypatch.chdir(tmp_path)
+    assert cli_corpus_text() == CLI_CORPUS.read_text()
+
+
 def test_monoid_cli_verdicts(tmp_path, capsys):
     pres = write(
         tmp_path / "num23.json",
@@ -865,3 +899,7 @@ def test_internal_error_exits_3(monkeypatch, capsys, zwindow):
     assert code == 3
     assert out == ""
     assert err == "internal error: AssertionError: replay failed\n"
+
+
+if __name__ == "__main__":  # writes the corpus inputs into the current directory
+    CLI_CORPUS.write_text(cli_corpus_text())
