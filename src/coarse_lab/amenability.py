@@ -31,7 +31,6 @@ class FolnerResult:
     ratio: Fraction
     success: bool
     examined: int
-    strategy: str
 
 
 @dataclass
@@ -199,7 +198,6 @@ def folner_search(
         ratio=ratio,
         success=ratio < epsilon,
         examined=examined,
-        strategy=strategy,
     )
 
 
@@ -218,8 +216,6 @@ def doubling_check(window: WindowedSpace, F: Iterable, R: int) -> ParadoxWitness
         raise ValueError("the doubled set must lie inside the core")
     if R < 0:
         raise ValueError("R must be nonnegative")
-    if not Fs:
-        return ParadoxWitness(phi1={}, phi2={}, R=R)
 
     order = {p: i for i, p in enumerate(sorted(space.points, key=repr))}
     xs = sorted(Fs, key=order.__getitem__)
@@ -247,8 +243,8 @@ def doubling_check(window: WindowedSpace, F: Iterable, R: int) -> ParadoxWitness
             phi1[x], phi2[x] = hits
         return ParadoxWitness(phi1=phi1, phi2=phi2, R=R)
 
-    side = net.source_side(0)
-    S = {x for i, x in enumerate(xs, 2) if i in side}
+    # the solve's last level search is the source side of a min cut
+    S = {x for i, x in enumerate(xs, 2) if net.level[i] >= 0}
     violator = HallViolator(points=frozenset(S), R=R)
     violator.replay(window)
     return violator

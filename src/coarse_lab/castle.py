@@ -187,12 +187,24 @@ def compare(c: Castle, A: Iterable, B: Iterable) -> ComparisonResult:
     return ComparisonResult(ok=True, witness=ComparisonWitness(bisections))
 
 
+def _order_key(a):
+    """A total order on ints, strings and nested tuples of them.
+
+    Ints come before strings and scalars before tuples; wherever plain ``<``
+    decides between two values, this key agrees with it.
+    """
+    if isinstance(a, tuple):
+        return (2, tuple(map(_order_key, a)))
+    return (isinstance(a, str), a)
+
+
 def castle_from_tiling(t: Tiling) -> Castle:
     """Tiles become orbits: one tower per tile size, one column per tile.
 
     Atoms of each tile are ordered canonically (by identifier order), which
-    fixes the positional bijections between levels.  The tiling is verified
-    first; a broken partition propagates as :class:`PartitionError`.
+    fixes the positional bijections between levels, and each tower's columns
+    are sorted by :func:`_order_key`.  The tiling is verified first; a broken
+    partition propagates as :class:`PartitionError`.
     """
     verify_tiling(t)
     by_size: dict[int, list[tuple]] = {}
@@ -200,7 +212,7 @@ def castle_from_tiling(t: Tiling) -> Castle:
         col = tuple(sorted(tile, key=repr))
         by_size.setdefault(len(col), []).append(col)
     towers = [
-        Tower(size, tuple(sorted(by_size[size])))
+        Tower(size, tuple(sorted(by_size[size], key=_order_key)))
         for size in sorted(by_size)
     ]
     return Castle(towers)

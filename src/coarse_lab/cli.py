@@ -30,6 +30,7 @@ from .monoid import (
     DEFAULT_ENTRY_CAP,
     DEFAULT_N_MAX,
     DEFAULT_Z_CAP,
+    Rewrite,
     cancellative_equal,
     check_almost_unperforated,
     equal,
@@ -40,6 +41,7 @@ from .monoid import (
 from .serialize import (
     PointCodec,
     SchemaError,
+    _expect,
     castle_from_dict,
     castle_to_dict,
     dump_json,
@@ -70,13 +72,14 @@ OK, NEGATIVE, USAGE, INTERNAL = 0, 1, 2, 3
 
 
 class Emitter:
-    def __init__(self, args, command: str):
+    def __init__(self, args):
         self.json_only = args.json
         self.out = args.out
+        op = vars(args).get("castle_op") or vars(args).get("monoid_op")
         self.report = {
             "tool": "coarse-lab",
             "version": __version__,
-            "command": command,
+            "command": f"{args.subcommand} {op}" if op else args.subcommand,
             "params": {
                 k: v
                 for k, v in sorted(vars(args).items())
@@ -100,14 +103,27 @@ class Emitter:
         return code
 
 
+def _keys(points) -> list[str]:
+    return sorted(map(encode_point, points))
+
+
+def _written(em: Emitter, payload: dict, path, what: str):
+    """The payload for the report, or the path it was written to instead."""
+    if not path:
+        return payload
+    dump_json(payload, path)
+    em.say(f"wrote {what} to {path}")
+    return path
+
+
 def _load_window(path):
     return window_from_spec(load_json(path))
 
 
 def _point_set(args, codec: PointCodec) -> set:
-    if getattr(args, "points", None):
+    if args.points:
         return points_from_arg(args.points, codec)
-    if getattr(args, "set", None):
+    if args.set:
         data = load_json(args.set)
         if "points" not in data:
             raise SchemaError(f"{args.set}: expected a 'points' list")
@@ -118,8 +134,7 @@ def _point_set(args, codec: PointCodec) -> set:
 # -- subcommand handlers ------------------------------------------------------
 
 
-def cmd_boundary(args) -> int:
-    em = Emitter(args, "boundary")
+def cmd_boundary(args, em: Emitter) -> int:
     window = _load_window(args.infile)
     codec = PointCodec(window.space)
     F = _point_set(args, codec)
@@ -129,7 +144,7 @@ def cmd_boundary(args) -> int:
            + (" (halo-contaminated)" if contaminated else ""))
     return em.finish(
         {
-            "boundary": sorted(encode_point(p) for p in bd),
+            "boundary": _keys(bd),
             "size": len(bd),
             "halo_contaminated": contaminated,
         },
@@ -137,19 +152,15 @@ def cmd_boundary(args) -> int:
     )
 
 
-def cmd_ball(args) -> int:
-    em = Emitter(args, "ball")
+def cmd_ball(args, em: Emitter) -> int:
     window = _load_window(args.infile)
     codec = PointCodec(window.space)
     b = ball(window.space, codec.decode(args.center), args.R)
     em.say(f"ball of radius {args.R} around {args.center} has {len(b)} points")
-    return em.finish(
-        {"ball": sorted(encode_point(p) for p in b), "size": len(b)}, OK
-    )
+    return em.finish({"ball": _keys(b), "size": len(b)}, OK)
 
 
-def cmd_tile(args) -> int:
-    em = Emitter(args, "tile")
+def cmd_tile(args, em: Emitter) -> int:
     eps = parse_fraction(args.epsilon)
     spec = load_json(args.infile)
     if args.strategy == "interval":
@@ -158,9 +169,8 @@ def cmd_tile(args) -> int:
     elif args.strategy == "sparse":
         if not isinstance(spec, dict) or "A" not in spec:
             raise SchemaError("sparse tiling input needs an 'A' list")
-        t = tile_sparse_subset(
-            integer_list(spec["A"], "subset 'A'"), args.R, eps, bool(spec.get("prefix_of_unbounded", False))
-        )
+        prefix = _expect(spec.get("prefix_of_unbounded", False), bool, "sparse 'prefix_of_unbounded'")
+        t = tile_sparse_subset(integer_list(spec["A"], "subset 'A'"), args.R, eps, prefix)
     elif args.strategy == "stack":
         window = window_from_spec(spec)
         t = tile_stacked_product(window, args.R, eps)
@@ -171,10 +181,7 @@ def cmd_tile(args) -> int:
         moduli = integer_list(box["moduli"], "box 'moduli'")
         t = tile_box_space(moduli, args.R, eps)
         spec = {"box": {"moduli": moduli}}
-    payload = tiling_to_dict(t, space_spec=spec)
-    if args.tiling_out:
-        dump_json(payload, args.tiling_out)
-        em.say(f"wrote tiling with {len(t.tiles)} tiles to {args.tiling_out}")
+    tiling = _written(em, tiling_to_dict(t, space_spec=spec), args.tiling_out, f"tiling with {len(t.tiles)} tiles")
     em.say(
         f"{len(t.tiles)} tiles, max clean ratio {format_fraction(t.max_ratio())}, "
         f"diameter bound {t.diameter_bound}"
@@ -185,7 +192,7 @@ def cmd_tile(args) -> int:
             "max_ratio": format_fraction(t.max_ratio()),
             "diameter_bound": t.diameter_bound,
             "notes": t.notes,
-            "tiling": payload if not args.tiling_out else args.tiling_out,
+            "tiling": tiling,
         },
         OK,
     )
@@ -193,18 +200,17 @@ def cmd_tile(args) -> int:
 
 def _load_tiling(args):
     data = load_json(args.infile)
-    window = _load_window(args.space) if getattr(args, "space", None) else None
+    window = _load_window(args.space) if args.space else None
     return tiling_from_dict(data, window)
 
 
-def cmd_verify_tiling(args) -> int:
-    em = Emitter(args, "verify-tiling")
+def cmd_verify_tiling(args, em: Emitter) -> int:
     t = _load_tiling(args)
     report = verify_tiling(t)
     em.say(
         ("PASS" if report.passed else "FAIL")
         + f": max clean ratio {format_fraction(report.max_ratio)} vs epsilon "
-        + format_fraction(report.epsilon)
+        + format_fraction(t.epsilon)
     )
     for f in report.failures:
         em.say("  " + f)
@@ -228,8 +234,7 @@ def cmd_verify_tiling(args) -> int:
     return em.finish(result, OK if report.passed else NEGATIVE)
 
 
-def cmd_folner(args) -> int:
-    em = Emitter(args, "folner")
+def cmd_folner(args, em: Emitter) -> int:
     window = _load_window(args.infile)
     res = folner_search(
         window, args.R, parse_fraction(args.epsilon), args.strategy, args.budget
@@ -243,15 +248,14 @@ def cmd_folner(args) -> int:
             "success": res.success,
             "ratio": format_fraction(res.ratio),
             "size": len(res.points),
-            "points": sorted(encode_point(p) for p in res.points),
+            "points": _keys(res.points),
             "examined": res.examined,
         },
         OK if res.success else NEGATIVE,
     )
 
 
-def cmd_paradox(args) -> int:
-    em = Emitter(args, "paradox")
+def cmd_paradox(args, em: Emitter) -> int:
     window = _load_window(args.infile)
     codec = PointCodec(window.space)
     F = _point_set(args, codec)
@@ -262,24 +266,17 @@ def cmd_paradox(args) -> int:
         return em.finish(
             {
                 "outcome": "witness",
-                "phi1": {encode_point(x): encode_point(y) for x, y in sorted(res.phi1.items(), key=lambda kv: encode_point(kv[0]))},
-                "phi2": {encode_point(x): encode_point(y) for x, y in sorted(res.phi2.items(), key=lambda kv: encode_point(kv[0]))},
+                "phi1": {encode_point(x): encode_point(y) for x, y in res.phi1.items()},
+                "phi2": {encode_point(x): encode_point(y) for x, y in res.phi2.items()},
             },
             OK,
         )
     res.replay(window)
     em.say(f"Hall violator of {len(res.points)} points: doubling impossible")
-    return em.finish(
-        {
-            "outcome": "violator",
-            "points": sorted(encode_point(p) for p in res.points),
-        },
-        NEGATIVE,
-    )
+    return em.finish({"outcome": "violator", "points": _keys(res.points)}, NEGATIVE)
 
 
-def cmd_homology_fill(args) -> int:
-    em = Emitter(args, "homology-fill")
+def cmd_homology_fill(args, em: Emitter) -> int:
     window = _load_window(args.infile)
     codec = PointCodec(window.space)
     c = zero_chain_from_dict(load_json(args.chain), codec)
@@ -290,7 +287,7 @@ def cmd_homology_fill(args) -> int:
         return em.finish(
             {
                 "outcome": "infeasible",
-                "component": sorted(encode_point(p) for p in e.component),
+                "component": _keys(e.component),
                 "component_total": e.total,
             },
             NEGATIVE,
@@ -307,8 +304,7 @@ def _load_castle(args, codec=None):
     return castle_from_dict(load_json(args.infile), codec)
 
 
-def cmd_castle_validate(args) -> int:
-    em = Emitter(args, "castle validate")
+def cmd_castle_validate(args, em: Emitter) -> int:
     violations = validate_castle(_load_castle(args))
     for v in violations:
         em.say("violation: " + v)
@@ -320,26 +316,18 @@ def cmd_castle_validate(args) -> int:
     )
 
 
-def cmd_castle_refine(args) -> int:
-    em = Emitter(args, "castle refine")
+def cmd_castle_refine(args, em: Emitter) -> int:
     c = _load_castle(args)
     targets_data = load_json(args.targets)
     if "targets" not in targets_data:
         raise SchemaError(f"{args.targets}: expected a 'targets' list of lists")
     r = refine(c, [set(t) for t in targets_data["targets"]])
-    payload = castle_to_dict(r)
-    if args.castle_out:
-        dump_json(payload, args.castle_out)
-        em.say(f"wrote refined castle to {args.castle_out}")
+    castle = _written(em, castle_to_dict(r), args.castle_out, "refined castle")
     em.say(f"{len(c.towers)} towers refined into {len(r.towers)}")
-    return em.finish(
-        {"towers": len(r.towers), "castle": payload if not args.castle_out else args.castle_out},
-        OK,
-    )
+    return em.finish({"towers": len(r.towers), "castle": castle}, OK)
 
 
-def cmd_castle_compare(args) -> int:
-    em = Emitter(args, "castle compare")
+def cmd_castle_compare(args, em: Emitter) -> int:
     c = _load_castle(args)
     atoms: dict = {}
     for a in c.atoms():
@@ -364,13 +352,7 @@ def cmd_castle_compare(args) -> int:
         res.witness.replay(A, B)
         em.say(f"subequivalent: {len(res.witness.bisections)} level bisections")
         return em.finish(
-            {
-                "ok": True,
-                "bisections": [
-                    {str(k): str(v) for k, v in sorted(b.items(), key=lambda kv: str(kv[0]))}
-                    for b in res.witness.bisections
-                ],
-            },
+            {"ok": True, "bisections": [{str(k): str(v) for k, v in b.items()} for b in res.witness.bisections]},
             OK,
         )
     ref = res.refusal
@@ -379,75 +361,51 @@ def cmd_castle_compare(args) -> int:
         f"{ref.b_levels} target levels"
     )
     return em.finish(
-        {
-            "ok": False,
-            "tower": ref.tower_index,
-            "a_levels": ref.a_levels,
-            "b_levels": ref.b_levels,
-        },
+        {"ok": False, "tower": ref.tower_index, "a_levels": ref.a_levels, "b_levels": ref.b_levels},
         NEGATIVE,
     )
 
 
-def cmd_castle_defect(args) -> int:
-    em = Emitter(args, "castle defect")
+def cmd_castle_defect(args, em: Emitter) -> int:
     window = _load_window(args.space)
-    codec = PointCodec(window.space)
-    c = _load_castle(args, codec)
+    c = _load_castle(args, PointCodec(window.space))
     d = invariance_defect(c, window, args.R)
     em.say(f"invariance defect at R={args.R}: {format_fraction(d)}")
     return em.finish({"defect": format_fraction(d)}, OK)
 
 
-def cmd_castle_from_tiling(args) -> int:
-    em = Emitter(args, "castle from-tiling")
+def cmd_castle_from_tiling(args, em: Emitter) -> int:
     t = _load_tiling(args)
     c = castle_from_tiling(t)
-    payload = castle_to_dict(c)
-    if args.castle_out:
-        dump_json(payload, args.castle_out)
-        em.say(f"wrote castle to {args.castle_out}")
+    castle = _written(em, castle_to_dict(c), args.castle_out, "castle")
     em.say(f"{len(c.towers)} towers over {len(c.atoms())} atoms")
-    return em.finish(
-        {"towers": len(c.towers), "castle": payload if not args.castle_out else args.castle_out},
-        OK,
-    )
+    return em.finish({"towers": len(c.towers), "castle": castle}, OK)
 
 
-def _verdict_result(v, op: str) -> dict:
-    """JSON form of a verdict from the monoid operation ``op``.
-
-    The operation fixes the certificate's form: ``equal`` gives a rewrite
-    path, ``leq`` a :class:`LeqCertificate` and ``canc`` a (z, path) pair.
-    """
+def _verdict_result(v) -> dict:
+    """JSON form of a verdict: ``equal`` certifies by a rewrite path, the others by a :class:`Rewrite`."""
     out = {"verdict": v.kind, "detail": v.detail}
-    if v.certificate is None:
-        return out
-    if op == "equal":
-        z, path = None, v.certificate
-    elif op == "leq":
-        z, path = v.certificate.z, v.certificate.path
-    else:
-        z, path = v.certificate
-    if z is not None:
-        out["z"] = list(z)
-    out["path"] = [[ri, fwd] for ri, fwd in path]
+    path = v.certificate
+    if isinstance(path, Rewrite):
+        out["z"] = list(path.z)
+        path = path.path
+    if path is not None:
+        out["path"] = [[ri, fwd] for ri, fwd in path]
     return out
 
 
-def cmd_monoid(args) -> int:
-    em = Emitter(args, f"monoid {args.monoid_op}")
+def cmd_monoid(args, em: Emitter) -> int:
     p = presentation_from_dict(load_json(args.infile))
     op = args.monoid_op
     depth, zcap, cap = args.depth, args.zcap, args.cap
-    if op == "equal":
-        v = equal(p, vector_from_arg(args.u), vector_from_arg(args.v), depth, cap)
-        em.say(f"{v.kind}: {v.detail}")
-        return em.finish(_verdict_result(v, "equal"), OK if v.yes else NEGATIVE)
-    if op == "leq":
-        v = leq(p, vector_from_arg(args.u), vector_from_arg(args.v), depth, zcap, cap)
-        em.say(f"{v.kind}: {v.detail}")
-        return em.finish(_verdict_result(v, "leq"), OK if v.yes else NEGATIVE)
+    if op in ("equal", "leq", "canc"):
+        u, v = vector_from_arg(args.u), vector_from_arg(args.v)
+        if op == "equal":
+            got = equal(p, u, v, depth, cap)
+        else:
+            got = (leq if op == "leq" else cancellative_equal)(p, u, v, depth, zcap, cap)
+        em.say(f"{got.kind}: {got.detail}")
+        return em.finish(_verdict_result(got), OK if got.yes else NEGATIVE)
     if op == "aup":
         res = check_almost_unperforated(p, args.xcap, args.nmax, depth, zcap, cap)
         if res.found:
@@ -462,8 +420,8 @@ def cmd_monoid(args) -> int:
                     "x": list(ce.x),
                     "y": list(ce.y),
                     "n": ce.n,
-                    "scaled_leq": _verdict_result(ce.scaled_leq, "leq"),
-                    "plain_leq": _verdict_result(ce.plain_leq, "leq"),
+                    "scaled_leq": _verdict_result(ce.scaled_leq),
+                    "plain_leq": _verdict_result(ce.plain_leq),
                     "region": res.region,
                 },
                 NEGATIVE,
@@ -475,7 +433,7 @@ def cmd_monoid(args) -> int:
         em.say(f"2x <= x: {res.verdict.kind}; least doubling multiple: {res.least_multiple}")
         return em.finish(
             {
-                "verdict": _verdict_result(res.verdict, "leq"),
+                "verdict": _verdict_result(res.verdict),
                 "least_multiple": res.least_multiple,
             },
             OK if res.verdict.yes else NEGATIVE,
@@ -499,15 +457,10 @@ def cmd_monoid(args) -> int:
             )
         em.say(f"not found: {res.detail}")
         return em.finish({"found": False, "detail": res.detail}, NEGATIVE)
-    if op == "canc":
-        v = cancellative_equal(p, vector_from_arg(args.u), vector_from_arg(args.v), depth, zcap, cap)
-        em.say(f"{v.kind}: {v.detail}")
-        return em.finish(_verdict_result(v, "canc"), OK if v.yes else NEGATIVE)
     raise SchemaError(f"unknown monoid operation {op!r}")
 
 
-def cmd_selftest(args) -> int:
-    em = Emitter(args, "selftest")
+def cmd_selftest(args, em: Emitter) -> int:
     numbers = None
     if args.criteria:
         numbers = [int(x) for x in args.criteria.split(",")]
@@ -652,7 +605,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, Emitter(args))
     except (ValueError, FileNotFoundError) as e:  # SchemaError and PartitionError are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return USAGE

@@ -14,6 +14,9 @@ an augmenting path, and warm-startable: it augments whatever flow the
 network already holds.  Raising ``cap[e]``, or both ``cap[e]`` and
 ``cap[e ^ 1]`` of an undirected edge by the same amount, keeps that flow
 feasible, so a parametric caller re-solves the same residual network.
+Its final level search labels exactly the nodes that s reaches in the
+residual graph, which by max-flow/min-cut are the source side of a minimum
+cut, so the solve leaves that cut behind in ``level``.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ class FlowNetwork:
         # parallel arrays: to[e], cap[e]; e ^ 1 is the reverse arc
         self.to: list[int] = []
         self.cap: list[int] = []
+        # the last solve's final BFS levels: level[i] >= 0 puts i on the
+        # source side of a minimum cut
+        self.level: list[int] = []
 
     def add_edge(self, u: int, v: int, capacity: int, back: int = 0) -> int:
         """Add u -> v with ``capacity`` and v -> u with ``back``; returns the u -> v arc."""
@@ -70,6 +76,7 @@ class FlowNetwork:
                         level[v] = nxt
                         queue.append(v)
             if level[t] < 0:
+                self.level = level
                 return added
             it = [0] * n
             path: list[int] = []  # arcs of the current search path from s
@@ -106,16 +113,3 @@ class FlowNetwork:
                     it[u] += 1
                 else:
                     break
-
-    def source_side(self, s: int) -> set[int]:
-        """Nodes reachable from s in the residual graph (a min cut)."""
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for e in self.adj[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen

@@ -220,8 +220,9 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
     flow = net.max_flow(s, t)
     solves = 1
     while flow < demand:
-        side = net.source_side(s)
-        k = sum(1 for e in pair_arcs if (to[e] in side) != (to[e ^ 1] in side))
+        # the solve's last level search is the source side of a min cut
+        level = net.level
+        k = sum(1 for e in pair_arcs if (level[to[e]] < 0) != (level[to[e ^ 1]] < 0))
         assert k > 0, "a cut without pair edges would make every bound infeasible"
         # the cut's capacity, fixed + k*norm, equals the flow, and a feasible
         # bound b needs fixed + k*b >= demand

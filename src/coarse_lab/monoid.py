@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product, repeat
 from operator import add, ge, mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 DEFAULT_DEPTH = 12
 DEFAULT_ENTRY_CAP = 20
@@ -188,13 +188,18 @@ def equal(
     return Verdict(UNKNOWN, f"search from {u} truncated within {region}")
 
 
-@dataclass
-class LeqCertificate:
+class Rewrite(NamedTuple):
+    """Certificate that u + z rewrites to a target along ``path``.
+
+    ``leq`` proves u <= v with target v; ``cancellative_equal`` proves
+    u + z = v + z with target v + z.
+    """
+
     z: Vector
     path: tuple
 
-    def replay(self, p: MonoidPresentation, u: Vector, v: Vector) -> None:
-        assert replay_path(p, vadd(u, self.z), self.path) == tuple(v)
+    def replay(self, p: MonoidPresentation, u: Vector, target: Vector) -> None:
+        assert replay_path(p, vadd(u, self.z), self.path) == tuple(target)
 
 
 def leq(
@@ -225,7 +230,7 @@ def leq(
         z = min(candidates)
         # v's saturation tree reaches u + z from v; reversing it rewrites u + z into v
         path = tuple((ri, not fwd) for ri, fwd in reversed(_path(parents, vadd(u, z))))
-        return Verdict(YES, f"z = {z}", LeqCertificate(z, path))
+        return Verdict(YES, f"z = {z}", Rewrite(z, path))
     if complete:
         if dominating:
             detail = (
@@ -436,7 +441,7 @@ def cancellative_equal(
     for z in product(range(z_cap + 1), repeat=p.rank):
         got = equal(p, vadd(u, z), vadd(v, z), depth, entry_cap)
         if got.yes:
-            return Verdict(YES, f"z = {z}", (z, got.certificate))
+            return Verdict(YES, f"z = {z}", Rewrite(z, got.certificate))
         if got.kind == UNKNOWN:
             any_unknown = True
     region = f"z entries <= {z_cap}, depth {depth}, entry cap {entry_cap}"

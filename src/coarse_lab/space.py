@@ -499,7 +499,7 @@ def outer_boundary(space: FiniteMetricSpace, F: Iterable[Point], R: int) -> set:
     Fs = space.point_set(F)
     if R < 0:
         raise ValueError("radius must be nonnegative")
-    if not Fs or R == 0:
+    if not Fs:
         return set()
     return space.boundary_of(Fs, R)
 

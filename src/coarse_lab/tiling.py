@@ -80,8 +80,6 @@ class TilingReport:
     tiles: list[TileReport]
     max_ratio: Fraction
     max_diameter: int
-    epsilon: Fraction
-    diameter_bound: int
     passed: bool
     failures: list[str] = field(default_factory=list)
     meta_mismatches: list[int] = field(default_factory=list)
@@ -368,8 +366,6 @@ def verify_tiling(t: Tiling) -> TilingReport:
         tiles=reports,
         max_ratio=Fraction(best_b, best_n),
         max_diameter=max_diam,
-        epsilon=t.epsilon,
-        diameter_bound=t.diameter_bound,
         passed=not failures,
         failures=failures,
         meta_mismatches=mismatches,

@@ -6,6 +6,7 @@ import pytest
 from coarse_lab.castle import (
     Castle,
     Tower,
+    _order_key,
     castle_from_tiling,
     compare,
     indicator,
@@ -236,6 +237,21 @@ def test_castle_groups_by_size():
     t = Tiling(w, tiles, 1, Fraction(2, 1), meta, 7)
     c = castle_from_tiling(t)
     assert sorted((tw.height, len(tw.columns)) for tw in c.towers) == [(5, 2), (7, 1)]
+
+
+def test_column_order_agrees_with_plain_sort_and_totally_orders_mixed_atoms():
+    rng = random.Random(3)
+    scalars = [lambda: rng.randint(-3, 3), lambda: rng.choice("abc")]
+    for _ in range(200):
+        # one kind of entry per tuple position: plain sorted succeeds on these
+        kinds = [rng.choice(scalars) for _ in range(rng.randint(1, 3))]
+        cols = [tuple(tuple(kind() for kind in kinds) for _ in range(2)) for _ in range(6)]
+        assert sorted(cols, key=_order_key) == sorted(cols)
+        # ints and strings at one position: plain sorted fails, the key does not
+        mixed = [(rng.choice(scalars)(), rng.randint(0, 2)) for _ in range(6)]
+        got = sorted(mixed, key=_order_key)
+        assert got == sorted(reversed(mixed), key=_order_key)
+        assert [type(a) for a, _ in got] == sorted((type(a) for a, _ in got), key=lambda k: k is str)
 
 
 def test_castle_from_broken_tiling_raises():

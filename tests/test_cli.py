@@ -731,6 +731,7 @@ def tiling_with(**fields):
     [
         ("sparse", {"A": [0, 1.5, 3]}, "subset 'A' entry: expected an integer, got 1.5"),
         ("sparse", {"A": 3}, "subset 'A': expected a list, got 3"),
+        ("sparse", {"A": [0, 1], "prefix_of_unbounded": "no"}, "sparse 'prefix_of_unbounded': expected a boolean, got 'no'"),
         ("box", {"moduli": [2.0, 4]}, "box 'moduli' entry: expected an integer, got 2.0"),
         ("box", {"box": {"moduli": [2, 4.0]}}, "box 'moduli' entry: expected an integer, got 4.0"),
         ("box", {"box": [2, 4]}, "box tiling input needs 'moduli'"),
@@ -847,6 +848,25 @@ def test_castle_from_tiling_and_defect(tmp_path, capsys, zwindow):
     assert "2/21" in out
 
 
+def test_castle_from_stacked_tiling_with_mixed_vertex_kinds(tmp_path, capsys):
+    # column atoms (0, j) and ("a", j) share a tower; their order must not
+    # depend on comparing 0 with "a"
+    window = write(
+        tmp_path / "window.json",
+        {"stack": {"base": {"vertices": [0, "a"], "edges": [[0, "a"]]}, "K": 10, "halo_depth": 0}},
+    )
+    tiling, castle = str(tmp_path / "tiling.json"), str(tmp_path / "castle.json")
+    code, _, err = run(
+        capsys, "tile", "--strategy", "stack", "--R", "1", "--epsilon", "1", "--in", window, "--out", tiling
+    )
+    assert code == 0, err
+    code, _, err = run(capsys, "castle", "from-tiling", "--in", tiling, "--out", castle)
+    assert code == 0, err
+    code, out, err = run(capsys, "--json", "castle", "defect", "--in", castle, "--space", window, "--R", "1")
+    assert code == 0, err
+    assert json.loads(out)["result"]["defect"] == "2/5"
+
+
 def test_selftest_subset(capsys):
     code, out, _ = run(capsys, "selftest", "--criteria", "5,6")
     assert code == 0
@@ -891,7 +911,7 @@ def test_unknown_subcommand_exits_2(capsys):
 
 def test_internal_error_exits_3(monkeypatch, capsys, zwindow):
     # a crash must not read as the mathematical "no" of exit code 1
-    def broken(args):
+    def broken(args, em):
         raise AssertionError("replay failed")
 
     monkeypatch.setattr(cli, "cmd_boundary", broken)

@@ -105,6 +105,6 @@ def test_source_side_is_a_min_cut():
         n, edges = random_mixed_edges(rng)
         net = network(n, edges)
         value = net.max_flow(0, n - 1)
-        side = net.source_side(0)
+        side = {i for i, lv in enumerate(net.level) if lv >= 0}
         assert 0 in side and n - 1 not in side
         assert cut_capacity(edges, side) == value, seed

@@ -71,8 +71,12 @@ def test_fill_bound_never_passes_the_mass(monkeypatch):
     # a solver that never finds flow, under a cut that always crosses a pair
     # edge, would raise the bound forever; the optimum is at most the chain's
     # total absolute mass, so the loop must stop there
-    monkeypatch.setattr(FlowNetwork, "max_flow", lambda self, s, t: 0)
-    monkeypatch.setattr(FlowNetwork, "source_side", lambda self, s: {s, 0})
+    def no_flow(self, s, t):
+        # the cut {s, 0} crosses the pair edges at point node 0
+        self.level = [0 if i in (s, 0) else -1 for i in range(len(self.adj))]
+        return 0
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", no_flow)
     w = integer_window(0, 10, 1)
     with pytest.raises(AssertionError, match="total absolute mass"):
         min_norm_fill(w, ZeroChain({0: 1, 10: -1}), 1)
