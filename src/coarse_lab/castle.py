@@ -202,9 +202,10 @@ def castle_from_tiling(t: Tiling) -> Castle:
     """Tiles become orbits: one tower per tile size, one column per tile.
 
     Atoms of each tile are ordered canonically (by identifier order), which
-    fixes the positional bijections between levels, and each tower's columns
-    are sorted by :func:`_order_key`.  The tiling is verified first; a broken
-    partition propagates as :class:`PartitionError`.
+    fixes the positional bijections between levels.  The columns of a tower
+    are disjoint, so their first atoms alone order them, by :func:`_order_key`.
+    The tiling is verified first; a broken partition propagates as
+    :class:`PartitionError`.
     """
     verify_tiling(t)
     by_size: dict[int, list[tuple]] = {}
@@ -212,7 +213,7 @@ def castle_from_tiling(t: Tiling) -> Castle:
         col = tuple(sorted(tile, key=repr))
         by_size.setdefault(len(col), []).append(col)
     towers = [
-        Tower(size, tuple(sorted(by_size[size], key=_order_key)))
+        Tower(size, tuple(sorted(by_size[size], key=lambda col: _order_key(col[0]))))
         for size in sorted(by_size)
     ]
     return Castle(towers)
