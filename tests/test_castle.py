@@ -254,6 +254,17 @@ def test_column_order_agrees_with_plain_sort_and_totally_orders_mixed_atoms():
         assert [type(a) for a, _ in got] == sorted((type(a) for a, _ in got), key=lambda k: k is str)
 
 
+def test_castle_columns_keep_plain_sort_order():
+    rng = random.Random(5)
+    w = integer_window(0, 29, 1)
+    for _ in range(20):
+        pts = sorted(w.core)
+        rng.shuffle(pts)
+        tiles = [frozenset(pts[i:i + 3]) for i in range(0, len(pts), 3)]
+        c = castle_from_tiling(Tiling(w, tiles, 1, Fraction(2), [], 30))
+        assert [list(tw.columns) for tw in c.towers] == [sorted(tw.columns) for tw in c.towers]
+
+
 def test_castle_from_broken_tiling_raises():
     w = integer_window(0, 9, 1)
     t = Tiling(w, [frozenset({0, 1})], 1, Fraction(1, 2), [], 1)
