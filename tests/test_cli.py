@@ -596,7 +596,7 @@ def test_monoid_cli_verdicts(tmp_path, capsys):
 
 def test_monoid_equal_two_step_path(tmp_path, capsys):
     # 6a = 3a + 3a -> 2b + 3a -> 4b takes two rewrites; a two-step path
-    # has the shape of a (z, path) pair, so the operation must decide
+    # has the shape of a (z, path) pair, so the certificate's type must decide
     pres = write(
         tmp_path / "num23.json",
         {"rank": 2, "relations": [[[3, 0], [0, 2]]]},
