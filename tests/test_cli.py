@@ -731,7 +731,6 @@ def tiling_with(**fields):
     [
         ("sparse", {"A": [0, 1.5, 3]}, "subset 'A' entry: expected an integer, got 1.5"),
         ("sparse", {"A": 3}, "subset 'A': expected a list, got 3"),
-        ("sparse", {"A": [0, 1], "prefix_of_unbounded": "no"}, "sparse 'prefix_of_unbounded': expected a boolean, got 'no'"),
         ("box", {"moduli": [2.0, 4]}, "box 'moduli' entry: expected an integer, got 2.0"),
         ("box", {"box": {"moduli": [2, 4.0]}}, "box 'moduli' entry: expected an integer, got 4.0"),
         ("box", {"box": [2, 4]}, "box tiling input needs 'moduli'"),
@@ -755,6 +754,7 @@ def tiling_with(**fields):
         ("verify-tiling", tiling_with(notes=None), "tiling 'notes': expected a list, got None"),
         ("verify-tiling", tiling_with(notes=5), "tiling 'notes': expected a list, got 5"),
         ("verify-tiling", 5, "tiling: expected an object, got 5"),
+        ("sparse", {"A": [0, 1], "prefix_of_unbounded": "no"}, "sparse 'prefix_of_unbounded': expected a boolean, got 'no'"),
     ],
 )
 def test_malformed_tiling_input_is_a_schema_error(tmp_path, capsys, strategy, spec, err):
