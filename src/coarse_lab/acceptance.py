@@ -60,6 +60,7 @@ class CriterionResult:
     title: str
     passed: bool
     elapsed: float
+    budget: float | None = None
     details: list[str] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
 
@@ -85,7 +86,7 @@ def _result(number: int, title: str, chk: _Check, elapsed: float, budget: float 
     if budget is not None:
         chk.expect(elapsed < budget, f"runtime {elapsed:.2f}s exceeds budget {budget}s")
     return CriterionResult(
-        number, title, passed=not chk.failures, elapsed=elapsed,
+        number, title, passed=not chk.failures, elapsed=elapsed, budget=budget,
         details=chk.details, failures=chk.failures,
     )
 

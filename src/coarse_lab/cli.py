@@ -41,7 +41,9 @@ from .monoid import (
 from .serialize import (
     PointCodec,
     SchemaError,
+    _check_size,
     _expect,
+    _require,
     castle_from_dict,
     castle_to_dict,
     dump_json,
@@ -179,6 +181,7 @@ def cmd_tile(args, em: Emitter) -> int:
         if not isinstance(box, dict) or not box.get("moduli"):
             raise SchemaError("box tiling input needs 'moduli'")
         moduli = integer_list(box["moduli"], "box 'moduli'")
+        _check_size("box", sum(moduli))
         t = tile_box_space(moduli, args.R, eps)
         spec = {"box": {"moduli": moduli}}
     tiling = _written(em, tiling_to_dict(t, space_spec=spec), args.tiling_out, f"tiling with {len(t.tiles)} tiles")
@@ -318,10 +321,12 @@ def cmd_castle_validate(args, em: Emitter) -> int:
 
 def cmd_castle_refine(args, em: Emitter) -> int:
     c = _load_castle(args)
-    targets_data = load_json(args.targets)
-    if "targets" not in targets_data:
-        raise SchemaError(f"{args.targets}: expected a 'targets' list of lists")
-    r = refine(c, [set(t) for t in targets_data["targets"]])
+    targets = _expect(_require(load_json(args.targets), "targets", "targets file"), list, "'targets'")
+    for i, t in enumerate(targets):
+        for a in _expect(t, list, f"target {i}"):
+            if isinstance(a, (list, dict)):
+                raise SchemaError(f"target {i}: atom {a!r} is not a scalar")
+    r = refine(c, [set(t) for t in targets])
     castle = _written(em, castle_to_dict(r), args.castle_out, "refined castle")
     em.say(f"{len(c.towers)} towers refined into {len(r.towers)}")
     return em.finish({"towers": len(r.towers), "castle": castle}, OK)
@@ -482,6 +487,8 @@ def cmd_selftest(args, em: Emitter) -> int:
                     "title": r.title,
                     "passed": r.passed,
                     "elapsed_s": round(r.elapsed, 3),
+                    "budget_s": r.budget,
+                    "headroom_s": None if r.budget is None else round(r.budget - r.elapsed, 3),
                     "details": r.details,
                     "failures": r.failures,
                 }
@@ -606,7 +613,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, Emitter(args))
-    except (ValueError, FileNotFoundError) as e:  # SchemaError and PartitionError are ValueErrors
+    # SchemaError and PartitionError are ValueErrors; an OSError is a path
+    # that cannot be read or written (missing, a directory, no permission)
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
     except Exception as e:

@@ -76,6 +76,19 @@ def _check_vector(p: MonoidPresentation, v: Sequence[int]) -> Vector:
     return t
 
 
+def _check_bounds(n_max: int = 1, **bounds: int) -> None:
+    """Refuse a negative depth or cap, and an n_max below 1.
+
+    Each would search an empty region, and an empty search would read as
+    an exhausted one: a No, or a sweep with no counterexample.
+    """
+    for name, value in bounds.items():
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+
+
 def vadd(u: Vector, v: Vector) -> Vector:
     return tuple(map(add, u, v))
 
@@ -173,12 +186,14 @@ def equal(
     was enumerated within the bounds and v is not in it; Unknown means a
     bound cut the enumeration off first.
     """
+    _check_bounds(depth=depth, entry_cap=entry_cap)
     u = _check_vector(p, u)
     v = _check_vector(p, v)
     parents, complete, found = _saturate(p, u, depth, entry_cap, target=v)
     region = f"depth {depth}, entry cap {entry_cap}"
     if found:
-        return Verdict(YES, f"rewrite path of length {len(_path(parents, v))}", _path(parents, v))
+        path = _path(parents, v)
+        return Verdict(YES, f"rewrite path of length {len(path)}", path)
     if complete:
         return Verdict(
             NO,
@@ -214,6 +229,7 @@ def leq(
 
     Searches the bounded congruence class of v for a member dominating u.
     """
+    _check_bounds(depth=depth, z_cap=z_cap, entry_cap=entry_cap)
     u = _check_vector(p, u)
     v = _check_vector(p, v)
     parents, complete, _ = _saturate(p, v, depth, entry_cap)
@@ -275,24 +291,29 @@ def check_almost_unperforated(
 ) -> AupResult:
     """Sweep for (x, y, n) with (n+1)x <= ny yet x not <= y within bounds.
 
-    The sweep is ordered by (n, x, y) lexicographically and reports the
-    first counterexample, whose Yes and No verdicts both carry their
-    evidence.  The scaled leq holds within bounds when some member w of the
-    bounded class of ny has (n+1)x <= w <= (n+1)x + z_cap entrywise, that
-    is when x lies in the box ceil((w - z_cap)/(n+1)) <= x <= floor(w/(n+1)).
-    So for each n only the (x, y) pairs inside those boxes are visited, in
-    sorted order, which is the order of the full (x, y) sweep: the first
-    counterexample is the one the full sweep would find.  A counterexample
+    Reports the first counterexample in (n, x, y) lexicographic order, whose
+    Yes and No verdicts both carry their evidence.  A counterexample
     requires the plain leq to fail strongly: the congruence class of y is
     completely enumerated and no member dominates x at all.  Refusals that
     only happen because the witness z would exceed z_cap are skipped, as
-    are truncated searches; neither is a refutation.
+    are truncated searches; neither is a refutation.  So a y whose class is
+    incomplete, or dominates every x of the box [0, x_cap]^rank, is dropped
+    before any class of ny is saturated; for each remaining y the set of
+    box points its class dominates is built once and kept for every n.
+
+    The scaled leq holds within bounds when some member w of the bounded
+    class of ny has (n+1)x <= w <= (n+1)x + z_cap entrywise, that is when x
+    lies in the box ceil((w - z_cap)/(n+1)) <= x <= floor(w/(n+1)).  For
+    each n and y the bad x are the union of those boxes over the class of
+    ny, less the dominated set.  The least (least bad x, y) over all y is
+    the first pair the full (x, y) sweep would reach, so no pairs are
+    listed or sorted.
     """
+    _check_bounds(n_max, x_cap=x_cap, depth=depth, z_cap=z_cap, entry_cap=entry_cap)
     region = (
         f"x,y entries <= {x_cap}, 1 <= n <= {n_max}, depth {depth}, "
         f"z_cap {z_cap}, entry cap {entry_cap}"
     )
-    vectors = list(product(range(x_cap + 1), repeat=p.rank))
     closure_cache: dict[Vector, tuple] = {}
 
     def closure(v: Vector):
@@ -303,6 +324,19 @@ def check_almost_unperforated(
             closure_cache[v] = got
         return got
 
+    # (y, the box points below some member of y's class) for each y whose
+    # class is complete and leaves a point of the box undominated
+    full = (x_cap + 1) ** p.rank
+    open_ys = []
+    for y in product(range(x_cap + 1), repeat=p.rank):
+        members, complete = closure(y)
+        if complete:
+            dominated = set()
+            for w in members:
+                dominated.update(product(*(range(min(a, x_cap) + 1) for a in w)))
+            if len(dominated) < full:
+                open_ys.append((y, dominated))
+
     for n in range(1, n_max + 1):
         # the box's side for each entry value a of w; the start vector ny
         # may exceed the entry cap
@@ -310,21 +344,24 @@ def check_almost_unperforated(
             range(max(0, -((z_cap - a) // (n + 1))), min(x_cap, a // (n + 1)) + 1)
             for a in range(max(entry_cap, n * x_cap) + 1)
         ]
-        pairs = set()
-        for y in vectors:
+        firsts = []  # (least bad x, y) for each y with a bad x
+        for y, dominated in open_ys:
+            boxes = set()
             for w in closure(vscale(n, y))[0]:
-                pairs.update(zip(product(*map(side.__getitem__, w)), repeat(y)))
-        for x, y in sorted(pairs):
-            members, complete = closure(y)
-            if complete and not any(all(map(ge, w, x)) for w in members):
-                return AupResult(
-                    AupCounterexample(
-                        x, y, n,
-                        leq(p, vscale(n + 1, x), vscale(n, y), depth, z_cap, entry_cap),
-                        leq(p, x, y, depth, z_cap, entry_cap),
-                    ),
-                    region,
-                )
+                boxes.update(product(*map(side.__getitem__, w)))
+            bad = boxes - dominated
+            if bad:
+                firsts.append((min(bad), y))
+        if firsts:
+            x, y = min(firsts)
+            return AupResult(
+                AupCounterexample(
+                    x, y, n,
+                    leq(p, vscale(n + 1, x), vscale(n, y), depth, z_cap, entry_cap),
+                    leq(p, x, y, depth, z_cap, entry_cap),
+                ),
+                region,
+            )
     return AupResult(None, region)
 
 
@@ -344,6 +381,7 @@ def properly_infinite(
     m_cap: int = 8,
 ) -> ProperInfinityResult:
     """Verdict of 2x <= x, plus the least multiple m with 2(mx) <= mx."""
+    _check_bounds(depth=depth, z_cap=z_cap, entry_cap=entry_cap)
     x = _check_vector(p, x)
     verdict = leq(p, vscale(2, x), x, depth, z_cap, entry_cap)
     least = None
@@ -386,6 +424,7 @@ def refinement_instance(
     summand w is enumerated in descending lexicographic order, so free
     presentations return the entrywise-minimum decomposition first.
     """
+    _check_bounds(depth=depth, entry_cap=entry_cap)
     a = _check_vector(p, a)
     b = _check_vector(p, b)
     c = _check_vector(p, c)
@@ -435,15 +474,17 @@ def cancellative_equal(
     Yes means u and v become identified after adding some z with entries at
     most z_cap, i.e. they agree in the universal cancellative quotient.
     """
+    _check_bounds(depth=depth, z_cap=z_cap, entry_cap=entry_cap)
     u = _check_vector(p, u)
     v = _check_vector(p, v)
     any_unknown = False
     for z in product(range(z_cap + 1), repeat=p.rank):
-        got = equal(p, vadd(u, z), vadd(v, z), depth, entry_cap)
-        if got.yes:
-            return Verdict(YES, f"z = {z}", Rewrite(z, got.certificate))
-        if got.kind == UNKNOWN:
-            any_unknown = True
+        # the bounded word problem u + z = v + z, as ``equal`` decides it
+        target = vadd(v, z)
+        parents, complete, found = _saturate(p, vadd(u, z), depth, entry_cap, target=target)
+        if found:
+            return Verdict(YES, f"z = {z}", Rewrite(z, _path(parents, target)))
+        any_unknown = any_unknown or not complete
     region = f"z entries <= {z_cap}, depth {depth}, entry cap {entry_cap}"
     if any_unknown:
         return Verdict(UNKNOWN, f"some equality searches truncated within {region}")

@@ -124,6 +124,20 @@ def integer_list(values, context: str) -> list:
     return _list_of(values, int, context)
 
 
+# the most points a window generated from a few numbers (an interval, a
+# tree, a box or a stack) may have; a 10^6-point interval takes about
+# 0.3 GB, a graph-backed tree or stack about three times as much
+MAX_WINDOW_POINTS = 1_000_000
+
+
+def _check_size(kind: str, points: int) -> None:
+    """Refuse a generated window above the point limit before building it."""
+    if points > MAX_WINDOW_POINTS:
+        raise SchemaError(
+            f"{kind} window: {points} points or more, above the limit of {MAX_WINDOW_POINTS}"
+        )
+
+
 def space_from_spec(spec: dict) -> FiniteMetricSpace:
     """Bare space forms: a graph or an explicit matrix; points are JSON integers or strings."""
     if "vertices" in spec:
@@ -146,34 +160,42 @@ def window_from_spec(spec: dict) -> WindowedSpace:
     Shorthands: {"interval": {lo, hi, halo_depth}}, {"tree": {degree,
     core_depth, halo_depth}}, {"stack": {base, K, halo_depth}},
     {"box": {moduli}}, {"A": [...]} for integer subsets.  Every number in
-    a window must be a JSON integer.
+    a window must be a JSON integer.  The four shorthands that generate
+    their points refuse a window of more than MAX_WINDOW_POINTS points.
     """
     _expect(spec, dict, "window")
     if "interval" in spec:
         iv = spec["interval"]
-        return integer_window(
-            _integer(iv, "lo", "interval"),
-            _integer(iv, "hi", "interval"),
-            _integer(iv, "halo_depth", "interval", 0),
-        )
+        lo, hi = _integer(iv, "lo", "interval"), _integer(iv, "hi", "interval")
+        halo = _integer(iv, "halo_depth", "interval", 0)
+        _check_size("interval", hi - lo + 1 + 2 * halo)
+        return integer_window(lo, hi, halo)
     if "tree" in spec:
         tr = spec["tree"]
-        return regular_tree_window(
-            _integer(tr, "degree", "tree"),
-            _integer(tr, "core_depth", "tree"),
-            _integer(tr, "halo_depth", "tree", 0),
-        )
+        degree = _integer(tr, "degree", "tree")
+        core_depth = _integer(tr, "core_depth", "tree")
+        halo = _integer(tr, "halo_depth", "tree", 0)
+        total = core_depth + halo
+        if degree == 2:
+            _check_size("tree", 1 + 2 * total)
+        elif degree > 2 and total > 0:
+            # 1 + degree (1 + (degree - 1) + ... + (degree - 1)^(total - 1)); the
+            # first 64 shells already pass the limit
+            _check_size("tree", 1 + degree * ((degree - 1) ** min(total, 64) - 1) // (degree - 2))
+        return regular_tree_window(degree, core_depth, halo)
     if "stack" in spec:
         st = spec["stack"]
         base = space_from_spec(_expect(_require(st, "base", "stack"), dict, "stack 'base'"))
+        K = _integer(st, "K", "stack")
+        _check_size("stack", len(base.points) * K)
         depth = st.get("halo_depth")
         return stacked_product_window(
-            base,
-            _integer(st, "K", "stack"),
-            None if depth is None else _expect(depth, int, "stack 'halo_depth'"),
+            base, K, None if depth is None else _expect(depth, int, "stack 'halo_depth'")
         )
     if "box" in spec:
-        return box_window(integer_list(_require(spec["box"], "moduli", "box"), "box 'moduli'"))
+        moduli = integer_list(_require(spec["box"], "moduli", "box"), "box 'moduli'")
+        _check_size("box", sum(moduli))
+        return box_window(moduli)
     if "A" in spec:
         return subset_window(integer_list(spec["A"], "subset 'A'"))
     space = space_from_spec(spec)

@@ -183,6 +183,8 @@ def stacked_block_height(window: WindowedSpace, R: int, epsilon: Fraction) -> tu
     space = window.space
     if not isinstance(space, StackedSpace):
         raise ValueError("stacked tiling needs a window built by stacked_product_window")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
     S = max(len(space.ball_of((x, 0), R)) for x in space.base.points)
     N = math.floor(Fraction(max(S, R) + R) / Fraction(epsilon)) + 1
     return S, N
@@ -237,9 +239,9 @@ def box_tiling_plan(moduli, R: int, epsilon: Fraction) -> BoxTilingPlan:
     mods = list(moduli)
     if not mods:
         raise ValueError("empty moduli sequence")
+    space = BoxSpace(mods)  # refuses a modulus below 1 before the chain test divides by it
     if any(b % a != 0 or b <= a for a, b in zip(mods, mods[1:])):
         raise ValueError("moduli must be a strictly increasing divisibility chain")
-    space = BoxSpace(mods)
     i0 = next((i for i, m in enumerate(mods) if Fraction(2 * R, m) < epsilon), None)
     if i0 is None:
         raise ValueError("no admissible monotile length within the supplied moduli")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from coarse_lab import cli
+from coarse_lab import cli, serialize
 from coarse_lab.cli import main
 from coarse_lab.monoid import presentation, replay_path
 from coarse_lab.space import regular_tree_window
@@ -542,8 +542,9 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
         )
         assert done.returncode == 0 and done.stderr == "", done.stderr
         outs.append(done.stdout)
-    # selftest reports each criterion's wall time, the one field that may differ
-    same = [re.sub(r'"elapsed_s": [0-9.]+', '"elapsed_s": 0', out) for out in outs]
+    # selftest reports each criterion's wall time and its headroom under the
+    # budget, the only fields that may differ
+    same = [re.sub(r'"(elapsed|headroom)_s": -?[0-9.]+', r'"\1_s": 0', out) for out in outs]
     assert same[0] == same[1]
     assert same[0].count('"tool": "coarse-lab"') == len(json.loads(inputs)[1])
 
@@ -554,7 +555,8 @@ CLI_CORPUS = GOLDEN / "cli-corpus.txt"
 def cli_corpus_text() -> str:
     """Every corpus call, run in the current directory: exit code, --json report, human lines.
 
-    Wall times, the only fields that may differ between runs, read 0.
+    Wall times and headroom under the budgets, the only fields that may
+    differ between runs, read 0.
     """
     for file, data in CORPUS_FILES.items():
         write(Path(file), data)
@@ -570,7 +572,7 @@ def cli_corpus_text() -> str:
         (code, report), (human_code, human) = outs
         assert code == human_code
         blocks.append(f"$ {' '.join(argv)}\nexit {code}\n{report}--- human\n{human}")
-    text = re.sub(r'"elapsed_s": [0-9.]+', '"elapsed_s": 0', "".join(blocks))
+    text = re.sub(r'"(elapsed|headroom)_s": -?[0-9.]+', r'"\1_s": 0', "".join(blocks))
     return re.sub(r"\([0-9.]+s\)$", "(0s)", text, flags=re.M)
 
 
@@ -650,6 +652,28 @@ def test_monoid_unknown_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["canc", "--u", "1,0", "--v", "1,0", "--zcap", "-1"], "z_cap must be nonnegative, got -1"),
+        (["aup", "--xcap", "-1"], "x_cap must be nonnegative, got -1"),
+        (["aup", "--nmax", "0"], "n_max must be at least 1, got 0"),
+        (["equal", "--u", "1,0", "--v", "1,0", "--cap", "-1"], "entry_cap must be nonnegative, got -1"),
+        (["leq", "--u", "1,0", "--v", "1,0", "--depth", "-2"], "depth must be nonnegative, got -2"),
+        (["pinf", "--x", "1,0", "--zcap", "-3"], "z_cap must be nonnegative, got -3"),
+        (["refine", "--a", "3,0", "--b", "0,2", "--c", "0,2", "--d", "3,0", "--cap", "-1"],
+         "entry_cap must be nonnegative, got -1"),
+    ],
+)
+def test_negative_monoid_bounds_exit_2(tmp_path, capsys, argv, err):
+    # an empty search region would read as an exhausted one: canc with
+    # u = v answered no, and aup reported no counterexample over 1 <= n <= 0
+    pres = write(tmp_path / "num23.json", {"rank": 2, "relations": [[[3, 0], [0, 2]]]})
+    code, out, stderr = run(capsys, "monoid", argv[0], "--in", pres, *argv[1:])
+    assert (code, out) == (2, "")
+    assert stderr == f"error: {err}\n"
+
+
+@pytest.mark.parametrize(
     "pres, err",
     [
         ({"rank": 2, "relations": [[[1.5, 0], [0, 1]]]}, "presentation relation 0 entry: expected an integer, got 1.5"),
@@ -709,6 +733,41 @@ def test_malformed_window_is_a_schema_error(tmp_path, capsys, window, err):
     assert err in stderr
 
 
+LIMIT = serialize.MAX_WINDOW_POINTS
+
+
+@pytest.mark.parametrize(
+    "window, points",
+    [
+        ({"interval": {"lo": 0, "hi": 1099511627776}}, 1099511627777),
+        ({"interval": {"lo": 1, "hi": LIMIT - 1, "halo_depth": 1}}, LIMIT + 1),
+        ({"tree": {"degree": 2, "core_depth": LIMIT // 2}}, LIMIT + 1),
+        ({"tree": {"degree": 3, "core_depth": 1099511627776}}, 1 + 3 * (2 ** 64 - 1)),
+        ({"box": {"moduli": [LIMIT, 1]}}, LIMIT + 1),
+        ({"stack": {"base": {"vertices": [1, 2], "edges": []}, "K": LIMIT // 2 + 1}}, LIMIT + 2),
+        ({"moduli": [1, 1099511627776]}, 1099511627777),
+    ],
+)
+def test_window_above_the_point_limit_is_refused_unbuilt(tmp_path, capsys, monkeypatch, window, points):
+    # each would take gigabytes (the first exited 3 with MemoryError); the
+    # loader counts the points and refuses before any constructor runs.  A
+    # bare "moduli" is the box tiling input, which tile reads without a window.
+    def unbuilt(*args):
+        raise AssertionError("window constructor called")
+
+    for name in ("integer_window", "regular_tree_window", "box_window", "stacked_product_window"):
+        monkeypatch.setattr(serialize, name, unbuilt)
+    monkeypatch.setattr(cli, "tile_box_space", unbuilt)
+    path = write(tmp_path / "window.json", window)
+    if "moduli" in window:
+        code, out, stderr = run(capsys, "tile", "--strategy", "box", "--R", "1", "--epsilon", "1/2", "--in", path)
+    else:
+        code, out, stderr = run(capsys, "ball", "--in", path, "--center", "3", "--R", "1")
+    assert (code, out) == (2, "")
+    kind = "box" if "moduli" in window else next(iter(window))
+    assert stderr == f"error: {kind} window: {points} points or more, above the limit of {LIMIT}\n"
+
+
 def tiling_with(**fields):
     """A two-tile interval tiling with top-level fields, or a field of its first tile's meta, replaced."""
     meta = [{"ratio": "2/5", "diam": 4, "contaminated": False} for _ in range(2)]
@@ -755,6 +814,7 @@ def tiling_with(**fields):
         ("verify-tiling", tiling_with(notes=5), "tiling 'notes': expected a list, got 5"),
         ("verify-tiling", 5, "tiling: expected an object, got 5"),
         ("sparse", {"A": [0, 1], "prefix_of_unbounded": "no"}, "sparse 'prefix_of_unbounded': expected a boolean, got 'no'"),
+        ("box", {"moduli": [0, 4]}, "moduli must be positive integers"),
     ],
 )
 def test_malformed_tiling_input_is_a_schema_error(tmp_path, capsys, strategy, spec, err):
@@ -766,6 +826,21 @@ def test_malformed_tiling_input_is_a_schema_error(tmp_path, capsys, strategy, sp
         code, out, stderr = run(capsys, "tile", "--strategy", strategy, "--R", "1", "--epsilon", "1/2", "--in", path)
     assert (code, out) == (2, "")
     assert err in stderr
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-1/2"])
+@pytest.mark.parametrize("strategy, spec", [
+    ("interval", {"interval": {"lo": 0, "hi": 20}}),
+    ("sparse", {"A": list(range(20))}),
+    ("stack", {"stack": {"base": {"vertices": ["p"], "edges": []}, "K": 12}}),
+    ("box", {"moduli": [2, 4, 8]}),
+])
+def test_tile_refuses_a_nonpositive_epsilon(tmp_path, capsys, strategy, spec, epsilon):
+    # the stacked block height divided by epsilon: epsilon 0 exited 3
+    path = write(tmp_path / "space.json", spec)
+    code, out, err = run(capsys, "tile", "--strategy", strategy, "--R", "1", f"--epsilon={epsilon}", "--in", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_monoid_pinf_cli(tmp_path, capsys):
@@ -871,6 +946,17 @@ def test_selftest_subset(capsys):
     code, out, _ = run(capsys, "selftest", "--criteria", "5,6")
     assert code == 0
     assert "criterion 5" in out and "criterion 6" in out
+
+
+def test_selftest_reports_headroom_under_each_budget(capsys):
+    # criterion 8 has a 10 s budget, criterion 10 none
+    code, out, _ = run(capsys, "--json", "selftest", "--criteria", "8,10")
+    assert code == 0
+    eight, ten = json.loads(out)["result"]["criteria"]
+    assert eight["budget_s"] == 10.0
+    assert eight["headroom_s"] == pytest.approx(10.0 - eight["elapsed_s"], abs=0.002)
+    assert 0 < eight["headroom_s"] < 10.0
+    assert ten["budget_s"] is None and ten["headroom_s"] is None
 
 
 def test_graph_window_file_with_core(tmp_path, capsys):

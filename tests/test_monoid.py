@@ -273,6 +273,54 @@ def test_aup_sweep_agrees_with_triple_loop():
     assert found >= 5
 
 
+def _bad_xs(p, y, n, x_cap, depth, z_cap, entry_cap):
+    # the x that make (x, y, n) a counterexample, each leq decided afresh
+    members, complete, _ = reference_saturate(p, y, depth, entry_cap)
+    if not complete:
+        return []
+    return [
+        x for x in product(range(x_cap + 1), repeat=p.rank)
+        if leq(p, vscale(n + 1, x), vscale(n, y), depth, z_cap, entry_cap).yes
+        and not any(all(a >= b for a, b in zip(w, x)) for w in members)
+    ]
+
+
+# (rank, relations, (x_cap, n_max, depth, z_cap, entry_cap), first triple)
+AUP_PINNED = {
+    # y = (1, 0) has the class {(1, 0), (0, 3)}; unclipped, its down-set has
+    # 5 points, more than the box [0, 1]^2, yet it misses (1, 1)
+    "clipped members": (2, [[(0, 3), (1, 0)], [(2, 2), (1, 3)]], (1, 2, 6, 3, 6), ((1, 1), (1, 0), 2)),
+    # every y >= 1 has a class cut off by the entry cap; (2, 1, 2) satisfies
+    # the scaled leq, but an incomplete class refutes nothing
+    "incomplete classes": (1, [[(0,), (9,)], [(2,), (4,)]], (3, 3, 5, 1, 7), None),
+    # y = (0, 2) is the first y with a bad x, (1, 0); y = (1, 0) has the
+    # smaller bad x (0, 1)
+    "later y wins": (2, [[(1, 2), (0, 3)], [(3, 3), (2, 0)]], (2, 3, 4, 5, 7), ((0, 1), (1, 0), 2)),
+    # y = (2, 1, 0) is alone in its class, so (0, 0, 1) is bad for it, though
+    # the classes of earlier y's such as (0, 0, 1) dominate it
+    "dominated sets per y": (3, [[(1, 1, 2), (3, 1, 0)]], (2, 3, 7, 5, 8), ((0, 0, 1), (2, 1, 0), 3)),
+}
+
+
+@pytest.mark.parametrize("name", AUP_PINNED)
+def test_aup_sweep_agrees_with_triple_loop_on_pinned_cases(name):
+    rank, relations, bounds, expect = AUP_PINNED[name]
+    p = presentation(rank, relations)
+    assert _first_aup_triple(p, *bounds) == expect
+    res = check_almost_unperforated(p, *bounds)
+    assert (res.counterexample and (res.counterexample.x, res.counterexample.y, res.counterexample.n)) == expect
+    x_cap, n_max, depth, z_cap, entry_cap = bounds
+    if name == "incomplete classes":
+        assert not reference_saturate(p, (1,), depth, entry_cap)[1]
+        assert leq(p, vscale(3, (2,)), vscale(2, (1,)), depth, z_cap, entry_cap).yes
+    if name == "later y wins":
+        firsts = [
+            (bad[0], y) for y in product(range(x_cap + 1), repeat=rank)
+            if (bad := _bad_xs(p, y, 2, x_cap, depth, z_cap, entry_cap))
+        ]
+        assert firsts[0] == ((1, 0), (0, 2)) and min(firsts) == ((0, 1), (1, 0))
+
+
 # -- properly infinite --------------------------------------------------------
 
 
