@@ -54,7 +54,17 @@ class TypeVector:
 
 
 def validate(c: Castle) -> list[str]:
-    """All castle invariants; an empty list means the castle is valid."""
+    """All castle invariants; an empty list means the castle is valid.
+
+    A castle whose atoms are all distinct and whose towers have a positive
+    height, columns, and only columns of that height is valid; the walk
+    that names each violation runs only when that test fails.
+    """
+    atoms = [a for t in c.towers for col in t.columns for a in col]
+    if len(set(atoms)) == len(atoms) and all(
+        t.height >= 1 and set(map(len, t.columns)) == {t.height} for t in c.towers
+    ):
+        return []
     violations = []
     seen: dict = {}
     for i, tower in enumerate(c.towers):
@@ -255,8 +265,9 @@ def invariance_defect(c: Castle, window: WindowedSpace, R: int) -> Fraction:
         "castle atom {!r} is not a window point",
     )
     best = None
-    for orbit in c.orbits():
-        bd, contaminated = window.boundary(orbit, R)
+    orbits = c.orbits()
+    # a valid castle's orbits are nonempty and repeat no atom, and every atom is a window point
+    for orbit, (bd, contaminated) in zip(orbits, window.boundaries(orbits, R)):
         if contaminated:
             continue
         if best is None or len(bd) * best[1] > best[0] * len(orbit):

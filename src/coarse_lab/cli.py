@@ -72,6 +72,18 @@ from .tiling import (
 
 OK, NEGATIVE, USAGE, INTERNAL = 0, 1, 2, 3
 
+# the most vectors a bounded monoid sweep may visit: the (x, y) pairs of an
+# aup box, its per-n entry ranges, or the z vectors of canc; 10^6 pairs of
+# the rank-2 free monoid's aup sweep take about 1 s and 32 MB
+MAX_MONOID_SEARCH = 1_000_000
+
+
+class ArgumentParser(argparse.ArgumentParser):
+    """argparse, refusing a command line with one stderr line, like every exit 2."""
+
+    def error(self, message):
+        self.exit(USAGE, f"{self.prog}: error: {message}\n")
+
 
 class Emitter:
     def __init__(self, args):
@@ -399,10 +411,29 @@ def _verdict_result(v) -> dict:
     return out
 
 
+def _check_search(op: str, what: str, count: int) -> None:
+    """Refuse a monoid search above the limit before any vector is built."""
+    if count > MAX_MONOID_SEARCH:
+        raise SchemaError(f"monoid {op}: {count} {what} or more, above the limit of {MAX_MONOID_SEARCH}")
+
+
+def _aup_ranges(x_cap: int, n_max: int, cap: int) -> int:
+    """The entry ranges the aup sweep builds: max(cap, n * x_cap) + 1 for each n <= n_max."""
+    k = n_max if x_cap == 0 else min(n_max, cap // x_cap)  # the n with n * x_cap <= cap
+    return k * (cap + 1) + x_cap * (n_max * (n_max + 1) - k * (k + 1)) // 2 + n_max - k
+
+
 def cmd_monoid(args, em: Emitter) -> int:
     p = presentation_from_dict(load_json(args.infile))
     op = args.monoid_op
     depth, zcap, cap = args.depth, args.zcap, args.cap
+    # a negative bound is left to the monoid call, which names it; a power
+    # past the 64th already exceeds the limit, so a huge rank stays cheap
+    if op == "canc" and zcap >= 0:
+        _check_search(op, "z vectors", (zcap + 1) ** min(p.rank, 64))
+    if op == "aup" and min(args.xcap, args.nmax, cap) >= 0:
+        _check_search(op, "(x, y) pairs", (args.xcap + 1) ** min(2 * p.rank, 64))
+        _check_search(op, "entry ranges", _aup_ranges(args.xcap, args.nmax, cap))
     if op in ("equal", "leq", "canc"):
         u, v = vector_from_arg(args.u), vector_from_arg(args.v)
         if op == "equal":
@@ -503,7 +534,7 @@ def cmd_selftest(args, em: Emitter) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = ArgumentParser(
         prog="coarse-lab",
         description="Folner tilings, castles, type-semigroup checks and "
         "boundary filling on finite metric windows.",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import AbstractSet, Collection, Hashable, Iterable, Sequence
+from typing import AbstractSet, Collection, Hashable, Iterable, Iterator, Sequence
 
 Point = Hashable
 
@@ -470,6 +470,24 @@ class WindowedSpace:
             raise ValueError("boundary ratio of the empty set is undefined")
         bd = outer_boundary(self.space, F, R)
         return bd, not bd.isdisjoint(self.halo)
+
+    def boundaries(self, sets: Sequence[Collection[Point]], R: int) -> Iterator[tuple[set, bool]]:
+        """``boundary(F, R)`` for each F of a batch, from the bare space kernel.
+
+        Contract: every set is a nonempty set of window points, and the
+        caller has established this for the whole batch (a partition of the
+        core, one membership test over all the sets, or sets cut from the
+        core), so no set is looked up here.  R is checked once, before the
+        first boundary, so an empty batch raises nothing.  A set that is not
+        a set or frozenset is copied into one.  ``boundary`` stays the
+        checked entry for a single set of unknown origin.
+        """
+        if sets and R < 0:
+            raise ValueError("radius must be nonnegative")
+        boundary_of, halo = self.space.boundary_of, self.halo
+        for F in sets:
+            bd = boundary_of(F if isinstance(F, (set, frozenset)) else set(F), R)
+            yield bd, not bd.isdisjoint(halo)
 
 
 # ---------------------------------------------------------------------------

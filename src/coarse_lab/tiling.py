@@ -105,14 +105,18 @@ def _chop(run: list, N: int) -> list[list]:
     return blocks
 
 
-def _tile_meta(window: WindowedSpace, tile: frozenset, R: int, forced_contaminated: bool = False) -> TileMeta:
-    bd, contaminated = window.boundary(tile, R)
-    diam = window.space.diameter_of(tile)
-    return TileMeta(
-        ratio=Fraction(len(bd), len(tile)),
-        diameter=diam,
-        contaminated=forced_contaminated or contaminated,
-    )
+def _tile_metas(window: WindowedSpace, tiles: list[frozenset], R: int, flag_from: int | None = None) -> list[TileMeta]:
+    """Metadata of tiles cut from the window's core, each a nonempty set of core points.
+
+    Tiles from index ``flag_from`` on are flagged contaminated whatever
+    their boundary says.
+    """
+    flag_from = len(tiles) if flag_from is None else flag_from
+    diameter_of = window.space.diameter_of
+    return [
+        TileMeta(Fraction(len(bd), len(tile)), diameter_of(tile), contaminated or i >= flag_from)
+        for i, (tile, (bd, contaminated)) in enumerate(zip(tiles, window.boundaries(tiles, R)))
+    ]
 
 
 def tile_interval(window: WindowedSpace, R: int, epsilon: Fraction) -> Tiling:
@@ -137,8 +141,7 @@ def tile_interval(window: WindowedSpace, R: int, epsilon: Fraction) -> Tiling:
         blocks = _chop(core, N)
         bound = 2 * N - 2
     tiles = [frozenset(b) for b in blocks]
-    meta = [_tile_meta(window, t, R) for t in tiles]
-    return Tiling(window, tiles, R, epsilon, meta, bound, notes)
+    return Tiling(window, tiles, R, epsilon, _tile_metas(window, tiles, R), bound, notes)
 
 
 def tile_sparse_subset(
@@ -167,14 +170,10 @@ def tile_sparse_subset(
         else:
             runs[-1].append(cur)
     tiles: list[frozenset] = []
-    meta: list[TileMeta] = []
-    for ri, run in enumerate(runs):
-        last_run = ri == len(runs) - 1
-        blocks = [run] if len(run) < N else _chop(run, N)
-        for b in blocks:
-            t = frozenset(b)
-            tiles.append(t)
-            meta.append(_tile_meta(window, t, R, forced_contaminated=prefix_of_unbounded and last_run))
+    for run in runs:
+        last_start = len(tiles)
+        tiles.extend(map(frozenset, [run] if len(run) < N else _chop(run, N)))
+    meta = _tile_metas(window, tiles, R, last_start if prefix_of_unbounded else None)
     return Tiling(window, tiles, R, epsilon, meta, 2 * R * N)
 
 
@@ -211,8 +210,7 @@ def tile_stacked_product(window: WindowedSpace, R: int, epsilon: Fraction) -> Ti
     for x in sorted(space.base.points, key=repr):
         for k in range(core_height // N):
             tiles.append(frozenset((x, n) for n in range(k * N, (k + 1) * N)))
-    meta = [_tile_meta(window, t, R) for t in tiles]
-    return Tiling(window, tiles, R, epsilon, meta, N - 1)
+    return Tiling(window, tiles, R, epsilon, _tile_metas(window, tiles, R), N - 1)
 
 
 @dataclass(frozen=True)
@@ -297,7 +295,7 @@ def tile_box_space(moduli, R: int, epsilon: Fraction) -> Tiling:
     for i in plan.arc_blocks:
         for c in range(0, mods[i], m0):
             tiles.append(frozenset((i, c + t) for t in range(m0)))
-    meta = [_tile_meta(window, t, R) for t in tiles]
+    meta = _tile_metas(window, tiles, R)
     bound = max(m.diameter for m in meta)
     notes = [
         f"monotile length {m0} from block {plan.monotile_index}",
@@ -340,9 +338,9 @@ def verify_tiling(t: Tiling) -> TilingReport:
     reports = []
     failures = []
     mismatches = []
-    for i, tile in enumerate(t.tiles):
+    # the partition check made every tile a nonempty set of core points
+    for i, (tile, (bd, contaminated)) in enumerate(zip(t.tiles, window.boundaries(t.tiles, t.R))):
         declared = t.meta[i] if i < len(t.meta) else None
-        bd, contaminated = window.boundary(tile, t.R)
         contaminated = contaminated or bool(declared and declared.contaminated)
         b, n = len(bd), len(tile)
         diam = window.space.diameter_of(tile)

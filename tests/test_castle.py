@@ -67,6 +67,71 @@ def test_validate_column_length_mismatch():
     assert any("length" in v for v in validate(c))
 
 
+def validate_by_walk(c: Castle) -> list[str]:
+    """The violation walk as it stood before validate's fast test, kept as the reference."""
+    violations = []
+    seen: dict = {}
+    for i, tower in enumerate(c.towers):
+        if tower.height < 1:
+            violations.append(f"tower {i}: height must be at least 1")
+        if not tower.columns:
+            violations.append(f"tower {i}: has no columns, levels would be empty")
+        for ci, col in enumerate(tower.columns):
+            if len(col) != tower.height:
+                violations.append(
+                    f"tower {i} column {ci}: length {len(col)} != height {tower.height}"
+                )
+            if len(set(col)) != len(col):
+                violations.append(f"tower {i} column {ci}: repeated atom")
+            for a in col:
+                if a in seen:
+                    violations.append(
+                        f"atom {a!r} appears in tower {seen[a]} and tower {i}"
+                    )
+                seen[a] = i
+    return violations
+
+
+def _with_tower(c: Castle, i: int, tower: Tower) -> Castle:
+    return Castle(c.towers[:i] + [tower] + c.towers[i + 1:])
+
+
+def _with_column(c: Castle, i: int, ci: int, col: tuple) -> Castle:
+    t = c.towers[i]
+    return _with_tower(c, i, Tower(t.height, t.columns[:ci] + (col,) + t.columns[ci + 1:]))
+
+
+def castle_mutations(c: Castle, rng: random.Random):
+    """(name, castle) for each one-place break of c that its shape allows."""
+    i = rng.randrange(len(c.towers))
+    t = c.towers[i]
+    ci = rng.randrange(len(t.columns))
+    col = t.columns[ci]
+    if t.height >= 2:
+        j = rng.randrange(1, t.height)
+        yield "repeat in a column", _with_column(c, i, ci, col[:j] + (col[0],) + col[j + 1:])
+    if len(c.towers) >= 2:
+        k = rng.choice([k for k in range(len(c.towers)) if k != i])
+        other = c.towers[k].columns[0][0]
+        yield "repeat across towers", _with_column(c, i, ci, (other,) + col[1:])
+    yield "short column", _with_column(c, i, ci, col[:-1])
+    yield "no columns", _with_tower(c, i, Tower(t.height, ()))
+    yield "height 0", _with_tower(c, i, Tower(0, t.columns))
+
+
+def test_validate_fast_test_keeps_every_message_and_its_order():
+    rng = random.Random(71)
+    kinds = {}
+    for _ in range(200):
+        c = random_castle(rng)
+        assert validate(c) == validate_by_walk(c) == []
+        for name, broken in castle_mutations(c, rng):
+            got = validate(broken)
+            assert got == validate_by_walk(broken) and got, (name, broken)
+            kinds[name] = kinds.get(name, 0) + 1
+    assert len(kinds) == 5 and min(kinds.values()) >= 20, kinds
+
+
 # -- refinement ---------------------------------------------------------------
 
 

@@ -673,6 +673,45 @@ def test_negative_monoid_bounds_exit_2(tmp_path, capsys, argv, err):
     assert stderr == f"error: {err}\n"
 
 
+SEARCH_LIMIT = cli.MAX_MONOID_SEARCH
+
+
+@pytest.mark.parametrize(
+    "rank, argv, err",
+    [
+        (1, ["aup", "--xcap", str(2 ** 40)], f"{(2 ** 40 + 1) ** 2} (x, y) pairs"),
+        (2, ["aup", "--xcap", "31"], "1048576 (x, y) pairs"),
+        # a rank past 32 counts 64 factors, already far above the limit
+        (10 ** 9, ["aup", "--xcap", "1"], f"{2 ** 64} (x, y) pairs"),
+        # sum over n <= 2000 of max(20, n) + 1
+        (1, ["aup", "--xcap", "1", "--nmax", "2000"], "2003190 entry ranges"),
+        (1, ["aup", "--xcap", "0", "--nmax", "100000"], "2100000 entry ranges"),
+        (1, ["aup", "--cap", str(2 ** 40)], f"{4 * (2 ** 40 + 1)} entry ranges"),
+        (2, ["canc", "--zcap", "100000", "--u", "1,0", "--v", "0,1"], "10000200001 z vectors"),
+        (10 ** 9, ["canc", "--zcap", "1", "--u", "1", "--v", "0"], f"{2 ** 64} z vectors"),
+    ],
+)
+def test_monoid_search_above_the_limit_is_refused_unbuilt(tmp_path, capsys, monkeypatch, rank, argv, err):
+    # aup --xcap 2^40 exited 3 with MemoryError and canc --zcap 100000 ran
+    # for minutes; the CLI counts the search and refuses before any call
+    def unbuilt(*args):
+        raise AssertionError("monoid search called")
+
+    monkeypatch.setattr(cli, "check_almost_unperforated", unbuilt)
+    monkeypatch.setattr(cli, "cancellative_equal", unbuilt)
+    pres = write(tmp_path / "pres.json", {"rank": rank, "relations": []})
+    code, out, stderr = run(capsys, "monoid", argv[0], "--in", pres, *argv[1:])
+    assert (code, out) == (2, "")
+    assert stderr == f"error: monoid {argv[0]}: {err} or more, above the limit of {SEARCH_LIMIT}\n"
+
+
+def test_monoid_search_at_the_limit_runs(tmp_path, capsys):
+    # the free monoid's sweep over 10^6 (x, y) pairs is the largest accepted
+    pres = write(tmp_path / "free1.json", {"rank": 1, "relations": []})
+    code, _, stderr = run(capsys, "monoid", "aup", "--in", pres, "--xcap", "999", "--nmax", "1", "--cap", "0")
+    assert (code, stderr) == (0, "")
+
+
 @pytest.mark.parametrize(
     "pres, err",
     [
@@ -993,6 +1032,28 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as e:
         main(["definitely-not-a-command"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["tile", "--strategy", "x", "--R", "1", "--epsilon", "1/2", "--in", "w.json"],
+         "coarse-lab tile: error: argument --strategy: invalid choice: 'x' (choose from 'interval', 'sparse', 'stack', 'box')"),
+        # argparse reads -1/2 as a flag, not as a negative number
+        (["tile", "--strategy", "box", "--R", "1", "--epsilon", "-1/2", "--in", "w.json"],
+         "coarse-lab tile: error: argument --epsilon: expected one argument"),
+        (["folner", "--in", "w.json", "--R", "1", "--epsilon", "1/2", "--strategy", "x"],
+         "coarse-lab folner: error: argument --strategy: invalid choice: 'x' (choose from 'balls', 'intervals', 'greedy')"),
+        (["castle"], "coarse-lab castle: error: the following arguments are required: castle_op"),
+        (["ball", "--in", "w.json", "--center", "1", "--R", "x"], "coarse-lab ball: error: argument --R: invalid int value: 'x'"),
+    ],
+)
+def test_refused_command_line_prints_one_line(capsys, argv, err):
+    # every exit 2 prints one stderr line; argparse's usage line is dropped
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    out = capsys.readouterr()
+    assert (e.value.code, out.out, out.err) == (2, "", err + "\n")
 
 
 def test_internal_error_exits_3(monkeypatch, capsys, zwindow):

@@ -47,8 +47,8 @@ CALLS_TO_CHANGE = CORPUS_CALLS + [
 VALUES = [None, True, False, 0.5, 0, -1, 2 ** 40, -(2 ** 40), "", "x", "1/0", [], [1], {}, {"x": 1}]
 DELETE = object()
 
-# flag values: integers argparse accepts, point and vector lists, paths;
-# argparse itself refuses a --strategy outside its choices
+# flag values: integers argparse accepts, point and vector lists, paths,
+# and strategies, each command's own, another command's and none
 INT_FLAGS = {"--R", "--P", "--budget", "--depth", "--cap", "--zcap", "--xcap", "--nmax"}
 INT_VALUES = ["-1", "0"]
 PATH_FLAGS = {"--in", "--chain", "--targets", "--space", "--set", "--out"}
@@ -56,6 +56,7 @@ PATH_VALUES = ["missing.json", ".", ""]
 TEXT_VALUES = ["", "x", "0", "-1", "1/0", "0,0,0", "1,-1", "v,v", ",", "a0|b0"]
 # an empty or a valid criterion list would run the criteria themselves
 CRITERIA_VALUES = ["x", "0", "-1", "11", "9,x", ",", " "]
+STRATEGY_VALUES = ["interval", "sparse", "stack", "box", "balls", "intervals", "greedy", "", "x"]
 
 
 def _positions(doc, path=()):
@@ -83,6 +84,8 @@ def _flag_values(flag: str) -> list:
         return INT_VALUES
     if flag in PATH_FLAGS:
         return PATH_VALUES
+    if flag == "--strategy":
+        return STRATEGY_VALUES
     return CRITERIA_VALUES if flag == "--criteria" else TEXT_VALUES
 
 
@@ -93,7 +96,7 @@ def mutations(rng: random.Random, docs: dict, calls: int):
         if "--out" in argv:  # leave the corpus's own files as they are
             argv[argv.index("--out") + 1] = "written.json"
         inputs = [i for i, a in enumerate(argv) if a in docs and argv[i - 1] != "--out"]
-        flags = [i for i, a in enumerate(argv) if a.startswith("--") and a != "--strategy" and i + 1 < len(argv)]
+        flags = [i for i, a in enumerate(argv) if a.startswith("--") and i + 1 < len(argv)]
         if inputs and rng.random() < 0.8:
             i = rng.choice(inputs)
             doc = docs[argv[i]]

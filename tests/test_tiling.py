@@ -1,9 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from coarse_lab import space, tiling
+from coarse_lab import castle, space, tiling
 from coarse_lab.space import (
     build_graph_metric,
     integer_window,
@@ -353,3 +354,123 @@ def test_verifier_compares_counts_not_fractions(monkeypatch):
     assert report == expected
     assert report.passed and report.max_ratio == t.max_ratio()
     assert [r.ratio for r in report.tiles] == [m.ratio for m in t.meta]
+
+
+# -- one membership and radius check per pass ---------------------------------
+
+
+def _valid_line_tiling():
+    return tile_interval(integer_window(0, 29, 1), 1, Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # interval and sparse refuse R < 1 in block_length, before any tile is cut
+        (lambda: tile_interval(integer_window(0, 20, 2), -1, Fraction(1, 2)), "R must be a positive integer"),
+        (lambda: tile_sparse_subset([1, 2, 3, 10], -1, Fraction(1, 2)), "R must be a positive integer"),
+        (
+            lambda: tile_stacked_product(
+                stacked_product_window(space.regular_tree_window(3, 1, 0).space, 8, 0), -1, Fraction(1, 2)
+            ),
+            "radius must be nonnegative",
+        ),
+        (lambda: tile_box_space([2, 4, 8, 16, 32], -1, Fraction(1, 3)), "radius must be nonnegative"),
+        (lambda: verify_tiling(dataclasses.replace(_valid_line_tiling(), R=-1)), "radius must be nonnegative"),
+        (
+            lambda: castle.invariance_defect(castle.castle_from_tiling(_valid_line_tiling()), integer_window(0, 29, 1), -1),
+            "radius must be nonnegative",
+        ),
+    ],
+    ids=["interval", "sparse", "stacked", "box", "verify_tiling", "invariance_defect"],
+)
+def test_negative_radius_is_refused(call, message):
+    with pytest.raises(ValueError) as e:
+        call()
+    assert str(e.value) == message
+
+
+def test_radius_is_checked_after_the_partition_and_only_for_a_nonempty_batch():
+    t = _valid_line_tiling()
+    with pytest.raises(PartitionError, match="tiles overlap"):
+        verify_tiling(dataclasses.replace(t, tiles=t.tiles + [t.tiles[0]], R=-1))
+    assert list(t.window.boundaries([], -1)) == []
+    # no orbit at all: the defect's own refusal, as before the batch path
+    with pytest.raises(ValueError, match="every orbit is halo-contaminated"):
+        castle.invariance_defect(castle.Castle([]), t.window, -1)
+
+
+BATCH_WINDOWS = {
+    "line": lambda: integer_window(-40, 40, 3),
+    "subset": lambda: space.subset_window(sorted(random.Random(3).sample(range(300), 80))),
+    "graph": lambda: space.regular_tree_window(3, 3, 2),
+    "stacked": lambda: stacked_product_window(space.regular_tree_window(3, 1, 0).space, 12, 3),
+    "box": lambda: space.box_window([2, 4, 8, 16, 32]),
+}
+
+
+def _random_tiles(rng, core, max_size):
+    """A seeded partition of core into pieces of 1..max_size points, each a
+    frozenset, set, list or tuple."""
+    pts = sorted(core, key=repr)
+    rng.shuffle(pts)
+    tiles = []
+    while pts:
+        k = rng.randint(1, max_size)
+        piece, pts = pts[:k], pts[k:]
+        tiles.append(rng.choice((frozenset, set, list, tuple))(piece))
+    return tiles
+
+
+@pytest.mark.parametrize("name", BATCH_WINDOWS)
+def test_batch_boundaries_agree_with_boundary_set_by_set(name):
+    window = BATCH_WINDOWS[name]()
+    rng = random.Random(name)
+    contaminated = set()
+    for R in range(4):
+        for _ in range(4):
+            tiles = _random_tiles(rng, window.core, 6)
+            by_set = [window.boundary(F, R) for F in tiles]
+            assert list(window.boundaries(tiles, R)) == by_set
+            contaminated.update(c for _, c in by_set)
+            # each pass on the batch path: verify, castle columns (tuple orbits), defect
+            t = Tiling(window, [frozenset(F) for F in tiles], R, Fraction(1, 2), [], 0)
+            report = verify_tiling(t)
+            assert [(r.boundary, r.contaminated) for r in report.tiles] == [(len(bd), c) for bd, c in by_set]
+            c = castle.castle_from_tiling(t)
+            by_orbit = [(window.boundary(orbit, R), len(orbit)) for orbit in c.orbits()]
+            clean = [Fraction(len(bd), n) for (bd, halo), n in by_orbit if not halo]
+            if clean:
+                assert castle.invariance_defect(c, window, R) == max(clean)
+            else:
+                with pytest.raises(ValueError, match="every orbit is halo-contaminated"):
+                    castle.invariance_defect(c, window, R)
+    # windows with a halo show both kinds of tile
+    assert contaminated == ({False, True} if window.halo else {False})
+
+
+def _two_block_stack(R):
+    """Two blocks per column over a tree, the halo R levels deep, so the top blocks are contaminated."""
+    base = space.regular_tree_window(3, 1, 0).space
+    _, N = stacked_block_height(stacked_product_window(base, 2 * R + 2, 0), R, Fraction(1))
+    return tile_stacked_product(stacked_product_window(base, 2 * N + R, R), R, Fraction(1))
+
+
+@pytest.mark.parametrize(
+    "construct",
+    [
+        lambda R: tile_interval(integer_window(-60, 60, R), R, Fraction(1, 4)),
+        lambda R: tile_sparse_subset(sorted(random.Random(R).sample(range(400), 90)), R, Fraction(1, 2), True),
+        lambda R: _two_block_stack(R),
+        lambda R: tile_box_space([2 ** k for k in range(1, 9)], R, Fraction(1, 2)),
+    ],
+    ids=["interval", "sparse", "stacked", "box"],
+)
+def test_construction_metadata_agrees_with_boundary_set_by_set(construct):
+    for R in (1, 2):
+        t = construct(R)
+        for tile, m in zip(t.tiles, t.meta):
+            bd, contaminated = t.window.boundary(tile, R)
+            assert (m.ratio, m.diameter) == (Fraction(len(bd), len(tile)), space.diameter(t.window.space, tile))
+            assert m.contaminated >= contaminated
+        assert len(t.meta) == len(t.tiles)
