@@ -43,6 +43,7 @@ from .serialize import (
     SchemaError,
     _check_size,
     _expect,
+    _list_of,
     _require,
     castle_from_dict,
     castle_to_dict,
@@ -71,11 +72,6 @@ from .tiling import (
 )
 
 OK, NEGATIVE, USAGE, INTERNAL = 0, 1, 2, 3
-
-# the most vectors a bounded monoid sweep may visit: the (x, y) pairs of an
-# aup box, its per-n entry ranges, or the z vectors of canc; 10^6 pairs of
-# the rank-2 free monoid's aup sweep take about 1 s and 32 MB
-MAX_MONOID_SEARCH = 1_000_000
 
 
 class ArgumentParser(argparse.ArgumentParser):
@@ -138,10 +134,8 @@ def _point_set(args, codec: PointCodec) -> set:
     if args.points:
         return points_from_arg(args.points, codec)
     if args.set:
-        data = load_json(args.set)
-        if "points" not in data:
-            raise SchemaError(f"{args.set}: expected a 'points' list")
-        return {codec.decode(k) for k in data["points"]}
+        keys = _require(load_json(args.set), "points", "point set")
+        return {codec.decode(k) for k in _list_of(keys, str, "point set 'points'")}
     raise SchemaError("supply --points or --set")
 
 
@@ -411,39 +405,20 @@ def _verdict_result(v) -> dict:
     return out
 
 
-def _check_search(op: str, what: str, count: int) -> None:
-    """Refuse a monoid search above the limit before any vector is built."""
-    if count > MAX_MONOID_SEARCH:
-        raise SchemaError(f"monoid {op}: {count} {what} or more, above the limit of {MAX_MONOID_SEARCH}")
-
-
-def _aup_ranges(x_cap: int, n_max: int, cap: int) -> int:
-    """The entry ranges the aup sweep builds: max(cap, n * x_cap) + 1 for each n <= n_max."""
-    k = n_max if x_cap == 0 else min(n_max, cap // x_cap)  # the n with n * x_cap <= cap
-    return k * (cap + 1) + x_cap * (n_max * (n_max + 1) - k * (k + 1)) // 2 + n_max - k
-
-
 def cmd_monoid(args, em: Emitter) -> int:
     p = presentation_from_dict(load_json(args.infile))
     op = args.monoid_op
-    depth, zcap, cap = args.depth, args.zcap, args.cap
-    # a negative bound is left to the monoid call, which names it; a power
-    # past the 64th already exceeds the limit, so a huge rank stays cheap
-    if op == "canc" and zcap >= 0:
-        _check_search(op, "z vectors", (zcap + 1) ** min(p.rank, 64))
-    if op == "aup" and min(args.xcap, args.nmax, cap) >= 0:
-        _check_search(op, "(x, y) pairs", (args.xcap + 1) ** min(2 * p.rank, 64))
-        _check_search(op, "entry ranges", _aup_ranges(args.xcap, args.nmax, cap))
+    depth, cap = args.depth, args.cap
     if op in ("equal", "leq", "canc"):
         u, v = vector_from_arg(args.u), vector_from_arg(args.v)
         if op == "equal":
             got = equal(p, u, v, depth, cap)
         else:
-            got = (leq if op == "leq" else cancellative_equal)(p, u, v, depth, zcap, cap)
+            got = (leq if op == "leq" else cancellative_equal)(p, u, v, depth, args.zcap, cap)
         em.say(f"{got.kind}: {got.detail}")
         return em.finish(_verdict_result(got), OK if got.yes else NEGATIVE)
     if op == "aup":
-        res = check_almost_unperforated(p, args.xcap, args.nmax, depth, zcap, cap)
+        res = check_almost_unperforated(p, args.xcap, args.nmax, depth, args.zcap, cap)
         if res.found:
             ce = res.counterexample
             em.say(
@@ -465,7 +440,7 @@ def cmd_monoid(args, em: Emitter) -> int:
         em.say(f"no counterexample within bounds ({res.region})")
         return em.finish({"found": False, "region": res.region}, OK)
     if op == "pinf":
-        res = properly_infinite(p, vector_from_arg(args.x), depth, zcap, cap)
+        res = properly_infinite(p, vector_from_arg(args.x), depth, args.zcap, cap)
         em.say(f"2x <= x: {res.verdict.kind}; least doubling multiple: {res.least_multiple}")
         return em.finish(
             {
@@ -620,7 +595,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
         p.add_argument("--cap", type=int, default=DEFAULT_ENTRY_CAP)
-        p.add_argument("--zcap", type=int, default=DEFAULT_Z_CAP)
+        if name in ("leq", "aup", "pinf", "canc"):  # the searches that add a z
+            p.add_argument("--zcap", type=int, default=DEFAULT_Z_CAP)
         if name in ("equal", "leq", "canc"):
             p.add_argument("--u", required=True)
             p.add_argument("--v", required=True)

@@ -13,6 +13,7 @@ claims more than the region it searched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product, repeat
 from operator import add, ge, mul, sub
 from typing import Iterable, NamedTuple, Sequence
@@ -22,6 +23,10 @@ DEFAULT_ENTRY_CAP = 20
 DEFAULT_Z_CAP = 10
 DEFAULT_N_MAX = 4
 DEFAULT_STATE_CAP = 100_000
+# the most (x, y) pairs or (n, y) classes an almost-unperforation sweep, or z
+# vectors cancellative_equal, may visit; free rank 2 at x_cap 30 (923 521 pairs)
+# sweeps in about 0.15 s
+MAX_SEARCH = 1_000_000
 
 Vector = tuple
 
@@ -87,6 +92,12 @@ def _check_bounds(n_max: int = 1, **bounds: int) -> None:
             raise ValueError(f"{name} must be nonnegative, got {value}")
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
+
+
+def _check_search(what: str, count: int) -> None:
+    """Refuse a search above MAX_SEARCH; callers stop exponents at 64, already past it."""
+    if count > MAX_SEARCH:
+        raise ValueError(f"{count} {what} or more, above the limit of {MAX_SEARCH}")
 
 
 def vadd(u: Vector, v: Vector) -> Vector:
@@ -310,45 +321,44 @@ def check_almost_unperforated(
     listed or sorted.
     """
     _check_bounds(n_max, x_cap=x_cap, depth=depth, z_cap=z_cap, entry_cap=entry_cap)
+    _check_search("(x, y) pairs", (x_cap + 1) ** min(2 * p.rank, 64))
+    # each class of ny is saturated once, when the sweep reads it
+    _check_search("(n, y) classes", n_max * (x_cap + 1) ** min(p.rank, 64))
     region = (
         f"x,y entries <= {x_cap}, 1 <= n <= {n_max}, depth {depth}, "
         f"z_cap {z_cap}, entry cap {entry_cap}"
     )
-    closure_cache: dict[Vector, tuple] = {}
-
-    def closure(v: Vector):
-        got = closure_cache.get(v)
-        if got is None:
-            parents, complete, _ = _saturate(p, v, depth, entry_cap)
-            got = (tuple(parents), complete)
-            closure_cache[v] = got
-        return got
 
     # (y, the box points below some member of y's class) for each y whose
-    # class is complete and leaves a point of the box undominated
+    # class is complete and leaves a point of the box undominated; only
+    # these classes are kept, since n = 1 reads them again as ny, so the
+    # sweep holds one class of ny at a time
     full = (x_cap + 1) ** p.rank
     open_ys = []
+    kept: dict[Vector, tuple] = {}
     for y in product(range(x_cap + 1), repeat=p.rank):
-        members, complete = closure(y)
+        members, complete, _ = _saturate(p, y, depth, entry_cap)
         if complete:
             dominated = set()
             for w in members:
                 dominated.update(product(*(range(min(a, x_cap) + 1) for a in w)))
             if len(dominated) < full:
                 open_ys.append((y, dominated))
+                kept[y] = tuple(members)
 
     for n in range(1, n_max + 1):
-        # the box's side for each entry value a of w; the start vector ny
-        # may exceed the entry cap
-        side = [
-            range(max(0, -((z_cap - a) // (n + 1))), min(x_cap, a // (n + 1)) + 1)
-            for a in range(max(entry_cap, n * x_cap) + 1)
-        ]
+        # the box's side for each entry value a of w, kept from its first read;
+        # the start vector ny may exceed the entry cap
+        @cache
+        def side(a: int, n1: int = n + 1) -> range:
+            return range(max(0, -((z_cap - a) // n1)), min(x_cap, a // n1) + 1)
+
         firsts = []  # (least bad x, y) for each y with a bad x
         for y, dominated in open_ys:
+            ny = vscale(n, y)
             boxes = set()
-            for w in closure(vscale(n, y))[0]:
-                boxes.update(product(*map(side.__getitem__, w)))
+            for w in kept.get(ny) or _saturate(p, ny, depth, entry_cap)[0]:
+                boxes.update(product(*map(side, w)))
             bad = boxes - dominated
             if bad:
                 firsts.append((min(bad), y))
@@ -435,27 +445,26 @@ def refinement_instance(
             f"precondition a + b = c + d not established: {pre.kind} ({pre.detail})"
         )
 
-    def members(v: Vector) -> list[Vector]:
-        parents, _, _ = _saturate(p, v, depth, entry_cap)
-        return sorted(parents)
+    def minus(members, v: Vector):
+        return (tuple(map(sub, m, v)) for m in members if all(map(ge, m, v)))
 
-    CA, CB, CC, CD = members(a), members(b), members(c), members(d)
+    CA, CB, CC, CD = (_saturate(p, v, depth, entry_cap)[0] for v in (a, b, c, d))
     ub = tuple(
         min(max(m[i] for m in CA), max(m[i] for m in CC), entry_cap)
         for i in range(p.rank)
     )
-    for w in sorted(product(*(range(u + 1) for u in ub)), reverse=True):
-        xs = sorted(tuple(map(sub, m, w)) for m in CA if all(map(ge, m, w)))
+    # descending lexicographic order, one w at a time
+    for w in product(*(range(u, -1, -1) for u in ub)):
+        xs = sorted(minus(CA, w))
         if not xs:
             continue
-        ys = sorted(tuple(map(sub, m, w)) for m in CC if all(map(ge, m, w)))
+        ys = sorted(minus(CC, w))
         for x in xs:
+            zd = set(minus(CD, x))
             for y in ys:
-                zb = {tuple(map(sub, m, y)) for m in CB if all(map(ge, m, y))}
-                zd = {tuple(map(sub, m, x)) for m in CD if all(map(ge, m, x))}
-                common = sorted(zb & zd)
-                if common:
-                    return RefinementResult(True, (w, x, y, common[0]), "found")
+                z = min(zd.intersection(minus(CB, y)), default=None)
+                if z is not None:
+                    return RefinementResult(True, (w, x, y, z), "found")
     return RefinementResult(
         False, None, f"no quadruple within entry bound {entry_cap}, depth {depth}"
     )
@@ -475,6 +484,7 @@ def cancellative_equal(
     most z_cap, i.e. they agree in the universal cancellative quotient.
     """
     _check_bounds(depth=depth, z_cap=z_cap, entry_cap=entry_cap)
+    _check_search("z vectors", (z_cap + 1) ** min(p.rank, 64))
     u = _check_vector(p, u)
     v = _check_vector(p, v)
     any_unknown = False

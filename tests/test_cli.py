@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from coarse_lab import cli, serialize
+from coarse_lab import cli, monoid, serialize
 from coarse_lab.cli import main
 from coarse_lab.monoid import presentation, replay_path
 from coarse_lab.space import regular_tree_window
@@ -673,9 +673,6 @@ def test_negative_monoid_bounds_exit_2(tmp_path, capsys, argv, err):
     assert stderr == f"error: {err}\n"
 
 
-SEARCH_LIMIT = cli.MAX_MONOID_SEARCH
-
-
 @pytest.mark.parametrize(
     "rank, argv, err",
     [
@@ -683,26 +680,25 @@ SEARCH_LIMIT = cli.MAX_MONOID_SEARCH
         (2, ["aup", "--xcap", "31"], "1048576 (x, y) pairs"),
         # a rank past 32 counts 64 factors, already far above the limit
         (10 ** 9, ["aup", "--xcap", "1"], f"{2 ** 64} (x, y) pairs"),
-        # sum over n <= 2000 of max(20, n) + 1
-        (1, ["aup", "--xcap", "1", "--nmax", "2000"], "2003190 entry ranges"),
-        (1, ["aup", "--xcap", "0", "--nmax", "100000"], "2100000 entry ranges"),
-        (1, ["aup", "--cap", str(2 ** 40)], f"{4 * (2 ** 40 + 1)} entry ranges"),
+        # n_max * (x_cap + 1)^rank classes of ny, each saturated once
+        (1, ["aup", "--xcap", "1", "--nmax", "500001"], "1000002 (n, y) classes"),
+        (1, ["aup", "--xcap", "0", "--nmax", str(2 ** 40)], f"{2 ** 40} (n, y) classes"),
+        (2, ["aup", "--xcap", "9", "--nmax", "10001"], "1000100 (n, y) classes"),
         (2, ["canc", "--zcap", "100000", "--u", "1,0", "--v", "0,1"], "10000200001 z vectors"),
         (10 ** 9, ["canc", "--zcap", "1", "--u", "1", "--v", "0"], f"{2 ** 64} z vectors"),
     ],
 )
 def test_monoid_search_above_the_limit_is_refused_unbuilt(tmp_path, capsys, monkeypatch, rank, argv, err):
     # aup --xcap 2^40 exited 3 with MemoryError and canc --zcap 100000 ran
-    # for minutes; the CLI counts the search and refuses before any call
+    # for minutes; monoid counts the search and refuses before saturating
     def unbuilt(*args):
         raise AssertionError("monoid search called")
 
-    monkeypatch.setattr(cli, "check_almost_unperforated", unbuilt)
-    monkeypatch.setattr(cli, "cancellative_equal", unbuilt)
+    monkeypatch.setattr(monoid, "_saturate", unbuilt)
     pres = write(tmp_path / "pres.json", {"rank": rank, "relations": []})
     code, out, stderr = run(capsys, "monoid", argv[0], "--in", pres, *argv[1:])
     assert (code, out) == (2, "")
-    assert stderr == f"error: monoid {argv[0]}: {err} or more, above the limit of {SEARCH_LIMIT}\n"
+    assert stderr == f"error: {err} or more, above the limit of {monoid.MAX_SEARCH}\n"
 
 
 def test_monoid_search_at_the_limit_runs(tmp_path, capsys):
@@ -710,6 +706,24 @@ def test_monoid_search_at_the_limit_runs(tmp_path, capsys):
     pres = write(tmp_path / "free1.json", {"rank": 1, "relations": []})
     code, _, stderr = run(capsys, "monoid", "aup", "--in", pres, "--xcap", "999", "--nmax", "1", "--cap", "0")
     assert (code, stderr) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--xcap", "1", "--nmax", "2000"],
+        ["--xcap", "0", "--nmax", "100000"],
+        ["--cap", str(2 ** 40)],
+    ],
+)
+def test_monoid_aup_entry_values_are_not_counted(tmp_path, capsys, argv):
+    # the sweep builds a side of the x box only for the entry values its
+    # classes contain, so a large n * x_cap or entry cap costs nothing; each
+    # was refused for its entry ranges, 2 * 10^6 or more
+    pres = write(tmp_path / "free1.json", {"rank": 1, "relations": []})
+    code, out, stderr = run(capsys, "--json", "monoid", "aup", "--in", pres, *argv)
+    assert (code, stderr) == (0, "")
+    assert json.loads(out)["result"]["found"] is False
 
 
 @pytest.mark.parametrize(
@@ -886,6 +900,25 @@ def test_monoid_pinf_cli(tmp_path, capsys):
     pres = write(tmp_path / "idem.json", {"rank": 1, "relations": [[[2], [1]]]})
     code, out, _ = run(capsys, "monoid", "pinf", "--in", pres, "--x", "1")
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["boundary", "paradox"])
+@pytest.mark.parametrize(
+    "points, err",
+    [
+        (5, "point set: expected an object, got 5"),
+        ([1], "point set: expected an object, got [1]"),
+        ({"points": 5}, "point set 'points': expected a list, got 5"),
+        ({"points": [[1]]}, "point set 'points' entry: expected a string, got [1]"),
+        ({"point": ["1"]}, "point set: missing key 'points'"),
+    ],
+)
+def test_malformed_point_set_file_is_a_schema_error(tmp_path, capsys, zwindow, command, points, err):
+    # 5 and {"points": 5} exited 3 with TypeError
+    path = write(tmp_path / "set.json", points)
+    code, out, stderr = run(capsys, command, "--in", zwindow, "--set", path, "--R", "1")
+    assert (code, out) == (2, "")
+    assert stderr == f"error: {err}\n"
 
 
 def test_boundary_and_ball(capsys, zwindow):

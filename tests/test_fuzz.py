@@ -2,7 +2,9 @@
 
 The inputs are the corpus of ``test_cli.all_subcommand_inputs`` (every
 subcommand and every castle and monoid operation, with its input files),
-plus the tiling strategies it leaves out.
+plus the tiling strategies it leaves out, a ``--set`` point file, and one
+call per monoid operation with every bound it takes given, so each is
+changed too.
 Each call changes one value of one corpus call: either a JSON value of one
 of its input files becomes null, a bool, a float, a small or large integer,
 a string, a list or an object, or is deleted with its key; or one flag's
@@ -37,11 +39,23 @@ FILES = {
     **CORPUS_FILES,
     "box.json": {"moduli": [2, 4, 8, 16]},
     "stack.json": {"stack": {"base": {"vertices": ["p", "q"], "edges": [["p", "q"]]}, "K": 12, "halo_depth": 2}},
+    "set.json": {"points": ["v", "v0", "v11"]},
 }
+# every monoid bound given, so that each one is changed too
+BOUNDS = ["--depth", "12", "--cap", "20"]
+Z_BOUND = ["--zcap", "10"]
 CALLS_TO_CHANGE = CORPUS_CALLS + [
     ["tile", "--strategy", "interval", "--R", "1", "--epsilon", "1/2", "--in", "line.json"],
     ["tile", "--strategy", "box", "--R", "1", "--epsilon", "1/3", "--in", "box.json"],
     ["tile", "--strategy", "stack", "--R", "1", "--epsilon", "1/2", "--in", "stack.json"],
+    ["boundary", "--in", "tree.json", "--set", "set.json", "--R", "1"],
+    ["paradox", "--in", "tree.json", "--set", "set.json", "--R", "1"],
+    ["monoid", "equal", "--in", "num23.json", "--u", "6,0", "--v", "0,4", *BOUNDS],
+    ["monoid", "leq", "--in", "num23.json", "--u", "1,0", "--v", "0,2", *BOUNDS, *Z_BOUND],
+    ["monoid", "aup", "--in", "num23.json", "--xcap", "3", "--nmax", "2", *BOUNDS, *Z_BOUND],
+    ["monoid", "pinf", "--in", "idem.json", "--x", "1", *BOUNDS, *Z_BOUND],
+    ["monoid", "refine", "--in", "num23.json", "--a", "3,0", "--b", "0,2", "--c", "0,2", "--d", "3,0", *BOUNDS],
+    ["monoid", "canc", "--in", "num23.json", "--u", "3,0", "--v", "0,2", *BOUNDS, *Z_BOUND],
 ]
 
 VALUES = [None, True, False, 0.5, 0, -1, 2 ** 40, -(2 ** 40), "", "x", "1/0", [], [1], {}, {"x": 1}]
@@ -50,7 +64,7 @@ DELETE = object()
 # flag values: integers argparse accepts, point and vector lists, paths,
 # and strategies, each command's own, another command's and none
 INT_FLAGS = {"--R", "--P", "--budget", "--depth", "--cap", "--zcap", "--xcap", "--nmax"}
-INT_VALUES = ["-1", "0"]
+INT_VALUES = ["-1", "0", str(2 ** 40)]
 PATH_FLAGS = {"--in", "--chain", "--targets", "--space", "--set", "--out"}
 PATH_VALUES = ["missing.json", ".", ""]
 TEXT_VALUES = ["", "x", "0", "-1", "1/0", "0,0,0", "1,-1", "v,v", ",", "a0|b0"]

@@ -1,10 +1,13 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
 
 from coarse_lab import monoid
 from coarse_lab.monoid import (
+    AupCounterexample,
+    AupResult,
     _saturate,
     cancellative_equal,
     check_almost_unperforated,
@@ -24,6 +27,8 @@ FREE3 = presentation(3)
 NUM23 = presentation(2, [[(3, 0), (0, 2)]])  # 3a = 2b, isomorphic to <2,3> in N
 IDEM = presentation(1, [[(2,), (1,)]])  # 2a = a
 SHRINK = presentation(1, [[(3,), (2,)]])  # 3a = 2a
+RANK3_A = presentation(3, [[(1, 1, 0), (0, 0, 1)]])  # c = a + b
+RANK3_B = presentation(3, [[(2, 0, 0), (0, 1, 0)], [(0, 2, 0), (0, 0, 1)]])  # b = 2a, c = 2b
 
 
 def image23(v):
@@ -321,6 +326,109 @@ def test_aup_sweep_agrees_with_triple_loop_on_pinned_cases(name):
         assert firsts[0] == ((1, 0), (0, 2)) and min(firsts) == ((0, 1), (1, 0))
 
 
+def _table_aup(p, x_cap, n_max, depth, z_cap, entry_cap):
+    # the sweep with its earlier side table: one range per entry value
+    # 0 ... max(entry_cap, n * x_cap), built before any class of ny is read
+    region = (
+        f"x,y entries <= {x_cap}, 1 <= n <= {n_max}, depth {depth}, "
+        f"z_cap {z_cap}, entry cap {entry_cap}"
+    )
+    closure_cache = {}
+
+    def closure(v):
+        if v not in closure_cache:
+            parents, complete, _ = _saturate(p, v, depth, entry_cap)
+            closure_cache[v] = (tuple(parents), complete)
+        return closure_cache[v]
+
+    full = (x_cap + 1) ** p.rank
+    open_ys = []
+    for y in product(range(x_cap + 1), repeat=p.rank):
+        members, complete = closure(y)
+        if complete:
+            dominated = set()
+            for w in members:
+                dominated.update(product(*(range(min(a, x_cap) + 1) for a in w)))
+            if len(dominated) < full:
+                open_ys.append((y, dominated))
+    for n in range(1, n_max + 1):
+        side = [
+            range(max(0, -((z_cap - a) // (n + 1))), min(x_cap, a // (n + 1)) + 1)
+            for a in range(max(entry_cap, n * x_cap) + 1)
+        ]
+        firsts = []
+        for y, dominated in open_ys:
+            boxes = set()
+            for w in closure(vscale(n, y))[0]:
+                boxes.update(product(*map(side.__getitem__, w)))
+            if bad := boxes - dominated:
+                firsts.append((min(bad), y))
+        if firsts:
+            x, y = min(firsts)
+            return AupResult(AupCounterexample(
+                x, y, n,
+                leq(p, vscale(n + 1, x), vscale(n, y), depth, z_cap, entry_cap),
+                leq(p, x, y, depth, z_cap, entry_cap),
+            ), region)
+    return AupResult(None, region)
+
+
+def test_aup_sides_built_on_first_read_agree_with_the_full_table():
+    rng = random.Random(15)
+    named = [FREE1, FREE2, NUM23, IDEM, SHRINK, RANK3_A, RANK3_B]
+    found = 0
+    for k in range(100):
+        if k < len(named):
+            p = named[k]
+        else:
+            rank = rng.randint(1, 3)
+            p = presentation(rank, [
+                [tuple(rng.randint(0, 3) for _ in range(rank)) for _ in range(2)]
+                for _ in range(rng.randint(0, 2))
+            ])
+        bounds = (
+            rng.randint(0, {1: 6, 2: 3, 3: 2}[p.rank]), rng.randint(1, 4),
+            rng.randint(0, 12), rng.randint(0, 6), rng.randint(0, 12),
+        )
+        expect = _table_aup(p, *bounds)
+        assert check_almost_unperforated(p, *bounds) == expect, (p, bounds)
+        found += expect.found
+    assert found >= 5
+
+
+def test_aup_builds_a_side_only_for_entry_values_read(monkeypatch):
+    # the table had max(entry_cap, n * x_cap) + 1 ranges for each n, about
+    # 10^6 here; free rank 1 with x_cap = 1 leaves only y = 0 open, whose
+    # classes of ny read the entry value 0 alone
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return range(*args)
+
+    monkeypatch.setattr(monoid, "range", counted, raising=False)
+    res = check_almost_unperforated(FREE1, x_cap=1, n_max=1400)
+    assert not res.found
+    assert len(built) < 3 * 1400
+
+
+def test_aup_holds_one_class_of_ny_at_a_time():
+    # y = (1, 0) meets no relation, so its class is complete and open, while
+    # each class of ny = (n, 0), 2 <= n <= 100, is a chain up to the entry
+    # cap.  Kept for every n, these classes took about 0.8 MB here, and at
+    # n_max = 10^5 with depth and entry cap 10^5 the sweep exited 3 with
+    # MemoryError; held one at a time, the peak is about 0.15 MB
+    grow = presentation(2, [[(2, 0), (3, 0)]])
+    tracemalloc.start()
+    try:
+        res = check_almost_unperforated(grow, x_cap=1, n_max=100, depth=100, entry_cap=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not res.found
+    assert peak < 400_000
+
+
 # -- properly infinite --------------------------------------------------------
 
 
@@ -386,6 +494,81 @@ def test_refinement_with_relations():
     res = refinement_instance(NUM23, (3, 0), (0, 1), (0, 2), (0, 1))
     assert res.found
     res.replay(NUM23, (3, 0), (0, 1), (0, 2), (0, 1))
+
+
+def _sorted_refinement(p, a, b, c, d, depth=monoid.DEFAULT_DEPTH, entry_cap=monoid.DEFAULT_ENTRY_CAP):
+    # the search with its earlier walk: every w of the box drawn and sorted
+    # before the first is tried, and each (x, y) building both z sets
+    pre = equal(p, vadd(a, b), vadd(c, d), depth, entry_cap)
+    if not pre.yes:
+        raise ValueError("precondition")
+
+    def members(v):
+        return sorted(_saturate(p, v, depth, entry_cap)[0])
+
+    CA, CB, CC, CD = members(a), members(b), members(c), members(d)
+    ub = tuple(min(max(m[i] for m in CA), max(m[i] for m in CC), entry_cap) for i in range(p.rank))
+
+    def minus(ms, v):
+        return sorted(tuple(s - t for s, t in zip(m, v)) for m in ms if all(s >= t for s, t in zip(m, v)))
+
+    for w in sorted(monoid.product(*(range(u + 1) for u in ub)), reverse=True):
+        xs = minus(CA, w)
+        if not xs:
+            continue
+        for x in xs:
+            for y in minus(CC, w):
+                common = sorted(set(minus(CB, y)) & set(minus(CD, x)))
+                if common:
+                    return (w, x, y, common[0])
+    return f"no quadruple within entry bound {entry_cap}, depth {depth}"
+
+
+def test_refinement_agrees_with_the_sorted_walk():
+    rng = random.Random(16)
+    named = [FREE2, FREE3, NUM23, RANK3_A, RANK3_B]
+    outcomes = set()
+    for k in range(200):
+        p = named[k % len(named)]
+        if k % 2:  # a refinable grid
+            w, x, y, z = (tuple(rng.randint(0, 3) for _ in range(p.rank)) for _ in range(4))
+            a, b, c, d = vadd(w, x), vadd(y, z), vadd(w, y), vadd(x, z)
+        else:
+            a, b, c, d = (tuple(rng.randint(0, 3) for _ in range(p.rank)) for _ in range(4))
+        bounds = (rng.randint(1, 12), rng.randint(2, 8))
+        try:
+            expect = _sorted_refinement(p, a, b, c, d, *bounds)
+        except ValueError:
+            with pytest.raises(ValueError, match="precondition"):
+                refinement_instance(p, a, b, c, d, *bounds)
+            outcomes.add("precondition")
+            continue
+        res = refinement_instance(p, a, b, c, d, *bounds)
+        assert (res.quadruple if res.found else res.detail) == expect, (p, a, b, c, d, bounds)
+        outcomes.add(res.found)
+    # <2,3> has no refinement of 3 + 3 = 2 + 4
+    assert not refinement_instance(NUM23, (0, 1), (0, 1), (1, 0), (2, 0)).found
+    assert outcomes == {True, False, "precondition"}
+
+
+def test_refinement_draws_few_w_from_its_box(monkeypatch):
+    # the box has 301^2 points; its first w, min(a, c), refines the free monoid
+    drawn = 0
+    real = monoid.product
+
+    def counted(*args, **kwargs):
+        nonlocal drawn
+        for t in real(*args, **kwargs):
+            drawn += 1
+            yield t
+
+    monkeypatch.setattr(monoid, "product", counted)
+    a = (300, 300)
+    res = refinement_instance(FREE2, a, (0, 0), a, (0, 0), entry_cap=300)
+    assert res.found and res.quadruple == (a, (0, 0), (0, 0), (0, 0))
+    assert drawn == 1
+    assert _sorted_refinement(FREE2, a, (0, 0), a, (0, 0), entry_cap=300) == res.quadruple
+    assert drawn == 1 + 301 ** 2
 
 
 # -- cancellative hull --------------------------------------------------------
