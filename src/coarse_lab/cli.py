@@ -6,7 +6,10 @@ refusal, a Hall violator, an infeasible fill, a No verdict), 2 means the
 invocation itself was wrong (unknown flags, missing files, schema
 violations), and 3 means an internal error (any other exception, such as
 a certificate that failed to replay), so a crash never reads as a no.
-Reports are deterministic JSON: same config and seed, same bytes.
+Reports are deterministic JSON with the keys ``tool``, ``version``,
+``command``, ``params`` (the parsed options, the command words excepted),
+``result``, ``stats`` (``homology-fill`` only) and ``exit_code``: same
+config, same bytes.
 """
 
 from __future__ import annotations
@@ -85,17 +88,18 @@ class Emitter:
     def __init__(self, args):
         self.json_only = args.json
         self.out = args.out
-        op = vars(args).get("castle_op") or vars(args).get("monoid_op")
+        params = {
+            k: v
+            for k, v in sorted(vars(args).items())
+            if k not in ("func", "json", "out") and v is not None
+        }
+        # the parsed command words go into "command" and nowhere else
+        words = [params.pop(k) for k in ("subcommand", "castle_op", "monoid_op") if k in params]
         self.report = {
             "tool": "coarse-lab",
             "version": __version__,
-            "command": f"{args.subcommand} {op}" if op else args.subcommand,
-            "params": {
-                k: v
-                for k, v in sorted(vars(args).items())
-                if k not in ("func", "json", "out") and v is not None
-            },
-            "seed": args.seed,
+            "command": " ".join(words),
+            "params": params,
         }
 
     def say(self, line: str):
@@ -449,26 +453,17 @@ def cmd_monoid(args, em: Emitter) -> int:
             },
             OK if res.verdict.yes else NEGATIVE,
         )
-    if op == "refine":
-        res = refinement_instance(
-            p,
-            vector_from_arg(args.a),
-            vector_from_arg(args.b),
-            vector_from_arg(args.c),
-            vector_from_arg(args.d),
-            depth,
-            cap,
+    # refine, the last operation
+    res = refinement_instance(p, *map(vector_from_arg, (args.a, args.b, args.c, args.d)), depth, cap)
+    if res.found:
+        w, x, y, z = res.quadruple
+        em.say(f"refinement: w={list(w)} x={list(x)} y={list(y)} z={list(z)}")
+        return em.finish(
+            {"found": True, "w": list(w), "x": list(x), "y": list(y), "z": list(z)},
+            OK,
         )
-        if res.found:
-            w, x, y, z = res.quadruple
-            em.say(f"refinement: w={list(w)} x={list(x)} y={list(y)} z={list(z)}")
-            return em.finish(
-                {"found": True, "w": list(w), "x": list(x), "y": list(y), "z": list(z)},
-                OK,
-            )
-        em.say(f"not found: {res.detail}")
-        return em.finish({"found": False, "detail": res.detail}, NEGATIVE)
-    raise SchemaError(f"unknown monoid operation {op!r}")
+    em.say(f"not found: {res.detail}")
+    return em.finish({"found": False, "detail": res.detail}, NEGATIVE)
 
 
 def cmd_selftest(args, em: Emitter) -> int:
@@ -516,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--json", action="store_true", help="machine output only")
     top.add_argument("--out", help="write the JSON report to this path")
-    top.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     def add(name, handler, **kwargs):

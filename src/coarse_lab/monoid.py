@@ -25,7 +25,7 @@ DEFAULT_N_MAX = 4
 DEFAULT_STATE_CAP = 100_000
 # the most (x, y) pairs or (n, y) classes an almost-unperforation sweep, or z
 # vectors cancellative_equal, may visit; free rank 2 at x_cap 30 (923 521 pairs)
-# sweeps in about 0.15 s
+# sweeps in about 0.15 s.  It also bounds a presentation's rank.
 MAX_SEARCH = 1_000_000
 
 Vector = tuple
@@ -43,6 +43,8 @@ class MonoidPresentation:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be positive")
+        if self.rank > MAX_SEARCH:  # each vector of a search holds rank entries
+            raise ValueError(f"rank {self.rank} is above the limit of {MAX_SEARCH}")
         for lhs, rhs in self.relations:
             if len(lhs) != self.rank or len(rhs) != self.rank:
                 raise ValueError("relation vectors must have length equal to the rank")

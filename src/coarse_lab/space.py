@@ -41,9 +41,6 @@ class FiniteMetricSpace:
         self.points = pts
         self._index = index
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     def __contains__(self, p: Point) -> bool:
         return p in self._index
 

@@ -1,8 +1,5 @@
-import contextlib
-import io
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +9,8 @@ import pytest
 from coarse_lab import cli, monoid, serialize
 from coarse_lab.cli import main
 from coarse_lab.monoid import presentation, replay_path
-from coarse_lab.space import regular_tree_window
+
+import cli_corpus
 
 
 def write(path, data):
@@ -339,247 +337,32 @@ def test_homology_fill_reports_stable_solve_stats(tmp_path, capsys, zwindow):
     assert stats["solves"] >= 1 and stats["nodes"] > 0 and stats["arcs"] > 0
 
 
-GOLDEN = Path(__file__).parent / "golden"
-FILL = ["homology-fill", "--chain", "chain.json"]
-
-
-# golden file: (window, chain or None, subcommand and arguments); the goldens
-# are stdout bytes, so a change to any field, stats included, shows here
-GOLDEN_CASES = {
-    "homology-fill-dipole": (
-        {"vertices": list(range(40)), "edges": [[i, i + 1] for i in range(39)]},
-        {"0": 1, "39": -1},
-        FILL + ["--P", "1"],
-    ),
-    "homology-fill-line-halo": (  # P = 2 with a halo: the exit node w carries mass
-        {"interval": {"lo": -8, "hi": 8, "halo_depth": 2}},
-        {"-6": 2, "-1": 4, "0": 3, "1": 4, "3": -1, "7": 1},
-        FILL + ["--P", "2"],
-    ),
-    "homology-fill-tree": (
-        {"tree": {"degree": 3, "core_depth": 3, "halo_depth": 1}},
-        {p: 1 for p in sorted(regular_tree_window(3, 3, 1).core)},
-        FILL + ["--P", "1"],
-    ),
-    "paradox-witness": (
-        {"tree": {"degree": 3, "core_depth": 5, "halo_depth": 2}},
-        None,
-        ["paradox", "--points", "v,v0,v1,v2", "--R", "2"],
-    ),
-    "paradox-violator": (
-        {"interval": {"lo": -10, "hi": 10, "halo_depth": 2}},
-        None,
-        ["paradox", "--points", "0,1,2,3,4,5,6,7,8,9", "--R", "1"],
-    ),
-}
-
-
-# greedy Følner searches on a line with a halo, a tree and a column space over
-# a path; the goldens pin the search's points, ratio and examined count
-FOLNER_GOLDEN_CASES = {
-    "folner-greedy-line": (
-        {"interval": {"lo": -30, "hi": 30, "halo_depth": 3}},
-        None,
-        ["folner", "--strategy", "greedy", "--R", "2", "--epsilon", "1/5", "--budget", "40"],
-    ),
-    "folner-greedy-tree": (
-        {"tree": {"degree": 3, "core_depth": 4, "halo_depth": 2}},
-        None,
-        ["folner", "--strategy", "greedy", "--R", "1", "--epsilon", "1/2", "--budget", "25"],
-    ),
-    "folner-greedy-stacked": (
-        {
-            "stack": {
-                "base": {"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["b", "c"], ["c", "d"]]},
-                "K": 12,
-                "halo_depth": 3,
-            }
-        },
-        None,
-        ["folner", "--strategy", "greedy", "--R", "2", "--epsilon", "1/2", "--budget", "30"],
-    ),
-}
-
-
-def check_golden(tmp_path, monkeypatch, capsys, name, window, chain, argv):
-    # relative paths, so the report's params are the same in every checkout
+def test_cli_corpus_matches_golden_bytes(tmp_path, monkeypatch):
+    # block by block, so a failure names the call whose report moved;
+    # rewrite the golden with cli_corpus.py run as a script
     monkeypatch.chdir(tmp_path)
-    write(tmp_path / "window.json", window)
-    if chain is not None:
-        write(tmp_path / "chain.json", {"coeffs": chain})
-    code, out, err = run(capsys, "--json", *argv, "--in", "window.json")
-    assert err == ""
-    assert code == json.loads(out)["exit_code"]
-    assert out == (GOLDEN / f"{name}.json").read_text()
-
-
-@pytest.mark.parametrize("name", GOLDEN_CASES)
-def test_flow_reports_match_golden_bytes(tmp_path, monkeypatch, capsys, name):
-    check_golden(tmp_path, monkeypatch, capsys, name, *GOLDEN_CASES[name])
-
-
-@pytest.mark.parametrize("name", FOLNER_GOLDEN_CASES)
-def test_folner_reports_match_golden_bytes(tmp_path, monkeypatch, capsys, name):
-    check_golden(tmp_path, monkeypatch, capsys, name, *FOLNER_GOLDEN_CASES[name])
-
-
-# the child runs every subcommand in one process and prints each exit code
-# and --json report; its inputs come on stdin as {file: data} and argv lists
-ALL_SUBCOMMANDS = """
-import json, sys
-from coarse_lab.cli import main
-files, calls = json.load(sys.stdin)
-for name, data in files.items():
-    with open(name, "w") as f:
-        json.dump(data, f)
-for argv in calls:
-    print(main(["--json", *argv]), flush=True)
-"""
-
-
-def all_subcommand_inputs():
-    towers = {
-        "towers": [
-            {"height": 3, "columns": [["a0", "a1", "a2"], ["b0", "b1", "b2"]]},
-            {"height": 2, "columns": [["c0", "c1"]]},
-        ]
-    }
-    files = {
-        "line.json": {"interval": {"lo": -30, "hi": 30, "halo_depth": 3}},
-        "tree.json": {"tree": {"degree": 3, "core_depth": 4, "halo_depth": 2}},
-        "graph.json": {
-            "vertices": ["a", "b", "c", "d", "e"],
-            "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["e", "a"]],
-            "core": ["b", "c", "d"],
-            "halo_depth": 1,
-        },
-        "cycle.json": {  # two shortest routes between opposite points
-            "vertices": [f"p{i}" for i in range(6)],
-            "edges": [[f"p{i}", f"p{(i + 1) % 6}"] for i in range(6)],
-        },
-        "subset.json": {"A": list(range(0, 12)) + list(range(40, 52))},
-        "towers.json": towers,
-        "targets.json": {"targets": [["a0", "b1", "c0"], ["a2", "c1"]]},
-        "num23.json": {"rank": 2, "relations": [[[3, 0], [0, 2]]]},
-        "idem.json": {"rank": 1, "relations": [[[2], [1]]]},
-        "tree-chain.json": {"coeffs": {"v0": 1, "v10": 2, "v211": -1}},
-        "closed-chain.json": {"coeffs": {"3": 1, "4": 1}},
-        "cycle-chain.json": {"coeffs": {"p0": 1, "p3": -1}},
-    }
-    calls = [
-        ["boundary", "--in", "tree.json", "--points", "v,v0,v11", "--R", "1"],
-        ["ball", "--in", "graph.json", "--center", "c", "--R", "1"],
-        ["tile", "--strategy", "sparse", "--R", "1", "--epsilon", "1/2",
-         "--in", "subset.json", "--out", "tiling.json"],
-        ["verify-tiling", "--in", "tiling.json"],
-        ["folner", "--in", "tree.json", "--R", "1", "--epsilon", "1/2",
-         "--strategy", "greedy", "--budget", "20"],
-        ["paradox", "--in", "tree.json", "--points", "v,v0,v1,v2,v00", "--R", "1"],
-        ["homology-fill", "--in", "tree.json", "--chain", "tree-chain.json", "--P", "2"],
-        ["homology-fill", "--in", "subset.json", "--chain", "closed-chain.json", "--P", "1"],
-        ["homology-fill", "--in", "cycle.json", "--chain", "cycle-chain.json", "--P", "1"],
-        ["castle", "validate", "--in", "towers.json"],
-        ["castle", "refine", "--in", "towers.json", "--targets", "targets.json"],
-        ["castle", "compare", "--in", "towers.json", "--A", "a0,b0", "--B", "a1,b1,a2,b2,c0"],
-        ["castle", "from-tiling", "--in", "tiling.json", "--out", "castle.json"],
-        ["castle", "defect", "--in", "castle.json", "--space", "subset.json", "--R", "1"],
-        ["monoid", "equal", "--in", "num23.json", "--u", "6,0", "--v", "0,4"],
-        ["monoid", "leq", "--in", "num23.json", "--u", "1,0", "--v", "0,2"],
-        ["monoid", "aup", "--in", "num23.json"],
-        ["monoid", "pinf", "--in", "idem.json", "--x", "1"],
-        ["monoid", "refine", "--in", "num23.json",
-         "--a", "3,0", "--b", "0,2", "--c", "0,2", "--d", "3,0"],
-        ["monoid", "canc", "--in", "num23.json", "--u", "3,0", "--v", "0,2"],
-        ["selftest", "--criteria", "9"],
-    ]
-    for name, (window, chain, argv) in {**GOLDEN_CASES, **FOLNER_GOLDEN_CASES}.items():
-        files[f"{name}-window.json"] = window
-        if chain is not None:
-            files[f"{name}-chain.json"] = {"coeffs": chain}
-            argv = [f"{name}-chain.json" if a == "chain.json" else a for a in argv]
-        calls.append(argv + ["--in", f"{name}-window.json"])
-    return files, calls
-
-
-CORPUS_FILES, CORPUS_CALLS = all_subcommand_inputs()
-CASTLE_CALLS = {f"castle-{argv[1]}": i for i, argv in enumerate(CORPUS_CALLS) if argv[0] == "castle"}
-
-
-def without_out(argv):
-    i = argv.index("--out") if "--out" in argv else len(argv)
-    return argv[:i] + argv[i + 2:]
-
-
-@pytest.mark.parametrize("name", CASTLE_CALLS)
-def test_castle_reports_match_golden_bytes(tmp_path, monkeypatch, capsys, name):
-    # the castle calls of the hash-seed corpus; the earlier calls that write a
-    # file (the tiling, the castle) run first, and the measured call runs
-    # without --out so that its payload is part of the report
-    monkeypatch.chdir(tmp_path)
-    for file, data in CORPUS_FILES.items():
-        write(tmp_path / file, data)
-    i = CASTLE_CALLS[name]
-    for argv in CORPUS_CALLS[:i]:
-        if "--out" in argv:
-            assert run(capsys, *argv)[0] == 0
-    code, out, err = run(capsys, "--json", *without_out(CORPUS_CALLS[i]))
-    assert err == ""
-    assert code == json.loads(out)["exit_code"]
-    assert out == (GOLDEN / f"{name}.json").read_text()
+    want = cli_corpus.split(cli_corpus.GOLDEN.read_text())
+    got = cli_corpus.split("".join(cli_corpus.blocks()))
+    for g, w in zip(got, want):
+        assert g == w, g.partition("\n")[0]
+    assert len(got) == len(want)
 
 
 def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
-    inputs = json.dumps(all_subcommand_inputs())
-    src = str(Path(cli.__file__).parents[1])
+    # the corpus, run in a child under two hash seeds, gives the golden bytes
+    paths = [str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)]
     outs = []
     for seed in ("0", "1"):
         cwd = tmp_path / seed
         cwd.mkdir()
-        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(paths)}
         done = subprocess.run(
-            [sys.executable, "-c", ALL_SUBCOMMANDS],
-            input=inputs, cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+            [sys.executable, "-c", "import sys, cli_corpus; sys.stdout.write(''.join(cli_corpus.blocks()))"],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0 and done.stderr == "", done.stderr
         outs.append(done.stdout)
-    # selftest reports each criterion's wall time and its headroom under the
-    # budget, the only fields that may differ
-    same = [re.sub(r'"(elapsed|headroom)_s": -?[0-9.]+', r'"\1_s": 0', out) for out in outs]
-    assert same[0] == same[1]
-    assert same[0].count('"tool": "coarse-lab"') == len(json.loads(inputs)[1])
-
-
-CLI_CORPUS = GOLDEN / "cli-corpus.txt"
-
-
-def cli_corpus_text() -> str:
-    """Every corpus call, run in the current directory: exit code, --json report, human lines.
-
-    Wall times and headroom under the budgets, the only fields that may
-    differ between runs, read 0.
-    """
-    for file, data in CORPUS_FILES.items():
-        write(Path(file), data)
-    blocks = []
-    for argv in CORPUS_CALLS:
-        outs = []
-        for mode in (["--json"], []):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([*mode, *argv])
-            assert err.getvalue() == "", err.getvalue()
-            outs.append((code, out.getvalue()))
-        (code, report), (human_code, human) = outs
-        assert code == human_code
-        blocks.append(f"$ {' '.join(argv)}\nexit {code}\n{report}--- human\n{human}")
-    text = re.sub(r'"(elapsed|headroom)_s": -?[0-9.]+', r'"\1_s": 0', "".join(blocks))
-    return re.sub(r"\([0-9.]+s\)$", "(0s)", text, flags=re.M)
-
-
-def test_cli_corpus_matches_golden_bytes(tmp_path, monkeypatch):
-    # rewrite with: cd "$(mktemp -d)" && PYTHONPATH=<repo>/src python <repo>/tests/test_cli.py
-    monkeypatch.chdir(tmp_path)
-    assert cli_corpus_text() == CLI_CORPUS.read_text()
+    assert outs == [cli_corpus.GOLDEN.read_text()] * 2
 
 
 def test_monoid_cli_verdicts(tmp_path, capsys):
@@ -679,13 +462,13 @@ def test_negative_monoid_bounds_exit_2(tmp_path, capsys, argv, err):
         (1, ["aup", "--xcap", str(2 ** 40)], f"{(2 ** 40 + 1) ** 2} (x, y) pairs"),
         (2, ["aup", "--xcap", "31"], "1048576 (x, y) pairs"),
         # a rank past 32 counts 64 factors, already far above the limit
-        (10 ** 9, ["aup", "--xcap", "1"], f"{2 ** 64} (x, y) pairs"),
+        (10 ** 6, ["aup", "--xcap", "1"], f"{2 ** 64} (x, y) pairs"),
         # n_max * (x_cap + 1)^rank classes of ny, each saturated once
         (1, ["aup", "--xcap", "1", "--nmax", "500001"], "1000002 (n, y) classes"),
         (1, ["aup", "--xcap", "0", "--nmax", str(2 ** 40)], f"{2 ** 40} (n, y) classes"),
         (2, ["aup", "--xcap", "9", "--nmax", "10001"], "1000100 (n, y) classes"),
         (2, ["canc", "--zcap", "100000", "--u", "1,0", "--v", "0,1"], "10000200001 z vectors"),
-        (10 ** 9, ["canc", "--zcap", "1", "--u", "1", "--v", "0"], f"{2 ** 64} z vectors"),
+        (10 ** 6, ["canc", "--zcap", "1", "--u", "1", "--v", "0"], f"{2 ** 64} z vectors"),
     ],
 )
 def test_monoid_search_above_the_limit_is_refused_unbuilt(tmp_path, capsys, monkeypatch, rank, argv, err):
@@ -699,6 +482,22 @@ def test_monoid_search_above_the_limit_is_refused_unbuilt(tmp_path, capsys, monk
     code, out, stderr = run(capsys, "monoid", argv[0], "--in", pres, *argv[1:])
     assert (code, out) == (2, "")
     assert stderr == f"error: {err} or more, above the limit of {monoid.MAX_SEARCH}\n"
+
+
+def test_presentation_rank_above_the_limit_is_refused(tmp_path, capsys):
+    # aup --xcap 0 on rank 10^9 exited 3 with MemoryError; rank 10^6 is the largest accepted
+    pres = write(tmp_path / "pres.json", {"rank": monoid.MAX_SEARCH + 1, "relations": []})
+    code, out, stderr = run(capsys, "monoid", "aup", "--in", pres, "--xcap", "0")
+    assert (code, out) == (2, "")
+    assert stderr == f"error: presentation: rank {monoid.MAX_SEARCH + 1} is above the limit of {monoid.MAX_SEARCH}\n"
+
+
+def test_truncated_json_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "window.json"
+    path.write_text('{"interval": {"lo": 0, "hi"')
+    code, out, stderr = run(capsys, "ball", "--in", str(path), "--center", "0", "--R", "1")
+    assert (code, out) == (2, "")
+    assert stderr.startswith(f"error: {path}: not valid JSON (") and stderr.count("\n") == 1
 
 
 def test_monoid_search_at_the_limit_runs(tmp_path, capsys):
@@ -1079,6 +878,12 @@ def test_unknown_subcommand_exits_2(capsys):
          "coarse-lab folner: error: argument --strategy: invalid choice: 'x' (choose from 'balls', 'intervals', 'greedy')"),
         (["castle"], "coarse-lab castle: error: the following arguments are required: castle_op"),
         (["ball", "--in", "w.json", "--center", "1", "--R", "x"], "coarse-lab ball: error: argument --R: invalid int value: 'x'"),
+        # there is no --seed; spaced, its value is read as the subcommand
+        (["--seed=1", "ball", "--in", "w.json", "--center", "1", "--R", "1"],
+         "coarse-lab: error: unrecognized arguments: --seed=1"),
+        (["--seed", "1", "ball", "--in", "w.json", "--center", "1", "--R", "1"],
+         "coarse-lab: error: argument subcommand: invalid choice: '1' (choose from 'boundary', 'ball', 'tile', "
+         "'verify-tiling', 'folner', 'paradox', 'homology-fill', 'castle', 'monoid', 'selftest')"),
     ],
 )
 def test_refused_command_line_prints_one_line(capsys, argv, err):
@@ -1099,7 +904,3 @@ def test_internal_error_exits_3(monkeypatch, capsys, zwindow):
     assert code == 3
     assert out == ""
     assert err == "internal error: AssertionError: replay failed\n"
-
-
-if __name__ == "__main__":  # writes the corpus inputs into the current directory
-    CLI_CORPUS.write_text(cli_corpus_text())

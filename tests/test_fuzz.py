@@ -1,7 +1,7 @@
 """Seeded fuzzing of the command line: no one-value change to a valid input crashes it.
 
-The inputs are the corpus of ``test_cli.all_subcommand_inputs`` (every
-subcommand and every castle and monoid operation, with its input files),
+The inputs are the corpus of ``cli_corpus`` (every subcommand and every
+castle and monoid operation, with its input files),
 plus the tiling strategies it leaves out, a ``--set`` point file, and one
 call per monoid operation with every bound it takes given, so each is
 changed too.
@@ -11,7 +11,8 @@ a string, a list or an object, or is deleted with its key; or one flag's
 value becomes another of its kind.  The call must then exit 0, 1 or 2,
 with a single stderr line on exit 2 and none otherwise.  Exit 3 is a crash.
 
-A longer run, with any seed and number of calls, from any directory:
+A longer run, with any seed and number of calls, from any directory; it
+needs the standard library only, not pytest:
 
     PYTHONPATH=src python tests/test_fuzz.py SEED CALLS
 """
@@ -30,13 +31,14 @@ import tempfile
 from pathlib import Path
 
 from coarse_lab import cli
-from test_cli import CORPUS_CALLS, CORPUS_FILES
+
+import cli_corpus
 
 SEED = 1301
 CALLS = 2000
 
 FILES = {
-    **CORPUS_FILES,
+    **cli_corpus.FILES,
     "box.json": {"moduli": [2, 4, 8, 16]},
     "stack.json": {"stack": {"base": {"vertices": ["p", "q"], "edges": [["p", "q"]]}, "K": 12, "halo_depth": 2}},
     "set.json": {"points": ["v", "v0", "v11"]},
@@ -44,7 +46,7 @@ FILES = {
 # every monoid bound given, so that each one is changed too
 BOUNDS = ["--depth", "12", "--cap", "20"]
 Z_BOUND = ["--zcap", "10"]
-CALLS_TO_CHANGE = CORPUS_CALLS + [
+CALLS_TO_CHANGE = cli_corpus.CALLS + [
     ["tile", "--strategy", "interval", "--R", "1", "--epsilon", "1/2", "--in", "line.json"],
     ["tile", "--strategy", "box", "--R", "1", "--epsilon", "1/3", "--in", "box.json"],
     ["tile", "--strategy", "stack", "--R", "1", "--epsilon", "1/2", "--in", "stack.json"],
@@ -139,7 +141,7 @@ def fuzz(seed: int, calls: int) -> list[str]:
     """Run the mutated calls in the current directory; the ones that broke the contract."""
     for name, data in FILES.items():
         Path(name).write_text(json.dumps(data))
-    for argv in CORPUS_CALLS:  # the files some calls read are written by earlier ones
+    for argv in cli_corpus.CALLS:  # the files some calls read are written by earlier ones
         if "--out" in argv:
             assert _call(argv)[0] == 0
     docs = {name: json.loads(Path(name).read_text()) for name in os.listdir(".")}

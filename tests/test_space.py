@@ -12,6 +12,7 @@ from coarse_lab.space import (
     IntegerSubsetSpace,
     MatrixSpace,
     StackedSpace,
+    TRIANGLE_CHECK_LIMIT,
     ball,
     box_window,
     build_graph_metric,
@@ -525,6 +526,18 @@ def test_matrix_space_rejects_asymmetry():
 def test_matrix_space_rejects_triangle_violation():
     with pytest.raises(ValueError):
         MatrixSpace(["a", "b", "c"], [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+
+
+def test_matrix_space_samples_the_triangle_check_above_its_limit():
+    # at n = 130 the check samples triples instead of trying all n^3
+    n = 130
+    assert n > TRIANGLE_CHECK_LIMIT
+    # a star: point 0 is 1 from every other point, two others are 3 apart, more than 2 via 0
+    star = [[0 if i == j else 1 if 0 in (i, j) else 3 for j in range(n)] for i in range(n)]
+    with pytest.raises(ValueError, match="triangle inequality fails"):
+        MatrixSpace(range(n), star)
+    path = MatrixSpace(range(n), [[abs(i - j) for j in range(n)] for i in range(n)])
+    assert path.dist(0, n - 1) == n - 1
 
 
 def test_matrix_space_rejects_zero_off_diagonal():
