@@ -337,15 +337,63 @@ def test_homology_fill_reports_stable_solve_stats(tmp_path, capsys, zwindow):
     assert stats["solves"] >= 1 and stats["nodes"] > 0 and stats["arcs"] > 0
 
 
-def test_cli_corpus_matches_golden_bytes(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """The corpus run once in a scratch directory, and the golden, each cut into blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path_factory.mktemp("corpus"))
+        got = cli_corpus.split("".join(cli_corpus.blocks()))
+    return got, cli_corpus.split(cli_corpus.GOLDEN.read_text())
+
+
+def test_cli_corpus_matches_golden_bytes(corpus):
     # block by block, so a failure names the call whose report moved;
     # rewrite the golden with cli_corpus.py run as a script
-    monkeypatch.chdir(tmp_path)
-    want = cli_corpus.split(cli_corpus.GOLDEN.read_text())
-    got = cli_corpus.split("".join(cli_corpus.blocks()))
+    got, want = corpus
     for g, w in zip(got, want):
         assert g == w, g.partition("\n")[0]
     assert len(got) == len(want)
+
+
+def corpus_block(corpus, argv):
+    # the golden block of one corpus call, and the block the run gave for it;
+    # the first piece of a split precedes the first call
+    got, want = corpus
+    i = cli_corpus.CALLS.index(argv) + 1
+    assert want[i].startswith(f"$ {' '.join(argv)}\n")
+    return got[i], want[i]
+
+
+def named_call(name):
+    # the one corpus call that reads <name>-window.json
+    (argv,) = [a for a in cli_corpus.CALLS if f"{name}-window.json" in a]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["homology-fill-dipole", "homology-fill-line-halo", "homology-fill-tree", "paradox-witness", "paradox-violator"],
+)
+def test_flow_reports_match_golden_bytes(corpus, name):
+    got, want = corpus_block(corpus, named_call(name))
+    assert got == want
+
+
+@pytest.mark.parametrize("name", ["folner-greedy-line", "folner-greedy-tree", "folner-greedy-stacked"])
+def test_folner_reports_match_golden_bytes(corpus, name):
+    got, want = corpus_block(corpus, named_call(name))
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "name", ["castle-validate", "castle-refine", "castle-compare", "castle-from-tiling", "castle-defect"]
+)
+def test_castle_reports_match_golden_bytes(corpus, name):
+    # the first call of each castle operation; from-tiling's first call has no
+    # --out, so the castle payload is part of its report
+    argv = next(a for a in cli_corpus.CALLS if a[:2] == ["castle", name.removeprefix("castle-")])
+    got, want = corpus_block(corpus, argv)
+    assert got == want
 
 
 def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
