@@ -267,11 +267,11 @@ def invariance_defect(c: Castle, window: WindowedSpace, R: int) -> Fraction:
     best = None
     orbits = c.orbits()
     # a valid castle's orbits are nonempty and repeat no atom, and every atom is a window point
-    for orbit, (bd, contaminated) in zip(orbits, window.boundaries(orbits, R)):
+    for orbit, (b, contaminated) in zip(orbits, window.boundary_counts(orbits, R)):
         if contaminated:
             continue
-        if best is None or len(bd) * best[1] > best[0] * len(orbit):
-            best = (len(bd), len(orbit))
+        if best is None or b * best[1] > best[0] * len(orbit):
+            best = (b, len(orbit))
     if best is None:
         raise ValueError("every orbit is halo-contaminated at this radius")
     return Fraction(*best)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import AbstractSet, Collection, Hashable, Iterable, Iterator, Sequence
+from itertools import repeat
+from typing import AbstractSet, Collection, Hashable, Iterable, Sequence
 
 Point = Hashable
 
@@ -27,8 +28,11 @@ class FiniteMetricSpace:
     """Base class: a finite point set with a total symmetric integer metric.
 
     Subclasses implement ``dist`` and may override the bulk operations
-    (``ball_of``, ``boundary_of``, ``diameter_of``) with structure-aware
-    versions; the generic fallbacks only rely on ``dist``.
+    (``ball_of``, ``boundary_of``, ``boundary_counts``, ``diameter_of``)
+    with structure-aware versions; the generic fallbacks only rely on
+    ``dist``.  ``boundary_counts`` gives |∂_R F| for each set of a batch; its
+    fallback is the size of ``boundary_of``, and integer subsets count a set
+    that is one run in closed form, building no set.
     """
 
     def __init__(self, points: Iterable[Point]):
@@ -73,6 +77,11 @@ class FiniteMetricSpace:
         for f in F:
             out |= self.ball_of(f, R)
         return out - F
+
+    def boundary_counts(self, sets: Iterable[Collection[Point]], R: int) -> list[int]:
+        """|∂_R F| for each F, a nonempty collection of distinct points."""
+        boundary_of = self.boundary_of
+        return [len(boundary_of(_as_set(F), R)) for F in sets]
 
     def diameter_of(self, F: set) -> int:
         pts = list(F)
@@ -213,6 +222,11 @@ class GraphSpace(FiniteMetricSpace):
         return max((self._eccentricity(f, F) for f in F), default=0)
 
 
+def _as_set(F: Collection[Point]) -> AbstractSet[Point]:
+    """F itself when it is a set or frozenset, else a set of its points."""
+    return F if isinstance(F, (set, frozenset)) else set(F)
+
+
 def _runs(values: list[int]) -> list[tuple[int, int]]:
     """Maximal runs of consecutive integers in a sorted nonempty list, as (first, last)."""
     runs = []
@@ -245,11 +259,14 @@ class IntegerLineSpace(FiniteMetricSpace):
     def boundary_of(self, F: set, R: int) -> set:
         if not F:
             return set()
+        a, b = min(F), max(F)
+        # a set that is one run [a, b] needs no sort, and its flanks miss F
+        runs = [(a, b)] if b - a + 1 == len(F) else _runs(sorted(F))
         out: set = set()
-        for a, b in _runs(sorted(F)):
+        for a, b in runs:
             out.update(range(max(self.lo, a - R), a))
             out.update(range(b + 1, min(self.hi, b + R) + 1))
-        return out - F
+        return out if len(runs) == 1 else out - F
 
     def diameter_of(self, F: set) -> int:
         return max(F) - min(F)
@@ -288,6 +305,19 @@ class IntegerSubsetSpace(FiniteMetricSpace):
             j = bisect_right(vals, f + R)
             out.update(vals[i:j])
         return out - F
+
+    def boundary_counts(self, sets: Iterable[Collection[int]], R: int) -> list[int]:
+        vals, index = self._sorted, self._index
+        counts = []
+        for F in sets:
+            a, b = min(F), max(F)
+            i, j = index[a], index[b]
+            if j - i + 1 == len(F):
+                # F is the run vals[i..j]: its boundary is the values within R outside it
+                counts.append(i - bisect_left(vals, a - R) + bisect_right(vals, b + R) - j - 1)
+            else:
+                counts.append(len(self.boundary_of(_as_set(F), R)))
+        return counts
 
     def diameter_of(self, F: set) -> int:
         return max(F) - min(F)
@@ -437,7 +467,10 @@ class WindowedSpace:
     The halo absorbs truncation artifacts; computations whose R-neighbourhood
     stays off the halo are faithful to the ambient space the window was cut
     from.  ``halo_depth`` is declared by the window's constructor; nothing
-    checks that every halo point lies within it of the core.
+    checks that every halo point lies within it of the core.  ``boundary``
+    gives one checked set's boundary and halo flag; ``boundary_counts``
+    gives a batch's boundary sizes and flags, and builds no boundary set
+    when the window has no halo.
     """
 
     space: FiniteMetricSpace
@@ -468,23 +501,26 @@ class WindowedSpace:
         bd = outer_boundary(self.space, F, R)
         return bd, not bd.isdisjoint(self.halo)
 
-    def boundaries(self, sets: Sequence[Collection[Point]], R: int) -> Iterator[tuple[set, bool]]:
-        """``boundary(F, R)`` for each F of a batch, from the bare space kernel.
+    def boundary_counts(self, sets: Sequence[Collection[Point]], R: int) -> Iterable[tuple[int, bool]]:
+        """(|∂_R F|, whether ∂_R F meets the halo) for each F of a batch.
 
-        Contract: every set is a nonempty set of window points, and the
-        caller has established this for the whole batch (a partition of the
-        core, one membership test over all the sets, or sets cut from the
-        core), so no set is looked up here.  R is checked once, before the
-        first boundary, so an empty batch raises nothing.  A set that is not
-        a set or frozenset is copied into one.  ``boundary`` stays the
+        Contract: every set is a nonempty collection of distinct window
+        points, and the caller has established this for the whole batch (a
+        partition of the core, one membership test over all the sets, or
+        sets cut from the core), so no set is looked up here.  R is checked
+        once, before the first boundary, so an empty batch raises nothing.
+        A window without a halo takes every count from the space's
+        ``boundary_counts`` and builds no boundary set; a window with one
+        builds each set to test it against the halo.  ``boundary`` stays the
         checked entry for a single set of unknown origin.
         """
         if sets and R < 0:
             raise ValueError("radius must be nonnegative")
+        if not self.halo:
+            return zip(self.space.boundary_counts(sets, R), repeat(False))
         boundary_of, halo = self.space.boundary_of, self.halo
-        for F in sets:
-            bd = boundary_of(F if isinstance(F, (set, frozenset)) else set(F), R)
-            yield bd, not bd.isdisjoint(halo)
+        bds = (boundary_of(_as_set(F), R) for F in sets)
+        return [(len(bd), not bd.isdisjoint(halo)) for bd in bds]
 
 
 # ---------------------------------------------------------------------------

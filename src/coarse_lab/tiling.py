@@ -114,8 +114,8 @@ def _tile_metas(window: WindowedSpace, tiles: list[frozenset], R: int, flag_from
     flag_from = len(tiles) if flag_from is None else flag_from
     diameter_of = window.space.diameter_of
     return [
-        TileMeta(Fraction(len(bd), len(tile)), diameter_of(tile), contaminated or i >= flag_from)
-        for i, (tile, (bd, contaminated)) in enumerate(zip(tiles, window.boundaries(tiles, R)))
+        TileMeta(Fraction(b, len(tile)), diameter_of(tile), contaminated or i >= flag_from)
+        for i, (tile, (b, contaminated)) in enumerate(zip(tiles, window.boundary_counts(tiles, R)))
     ]
 
 
@@ -339,10 +339,10 @@ def verify_tiling(t: Tiling) -> TilingReport:
     failures = []
     mismatches = []
     # the partition check made every tile a nonempty set of core points
-    for i, (tile, (bd, contaminated)) in enumerate(zip(t.tiles, window.boundaries(t.tiles, t.R))):
+    for i, (tile, (b, contaminated)) in enumerate(zip(t.tiles, window.boundary_counts(t.tiles, t.R))):
         declared = t.meta[i] if i < len(t.meta) else None
         contaminated = contaminated or bool(declared and declared.contaminated)
-        b, n = len(bd), len(tile)
+        n = len(tile)
         diam = window.space.diameter_of(tile)
         reports.append(TileReport(index=i, size=n, boundary=b, diameter=diam, contaminated=contaminated))
         if declared is not None and (

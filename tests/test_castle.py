@@ -207,6 +207,19 @@ def test_type_vector_zero():
     assert type_vector(c, dict.fromkeys(c.atoms(), 0)).masses == (0, 0, 0)
 
 
+def test_type_vectors_over_different_castles_do_not_compare():
+    c = two_tower_castle()
+    other = castle_of([(1, [("a0",)])])
+    with pytest.raises(ValueError, match="type vectors over different castles"):
+        type_vector(c, indicator({"a0"})) <= type_vector(other, indicator({"a0"}))
+
+
+def test_type_vector_of_a_negative_function_is_refused():
+    c = two_tower_castle()
+    with pytest.raises(ValueError, match="type vectors need nonnegative functions"):
+        type_vector(c, {"a0": 1, "a1": -2})
+
+
 # -- comparison ---------------------------------------------------------------
 
 

@@ -493,12 +493,21 @@ def test_bulk_operations_match_generic_fallbacks(name):
     rng = random.Random(name)
     pts = sorted(s.points, key=repr)
     sets = [set(rng.sample(pts, rng.randint(1, min(10, len(pts))))) for _ in range(20)]
+    # slices of the sorted points, the whole space among them: runs on the
+    # line and the subset, some touching lo/hi or the first/last value
+    ordered = sorted(s.points)
+    runs = [set(ordered)] + [set(ordered[i:i + k]) for i in range(len(ordered)) for k in (1, 3)]
     for F in sets:
         assert s.diameter_of(F) == generic.diameter_of(F), F
     for R in range(6):
         assert s.boundary_of(set(), R) == generic.boundary_of(set(), R) == set()
-        for F in sets:
-            assert s.boundary_of(F, R) == generic.boundary_of(F, R), (R, F)
+        bds = [generic.boundary_of(F, R) for F in sets + runs]
+        for F, bd in zip(sets + runs, bds):
+            assert s.boundary_of(F, R) == bd, (R, F)
+        # the counts take any collection of distinct points
+        counts = list(map(len, bds))
+        assert s.boundary_counts(sets + runs, R) == counts, R
+        assert s.boundary_counts([tuple(F) for F in sets + runs], R) == counts, R
         for p in pts:
             assert s.ball_of(p, R) == generic.ball_of(p, R), (R, p)
 

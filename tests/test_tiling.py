@@ -62,6 +62,19 @@ def test_interval_tiling_window_too_small():
     assert "window too small" in t.notes
 
 
+def test_interval_tiling_needs_an_integer_line_window():
+    with pytest.raises(ValueError, match="interval tiling needs an integer-line window"):
+        tile_interval(space.subset_window(range(10)), 1, Fraction(1, 2))
+
+
+def test_interval_tiling_needs_a_contiguous_core():
+    line = space.IntegerLineSpace(0, 9)
+    core = frozenset({0, 1, 2, 5})
+    window = space.WindowedSpace(line, core, frozenset(line.points) - core, 0)
+    with pytest.raises(ValueError, match="window core is not a contiguous integer interval"):
+        tile_interval(window, 1, Fraction(1, 2))
+
+
 def test_interval_tiles_partition_core():
     w = integer_window(-100, 100, 3)
     t = tile_interval(w, 2, Fraction(1, 4))
@@ -177,6 +190,11 @@ def test_stacked_height_mismatch_reports_requirement():
         tile_stacked_product(w, 1, Fraction(1, 2))
 
 
+def test_stacked_tiling_needs_a_stacked_window():
+    with pytest.raises(ValueError, match="stacked tiling needs a window built by stacked_product_window"):
+        tile_stacked_product(integer_window(0, 20, 1), 1, Fraction(1, 2))
+
+
 def test_stacked_tiling_verifies():
     X = build_graph_metric(["x", "y", "z"], [("x", "y"), ("y", "z")])
     w = stacked_product_window(X, 28, halo_depth=6)
@@ -246,6 +264,11 @@ def test_box_rejects_non_chain():
         tile_box_space([2, 3], 1, Fraction(1, 2))
 
 
+def test_box_rejects_empty_moduli():
+    with pytest.raises(ValueError, match="empty moduli sequence"):
+        tile_box_space([], 1, Fraction(1, 2))
+
+
 def test_box_rejects_hopeless_epsilon():
     with pytest.raises(ValueError, match="monotile"):
         tile_box_space([2, 4], 1, Fraction(1, 100))
@@ -311,6 +334,20 @@ def test_verifier_fails_ratio_at_epsilon():
     report = verify_tiling(t)
     assert not report.passed
     assert any("tile 1" in f for f in report.failures)
+
+
+def test_max_ratio_is_the_largest_clean_ratio():
+    w = integer_window(0, 9, 1)
+    rng = random.Random(17)
+    # declared ratios, as a loaded tiling may carry: negative, tied and contaminated ones among them
+    for _ in range(200):
+        meta = [
+            TileMeta(Fraction(rng.randint(-3, 6), rng.randint(1, 5)), 0, rng.random() < 0.3)
+            for _ in range(rng.randint(0, 8))
+        ]
+        t = Tiling(w, [], 1, Fraction(1, 2), meta, 0)
+        clean = [m.ratio for m in meta if not m.contaminated]
+        assert t.max_ratio() == (max(clean) if clean else 0)
 
 
 def test_verifier_reports_mismatched_meta():
@@ -394,7 +431,9 @@ def test_radius_is_checked_after_the_partition_and_only_for_a_nonempty_batch():
     t = _valid_line_tiling()
     with pytest.raises(PartitionError, match="tiles overlap"):
         verify_tiling(dataclasses.replace(t, tiles=t.tiles + [t.tiles[0]], R=-1))
-    assert list(t.window.boundaries([], -1)) == []
+    # a window with a halo and one without
+    assert list(t.window.boundary_counts([], -1)) == []
+    assert list(space.subset_window([1, 2, 5]).boundary_counts([], -1)) == []
     # no orbit at all: the defect's own refusal, as before the batch path
     with pytest.raises(ValueError, match="every orbit is halo-contaminated"):
         castle.invariance_defect(castle.Castle([]), t.window, -1)
@@ -409,11 +448,15 @@ BATCH_WINDOWS = {
 }
 
 
-def _random_tiles(rng, core, max_size):
+def _random_tiles(rng, core, max_size, shuffle=True):
     """A seeded partition of core into pieces of 1..max_size points, each a
-    frozenset, set, list or tuple."""
-    pts = sorted(core, key=repr)
-    rng.shuffle(pts)
+    frozenset, set, list or tuple; unshuffled, each piece is a slice of the
+    core sorted by value, so on the line and the subset each piece is a run."""
+    if shuffle:
+        pts = sorted(core, key=repr)
+        rng.shuffle(pts)
+    else:
+        pts = sorted(core)
     tiles = []
     while pts:
         k = rng.randint(1, max_size)
@@ -426,12 +469,16 @@ def _random_tiles(rng, core, max_size):
 def test_batch_boundaries_agree_with_boundary_set_by_set(name):
     window = BATCH_WINDOWS[name]()
     rng = random.Random(name)
+    # shuffled tiles are almost never runs, so slices of the sorted core,
+    # from a second generator, reach the closed-form counts as well
+    slices = random.Random(name + "/slices")
     contaminated = set()
     for R in range(4):
-        for _ in range(4):
-            tiles = _random_tiles(rng, window.core, 6)
+        batches = [_random_tiles(rng, window.core, 6) for _ in range(4)]
+        batches += [_random_tiles(slices, window.core, 6, shuffle=False) for _ in range(2)]
+        for tiles in batches:
             by_set = [window.boundary(F, R) for F in tiles]
-            assert list(window.boundaries(tiles, R)) == by_set
+            assert list(window.boundary_counts(tiles, R)) == [(len(bd), c) for bd, c in by_set]
             contaminated.update(c for _, c in by_set)
             # each pass on the batch path: verify, castle columns (tuple orbits), defect
             t = Tiling(window, [frozenset(F) for F in tiles], R, Fraction(1, 2), [], 0)
