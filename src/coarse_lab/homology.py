@@ -102,7 +102,7 @@ def apply_boundary(h: OneChain) -> ZeroChain:
 
 
 def _components(nbrs: list[list[int]]) -> list[list[int]]:
-    """Components of the graph joining each point rank to its P-ball ranks."""
+    """Components of the graph joining each point rank to the ranks within P of it."""
     seen = [False] * len(nbrs)
     components = []
     for start in range(len(nbrs)):
@@ -119,13 +119,16 @@ def _components(nbrs: list[list[int]]) -> list[list[int]]:
     return components
 
 
-def _build_network(window: WindowedSpace, points: list, rank: dict, rel: list, nbrs: list, coeffs: dict):
+def _build_network(window: WindowedSpace, points: list, rank: dict, rel: list, pairs: list, coeffs: dict):
     """Transshipment feasibility network at sup-norm bound 1.
 
     Node k is the relevant point ``points[rel[k]]``; then come s, t and,
     only when some arc uses it, the halo exit w.  Each point pair and each
-    halo exit {w, h} is one undirected edge; a pair is added from its
-    lower-ranked end, so each node keeps its pair edges in ``repr`` order.
+    halo exit {w, h} is one undirected edge.  The pair edges come from the
+    rank-sorted pair list ``pairs`` of (r, q) with r < q, each added from
+    its lower-ranked end r, so each node keeps its pair edges in ``repr``
+    order.  A pair whose r is relevant has a relevant q too: both lie in
+    one component.
     """
     n = len(rel)
     s, t, w = n, n + 1, n + 2
@@ -135,10 +138,9 @@ def _build_network(window: WindowedSpace, points: list, rank: dict, rel: list, n
     labels = [points[r] for r in rel] + ["s", "t"] + (["w"] if total or halo else [])
     net = FlowNetwork(labels)
     pair_arcs = []
-    for k, r in enumerate(rel):
-        for q in nbrs[r]:
-            if q > r:
-                pair_arcs.append(net.add_edge(k, node[q], 1, 1))
+    for r, q in pairs:
+        if r in node:
+            pair_arcs.append(net.add_edge(node[r], node[q], 1, 1))
     demand = 0
     # the chain lives on the core, and every point of its support is relevant
     for k in sorted(node[rank[p]] for p in coeffs):
@@ -195,7 +197,16 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
     space = window.space
     points = sorted(space.points, key=repr)
     rank = {p: i for i, p in enumerate(points)}
-    nbrs = [sorted(map(rank.__getitem__, space.ball_of(p, P))) for p in points]
+    # each pair as (lower rank, higher rank), in one sort: the order in
+    # which the network adds its pair edges
+    pairs = sorted(
+        (a, b) if a < b else (b, a)
+        for a, b in ((rank[x], rank[y]) for x, y in space.pairs_within(P))
+    )
+    nbrs: list[list[int]] = [[] for _ in points]
+    for a, b in pairs:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
     support = c.coeffs.keys()
     rel: list[int] = []
     for comp in _components(nbrs):
@@ -214,7 +225,7 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
     # the bound ``mass`` every pair edge carries the whole demand
     norm = 1
     mass = sum(map(abs, c.coeffs.values()))
-    net, pair_arcs, demand = _build_network(window, points, rank, rel, nbrs, c.coeffs)
+    net, pair_arcs, demand = _build_network(window, points, rank, rel, pairs, c.coeffs)
     s, t = len(rel), len(rel) + 1
     to, cap, labels = net.to, net.cap, net.labels
     flow = net.max_flow(s, t)

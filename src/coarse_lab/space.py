@@ -28,11 +28,14 @@ class FiniteMetricSpace:
     """Base class: a finite point set with a total symmetric integer metric.
 
     Subclasses implement ``dist`` and may override the bulk operations
-    (``ball_of``, ``boundary_of``, ``boundary_counts``, ``diameter_of``)
-    with structure-aware versions; the generic fallbacks only rely on
-    ``dist``.  ``boundary_counts`` gives |∂_R F| for each set of a batch; its
-    fallback is the size of ``boundary_of``, and integer subsets count a set
-    that is one run in closed form, building no set.
+    (``ball_of``, ``boundary_of``, ``boundary_counts``, ``diameter_of``,
+    ``pairs_within``) with structure-aware versions; the generic fallbacks
+    only rely on ``dist``.  ``boundary_counts`` gives |∂_R F| for each set of
+    a batch; its fallback is the size of ``boundary_of``, and integer subsets
+    count a set that is one run in closed form, building no set.
+    ``pairs_within`` lists the pairs of distinct points within a distance;
+    its fallback reads one ball per point, graphs read their edges at
+    distance 1 and the integer line writes its pairs in closed form.
     """
 
     def __init__(self, points: Iterable[Point]):
@@ -82,6 +85,16 @@ class FiniteMetricSpace:
         """|∂_R F| for each F, a nonempty collection of distinct points."""
         boundary_of = self.boundary_of
         return [len(boundary_of(_as_set(F), R)) for F in sets]
+
+    def pairs_within(self, P: int) -> list[tuple[Point, Point]]:
+        """Every unordered pair of distinct points at distance <= P, each once."""
+        index = self._index
+        return [
+            (p, q)
+            for i, p in enumerate(self.points)
+            for q in self.ball_of(p, P)
+            if index[q] > i
+        ]
 
     def diameter_of(self, F: set) -> int:
         pts = list(F)
@@ -218,6 +231,13 @@ class GraphSpace(FiniteMetricSpace):
             out.update(frontier)
         return out
 
+    def pairs_within(self, P: int) -> list[tuple[Point, Point]]:
+        if P != 1:
+            return super().pairs_within(P)
+        # the pairs at distance 1 are the edges: each is read from its lower-indexed end
+        index, adj = self._index, self._adj
+        return [(p, q) for i, p in enumerate(self.points) for q in adj[p] if index[q] > i]
+
     def diameter_of(self, F: set) -> int:
         return max((self._eccentricity(f, F) for f in F), default=0)
 
@@ -267,6 +287,10 @@ class IntegerLineSpace(FiniteMetricSpace):
             out.update(range(max(self.lo, a - R), a))
             out.update(range(b + 1, min(self.hi, b + R) + 1))
         return out if len(runs) == 1 else out - F
+
+    def pairs_within(self, P: int) -> list[tuple[int, int]]:
+        lo, hi = self.lo, self.hi
+        return [(x, x + d) for d in range(1, P + 1) for x in range(lo, hi - d + 1)]
 
     def diameter_of(self, F: set) -> int:
         return max(F) - min(F)

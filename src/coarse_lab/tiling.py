@@ -129,7 +129,8 @@ def tile_interval(window: WindowedSpace, R: int, epsilon: Fraction) -> Tiling:
     if not isinstance(window.space, IntegerLineSpace):
         raise ValueError("interval tiling needs an integer-line window")
     core = sorted(window.core)
-    if any(b != a + 1 for a, b in zip(core, core[1:])):
+    # distinct integers are contiguous exactly when they span len(core) values
+    if core and core[-1] - core[0] + 1 != len(core):
         raise ValueError("window core is not a contiguous integer interval")
     N = block_length(R, epsilon)
     notes = []

@@ -11,7 +11,14 @@ from coarse_lab.homology import (
     min_norm_fill,
 )
 from coarse_lab.oracles import min_fill_norm_by_scan
-from coarse_lab.space import integer_window, regular_tree_window
+from coarse_lab.space import (
+    GraphSpace,
+    IntegerLineSpace,
+    WindowedSpace,
+    build_graph_metric,
+    integer_window,
+    regular_tree_window,
+)
 
 
 # -- boundary operator -------------------------------------------------------
@@ -171,11 +178,88 @@ def test_fill_is_deterministic():
         assert first == second
 
 
+# Fills on windows whose repr order of points differs from their numeric or
+# tree order.  The network adds its pair edges in repr-rank order, and that
+# order decides which optimal flow max flow finds, so these literals pin it.
+# The symmetric all-ones chains and the dipole have the same fill under any
+# pair order tried; each window's mixed-sign chain changes its fill when the
+# pairs are reversed or shuffled, and on the line when sorted by value.
+
+
+def fill_record(res):
+    return res.norm, res.chain.coeffs, res.solves, res.nodes, res.arcs
+
+
+def test_fill_pins_a_dipole_on_a_path_across_a_digit_boundary():
+    # "1000" < "1010" < "990" in repr order
+    labels = list(range(990, 1011))
+    g = build_graph_metric(labels, list(zip(labels, labels[1:])))
+    w = WindowedSpace(g, frozenset(labels), frozenset(), 0)
+    res = min_norm_fill(w, ZeroChain({990: 1, 1010: -1}), 1)
+    path = {(x + 1, x): 1 for x in range(990, 1010)}
+    assert fill_record(res) == (1, path, 1, 23, 22)
+
+
+def test_fill_pins_line_chains_across_a_digit_boundary():
+    w = integer_window(95, 104, 2)
+    res = min_norm_fill(w, ZeroChain({p: 1 for p in w.core}), 2)
+    assert fill_record(res) == (
+        2,
+        {
+            (102, 100): 1, (103, 101): 1, (104, 102): 2, (105, 103): 2,
+            (105, 104): 2, (106, 104): 1, (93, 95): 2, (94, 95): 1,
+            (94, 96): 2, (95, 97): 2, (96, 98): 1, (97, 99): 1,
+        },
+        2, 17, 40,
+    )
+    res = min_norm_fill(w, ZeroChain({95: -2, 96: -3, 99: 1, 101: 1}), 2)
+    assert fill_record(res) == (
+        1,
+        {
+            (100, 101): 1, (98, 100): 1, (95, 93): 1, (95, 94): 1,
+            (96, 94): 1, (96, 97): 1, (96, 98): 1, (97, 99): 1,
+        },
+        1, 17, 34,
+    )
+
+
+def test_fill_pins_tree_chains_at_propagation_two():
+    # P = 2 on a graph reads one ball per point, not the edge list
+    w = regular_tree_window(3, 3, 2)
+    res = min_norm_fill(w, ZeroChain({p: 1 for p in w.core}), 2)
+    pairs = [
+        ("v00", "v"), ("v000", "v0"), ("v0000", "v00"), ("v0001", "v00"),
+        ("v0000", "v000"), ("v00000", "v000"), ("v0010", "v001"),
+        ("v0100", "v01"), ("v0100", "v010"), ("v0110", "v011"),
+        ("v100", "v1"), ("v1000", "v10"), ("v1000", "v100"),
+        ("v10000", "v100"), ("v1010", "v101"), ("v1100", "v11"),
+        ("v1100", "v110"), ("v1110", "v111"), ("v200", "v2"),
+        ("v2000", "v20"), ("v2000", "v200"), ("v20000", "v200"),
+        ("v2010", "v201"), ("v2100", "v21"), ("v2100", "v210"),
+        ("v2110", "v211"),
+    ]
+    assert fill_record(res) == (1, dict.fromkeys(pairs, 1), 1, 97, 326)
+    res = min_norm_fill(w, ZeroChain({"v1": 1, "v211": -1, "v20": 2}), 2)
+    pairs = [("v2", "v1"), ("v211", "v2"), ("v2000", "v20"), ("v2001", "v20")]
+    assert fill_record(res) == (1, dict.fromkeys(pairs, 1), 1, 97, 307)
+
+
+def test_fill_reads_no_ball_on_a_line_or_at_propagation_one_on_a_graph(monkeypatch):
+    # the pairs come from the line's closed form and the graph's edge lists
+    def no_ball(self, center, R):
+        raise AssertionError("ball_of called")
+
+    monkeypatch.setattr(IntegerLineSpace, "ball_of", no_ball)
+    monkeypatch.setattr(GraphSpace, "ball_of", no_ball)
+    w = integer_window(0, 20, 2)
+    assert min_norm_fill(w, ZeroChain({p: 1 for p in w.core}), 2).norm == 4
+    t = regular_tree_window(3, 3, 1)
+    assert min_norm_fill(t, ZeroChain({"v": 2, "v0": -1}), 1).norm == 1
+
+
 def test_fill_infeasible_component():
     # two components: core points {0..4} have no halo contact in a window
     # whose halo sits across a gap wider than P
-    from coarse_lab.space import GraphSpace, WindowedSpace
-
     space = GraphSpace(
         ["a", "b", "c", "x", "y"],
         [("a", "b"), ("b", "c"), ("x", "y")],

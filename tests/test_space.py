@@ -454,7 +454,7 @@ def test_box_space_boundary_matches_brute():
 
 def with_fallbacks(cls):
     """cls with the distance-only bulk operations of the base class."""
-    fallbacks = ("ball_of", "boundary_of", "diameter_of")
+    fallbacks = ("ball_of", "boundary_of", "diameter_of", "pairs_within")
     return type(f"Generic{cls.__name__}", (cls,), {f: getattr(FiniteMetricSpace, f) for f in fallbacks})
 
 
@@ -510,6 +510,13 @@ def test_bulk_operations_match_generic_fallbacks(name):
         assert s.boundary_counts([tuple(F) for F in sets + runs], R) == counts, R
         for p in pts:
             assert s.ball_of(p, R) == generic.ball_of(p, R), (R, p)
+    # one radius at or past the forest's sentinel distance, 10, joins every pair
+    for P in (*range(6), 10):
+        pairs = list(map(frozenset, s.pairs_within(P)))
+        brute = {frozenset((p, q)) for p in pts for q in pts if p != q and s.dist(p, q) <= P}
+        assert set(pairs) == brute, P
+        assert len(pairs) == len(brute), P
+        assert set(map(frozenset, generic.pairs_within(P))) == brute, P
 
 
 def test_box_window_has_no_halo():
