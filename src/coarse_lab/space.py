@@ -34,8 +34,8 @@ class FiniteMetricSpace:
     a batch; its fallback is the size of ``boundary_of``, and integer subsets
     count a set that is one run in closed form, building no set.
     ``pairs_within`` lists the pairs of distinct points within a distance;
-    its fallback reads one ball per point, graphs read their edges at
-    distance 1 and the integer line writes its pairs in closed form.
+    its fallback reads one ball per point, and graphs read their edges at
+    distance 1.
     """
 
     def __init__(self, points: Iterable[Point]):
@@ -287,10 +287,6 @@ class IntegerLineSpace(FiniteMetricSpace):
             out.update(range(max(self.lo, a - R), a))
             out.update(range(b + 1, min(self.hi, b + R) + 1))
         return out if len(runs) == 1 else out - F
-
-    def pairs_within(self, P: int) -> list[tuple[int, int]]:
-        lo, hi = self.lo, self.hi
-        return [(x, x + d) for d in range(1, P + 1) for x in range(lo, hi - d + 1)]
 
     def diameter_of(self, F: set) -> int:
         return max(F) - min(F)

@@ -42,6 +42,9 @@ FILES = {
     "box.json": {"moduli": [2, 4, 8, 16]},
     "stack.json": {"stack": {"base": {"vertices": ["p", "q"], "edges": [["p", "q"]]}, "K": 12, "halo_depth": 2}},
     "set.json": {"points": ["v", "v0", "v11"]},
+    # a line without a halo, where nothing bounds --P
+    "line-bare.json": {"interval": {"lo": 0, "hi": 3, "halo_depth": 0}},
+    "line-bare-chain.json": {"coeffs": {"0": 1, "1": -2, "3": 1}},
 }
 # every monoid bound given, so that each one is changed too
 BOUNDS = ["--depth", "12", "--cap", "20"]
@@ -52,6 +55,7 @@ CALLS_TO_CHANGE = cli_corpus.CALLS + [
     ["tile", "--strategy", "stack", "--R", "1", "--epsilon", "1/2", "--in", "stack.json"],
     ["boundary", "--in", "tree.json", "--set", "set.json", "--R", "1"],
     ["paradox", "--in", "tree.json", "--set", "set.json", "--R", "1"],
+    ["homology-fill", "--in", "line-bare.json", "--chain", "line-bare-chain.json", "--P", "2"],
     ["monoid", "equal", "--in", "num23.json", "--u", "6,0", "--v", "0,4", *BOUNDS],
     ["monoid", "leq", "--in", "num23.json", "--u", "1,0", "--v", "0,2", *BOUNDS, *Z_BOUND],
     ["monoid", "aup", "--in", "num23.json", "--xcap", "3", "--nmax", "2", *BOUNDS, *Z_BOUND],

@@ -13,7 +13,6 @@ from coarse_lab.homology import (
 from coarse_lab.oracles import min_fill_norm_by_scan
 from coarse_lab.space import (
     GraphSpace,
-    IntegerLineSpace,
     WindowedSpace,
     build_graph_metric,
     integer_window,
@@ -244,17 +243,22 @@ def test_fill_pins_tree_chains_at_propagation_two():
     assert fill_record(res) == (1, dict.fromkeys(pairs, 1), 1, 97, 307)
 
 
-def test_fill_reads_no_ball_on_a_line_or_at_propagation_one_on_a_graph(monkeypatch):
-    # the pairs come from the line's closed form and the graph's edge lists
+def test_fill_reads_no_ball_at_propagation_one_on_a_graph(monkeypatch):
+    # at P = 1 the pairs come from the graph's edge lists
     def no_ball(self, center, R):
         raise AssertionError("ball_of called")
 
-    monkeypatch.setattr(IntegerLineSpace, "ball_of", no_ball)
     monkeypatch.setattr(GraphSpace, "ball_of", no_ball)
-    w = integer_window(0, 20, 2)
-    assert min_norm_fill(w, ZeroChain({p: 1 for p in w.core}), 2).norm == 4
     t = regular_tree_window(3, 3, 1)
     assert min_norm_fill(t, ZeroChain({"v": 2, "v0": -1}), 1).norm == 1
+
+
+def test_fill_with_propagation_beyond_a_halo_free_line_is_bounded():
+    # nothing bounds P on a window without a halo; past the line's width
+    # it adds no pair, and the fill must not walk the radii
+    w = integer_window(0, 3, 0)
+    c = ZeroChain({0: 1, 1: -2, 3: 1})
+    assert fill_record(min_norm_fill(w, c, 2 ** 40)) == fill_record(min_norm_fill(w, c, 3))
 
 
 def test_fill_infeasible_component():
