@@ -225,13 +225,11 @@ def doubling_check(window: WindowedSpace, F: Iterable, R: int) -> ParadoxWitness
     right = {y: i for i, y in enumerate(ys, 2 + len(xs))}
     net = FlowNetwork(["s", "t"] + [("L", x) for x in xs] + [("R", y) for y in ys])
     big = 2 * len(Fs) + 1
+    net.add_edges(((0, i) for i in range(2, 2 + len(xs))), 2)
+    arcs = iter(net.add_edges(((i, right[y]) for i, b in enumerate(balls, 2) for y in b), big))
+    net.add_edges(((right[y], 1) for y in ys), 1)
     # per x, its (y, arc) pairs in ascending order of y
-    target_arcs: dict = {}
-    for i, (x, b) in enumerate(zip(xs, balls), 2):
-        net.add_edge(0, i, 2)
-        target_arcs[x] = [(y, net.add_edge(i, right[y], big)) for y in b]
-    for y in ys:
-        net.add_edge(right[y], 1, 1)
+    target_arcs = {x: [(y, next(arcs)) for y in b] for x, b in zip(xs, balls)}
 
     value = net.max_flow(0, 1)
     if value == 2 * len(Fs):

@@ -5,7 +5,9 @@ node i stands for ``labels[i]``, and the labels are kept only for reports.
 Each edge is one arc pair e, e ^ 1 joining two indices, with a capacity
 each way: ``back`` 0 for a directed arc, the same capacity both ways for
 an undirected edge, whose residual ``cap[e]`` is then that capacity minus
-its net flow.  All capacities are nonnegative integers, so every maximum
+its net flow.  ``add_edge`` adds one edge; ``add_edges`` adds a list of
+edges of one capacity in a single call, exactly as successive ``add_edge``
+calls would.  All capacities are nonnegative integers, so every maximum
 flow found here is integral.  This backs both the doubling matchings and
 the transshipment feasibility solves.
 
@@ -46,6 +48,20 @@ class FlowNetwork:
         self.adj[u].append(e)
         self.adj[v].append(e + 1)
         return e
+
+    def add_edges(self, pairs: Iterable[tuple[int, int]], capacity: int, back: int = 0) -> range:
+        """``add_edge(u, v, capacity, back)`` for each (u, v) in order; returns the u -> v arcs."""
+        if capacity < 0 or back < 0:
+            raise ValueError("capacity must be nonnegative")
+        adj, to = self.adj, self.to
+        first = e = len(to)
+        for u, v in pairs:
+            to += (v, u)
+            adj[u].append(e)
+            adj[v].append(e + 1)
+            e += 2
+        self.cap += (capacity, back) * ((e - first) // 2)
+        return range(first, e, 2)
 
     def flow_on(self, e: int) -> int:
         """Flow on arc e of a pair added with ``back`` 0."""

@@ -82,7 +82,8 @@ class FillResult:
     """A minimum sup-norm filler, with counters of the solve that found it.
 
     ``solves`` is the number of max-flow calls; ``nodes`` and ``arcs`` count the
-    nodes and arc pairs (one per point pair or halo exit) of the network they shared.
+    nodes and arc pairs (one per point pair or halo exit) of the network they shared,
+    leaving out the components of the distance-P graph that the chain does not meet.
     """
 
     chain: OneChain
@@ -101,66 +102,6 @@ def apply_boundary(h: OneChain) -> ZeroChain:
     return ZeroChain(out)
 
 
-def _components(nbrs: list[list[int]]) -> list[list[int]]:
-    """Components of the graph joining each point rank to the ranks within P of it."""
-    seen = [False] * len(nbrs)
-    components = []
-    for start in range(len(nbrs)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        for p in comp:  # breadth first: comp grows while it is read
-            for q in nbrs[p]:
-                if not seen[q]:
-                    seen[q] = True
-                    comp.append(q)
-        components.append(comp)
-    return components
-
-
-def _build_network(window: WindowedSpace, points: list, rank: dict, rel: list, pairs: list, coeffs: dict):
-    """Transshipment feasibility network at sup-norm bound 1.
-
-    Node k is the relevant point ``points[rel[k]]``; then come s, t and,
-    only when some arc uses it, the halo exit w.  Each point pair and each
-    halo exit {w, h} is one undirected edge.  The pair edges come from the
-    rank-sorted pair list ``pairs`` of (r, q) with r < q, each added from
-    its lower-ranked end r, so each node keeps its pair edges in ``repr``
-    order.  A pair whose r is relevant has a relevant q too: both lie in
-    one component.
-    """
-    n = len(rel)
-    s, t, w = n, n + 1, n + 2
-    node = dict(zip(rel, range(n)))
-    total = sum(coeffs.values())
-    halo = [k for k, r in enumerate(rel) if points[r] in window.halo]
-    labels = [points[r] for r in rel] + ["s", "t"] + (["w"] if total or halo else [])
-    net = FlowNetwork(labels)
-    pair_arcs = []
-    for r, q in pairs:
-        if r in node:
-            pair_arcs.append(net.add_edge(node[r], node[q], 1, 1))
-    demand = 0
-    # the chain lives on the core, and every point of its support is relevant
-    for k in sorted(node[rank[p]] for p in coeffs):
-        c = coeffs[labels[k]]
-        if c > 0:
-            net.add_edge(k, t, c)
-            demand += c
-        else:
-            net.add_edge(s, k, -c)
-    big = sum(abs(v) for v in coeffs.values()) + 1
-    if total > 0:
-        net.add_edge(s, w, total)
-    elif total < 0:
-        net.add_edge(w, t, -total)
-        demand += -total
-    for h in halo:
-        net.add_edge(w, h, big, big)
-    return net, pair_arcs, demand
-
-
 def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
     """Fill c by a one chain of propagation P with the least possible sup norm.
 
@@ -170,17 +111,20 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
     the distance-P graph lies entirely in the core yet carries nonzero
     total mass.
 
-    Otherwise one transshipment network is built, with every point pair an
-    undirected edge at bound 1, and solved by max flow.  While the flow falls
-    short of the demand, the min cut of the residual network, crossed by k
-    pair edges and with ``fixed`` capacity on its other arcs, shows that
-    every feasible bound b has fixed + k*b >= demand.  So the bound is raised
-    to ceil((demand - fixed) / k) in both directions of every pair edge,
-    which keeps its net flow, and the same residual network is solved again
-    from its current flow.  Each bound tried is a lower bound on the
-    optimum, so the first feasible one is the exact optimum, and max-flow
-    integrality gives an integer filler.  The filler holds each pair's net
-    flow: at most one of h(x,y), h(y,x) is nonzero.
+    One transshipment network is built over all points, with every point
+    pair an undirected edge at bound 1, and the components are read off its
+    pair edges.  Only the components that the chain meets get arcs from the
+    source, to the sink or to the halo exit, so max flow never enters the
+    others.  While the flow falls short of the demand, the min cut of the
+    residual network, crossed by k pair edges and with ``fixed`` capacity on
+    its other arcs, shows that every feasible bound b has fixed + k*b >=
+    demand.  So the bound is raised to ceil((demand - fixed) / k) in both
+    directions of every pair edge, which keeps its net flow, and the same
+    residual network is solved again from its current flow.  Each bound
+    tried is a lower bound on the optimum, so the first feasible one is the
+    exact optimum, and max-flow integrality gives an integer filler.  The
+    filler holds each pair's net flow: at most one of h(x,y), h(y,x) is
+    nonzero.
     """
     if P < 1:
         raise ValueError("propagation must be a positive integer")
@@ -203,31 +147,65 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
         (a, b) if a < b else (b, a)
         for a, b in ((rank[x], rank[y]) for x, y in space.pairs_within(P))
     )
-    nbrs: list[list[int]] = [[] for _ in points]
-    for a, b in pairs:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
+    n = len(points)
+    s, t, w = n, n + 1, n + 2
+    net = FlowNetwork(points + ["s", "t", "w"])
+    pair_arcs = net.add_edges(pairs, 1, 1)
+    adj, to, cap = net.adj, net.to, net.cap
+
+    # components, by breadth-first search over the pair edges, which are all
+    # the network holds so far; each point meets its neighbours in rank order
     support = c.coeffs.keys()
-    rel: list[int] = []
-    for comp in _components(nbrs):
+    seen = [False] * n
+    exits: list[int] = []
+    nodes = idle = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        for p in comp:  # comp grows while it is read
+            for e in adj[p]:
+                q = to[e]
+                if not seen[q]:
+                    seen[q] = True
+                    comp.append(q)
         members = [points[i] for i in comp]
         charged = support & members
         if not charged:
+            # no arc from s, t or w reaches it, so it carries no flow
+            idle += sum(len(adj[p]) for p in comp) // 2
             continue
-        if window.halo.isdisjoint(members):
+        touch = [i for i in comp if points[i] in window.halo]
+        if not touch:
             total = sum(c.coeffs[p] for p in charged)
             if total != 0:
                 raise InfeasibleFill([points[i] for i in sorted(comp)], total)
-        rel += comp
-    rel.sort()
+        exits += touch
+        nodes += len(comp)
 
+    demand = 0
+    # s and t meet the chain's points in rank order
+    for k in sorted(rank[p] for p in support):
+        v = c.coeffs[points[k]]
+        if v > 0:
+            net.add_edge(k, t, v)
+            demand += v
+        else:
+            net.add_edge(s, k, -v)
     # a nonzero chain needs some nonzero pair, so 1 is a lower bound; at
     # the bound ``mass`` every pair edge carries the whole demand
     norm = 1
     mass = sum(map(abs, c.coeffs.values()))
-    net, pair_arcs, demand = _build_network(window, points, rank, rel, pairs, c.coeffs)
-    s, t = len(rel), len(rel) + 1
-    to, cap, labels = net.to, net.cap, net.labels
+    total = sum(c.coeffs.values())
+    if total > 0:
+        net.add_edge(s, w, total)
+    elif total < 0:
+        net.add_edge(w, t, -total)
+        demand -= total
+    for h in sorted(exits):
+        net.add_edge(w, h, mass + 1, mass + 1)
+    nodes += 3 if total or exits else 2
     flow = net.max_flow(s, t)
     solves = 1
     while flow < demand:
@@ -251,11 +229,11 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
     for e in pair_arcs:
         f = norm - cap[e]
         if f > 0:
-            coeffs[(labels[to[e ^ 1]], labels[to[e]])] = f
+            coeffs[(points[to[e ^ 1]], points[to[e]])] = f
         elif f < 0:
-            coeffs[(labels[to[e]], labels[to[e ^ 1]])] = -f
+            coeffs[(points[to[e]], points[to[e ^ 1]])] = -f
     chain = OneChain(coeffs, P)
     assert chain.sup_norm() <= norm
     got = apply_boundary(chain).restricted_to(window.core)
     assert got == c.restricted_to(window.core), "fill does not bound the chain"
-    return FillResult(chain, norm, solves, len(net.labels), len(net.to) // 2)
+    return FillResult(chain, norm, solves, nodes, len(to) // 2 - idle)

@@ -395,15 +395,14 @@ class StackedSpace(FiniteMetricSpace):
         return out - F
 
     def diameter_of(self, F: set) -> int:
-        cols: dict[Point, tuple[int, int]] = {}
+        cols: dict[Point, list[int]] = {}
         for x, n in F:
-            lo, hi = cols.get(x, (n, n))
-            cols[x] = (min(lo, n), max(hi, n))
+            cols.setdefault(x, []).append(n)
         best = 0
-        items = list(cols.items())
-        for i, (x, (lo_x, hi_x)) in enumerate(items):
+        items = [(x, min(levels), max(levels)) for x, levels in cols.items()]
+        for i, (x, lo_x, hi_x) in enumerate(items):
             best = max(best, hi_x - lo_x)
-            for y, (lo_y, hi_y) in items[i + 1:]:
+            for y, _, hi_y in items[i + 1:]:
                 best = max(best, hi_x + hi_y + self.base.dist(x, y))
         return best
 

@@ -99,6 +99,29 @@ def test_add_edge_rejects_negative_capacity():
     assert net.to == [] and net.cap == []
 
 
+def test_add_edges_matches_successive_add_edge():
+    for seed in range(20):
+        rng = random.Random(seed)
+        n, edges = random_edges(rng)
+        pairs = [(u, v) for u, v, _ in edges]
+        capacity, back = rng.randint(0, 5), rng.choice([0, 3])
+        one, bulk = FlowNetwork(range(n)), FlowNetwork(range(n))
+        one.add_edge(0, n - 1, 7)
+        bulk.add_edge(0, n - 1, 7)
+        arcs = [one.add_edge(u, v, capacity, back) for u, v in pairs]
+        got = bulk.add_edges(iter(pairs), capacity, back)
+        assert isinstance(got, range) and list(got) == arcs
+        assert (bulk.to, bulk.cap, bulk.adj) == (one.to, one.cap, one.adj), seed
+
+
+def test_add_edges_rejects_negative_capacity():
+    net = FlowNetwork(["s", "t"])
+    for capacity, back in [(-1, 0), (1, -1)]:
+        with pytest.raises(ValueError, match="nonnegative"):
+            net.add_edges([(0, 1)], capacity, back)
+    assert net.to == [] and net.cap == [] and net.adj == [[], []]
+
+
 def test_source_side_is_a_min_cut():
     for seed in range(50):
         rng = random.Random(seed)

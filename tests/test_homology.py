@@ -243,6 +243,30 @@ def test_fill_pins_tree_chains_at_propagation_two():
     assert fill_record(res) == (1, dict.fromkeys(pairs, 1), 1, 97, 307)
 
 
+def test_fill_leaves_out_an_uncharged_component():
+    # repr order interleaves the components: the chain sits on the cycle
+    # a-c-e-g, and the path b-d-f carries nothing, so the node and arc
+    # counts leave it out
+    g = GraphSpace(list("abcdefg"), [("a", "c"), ("c", "e"), ("e", "g"), ("a", "g"), ("b", "d"), ("d", "f")])
+    w = WindowedSpace(g, frozenset(g.points), frozenset(), 0)
+    c = ZeroChain({"a": 3, "e": -3})
+    assert fill_record(min_norm_fill(w, c, 1)) == (
+        2, {("c", "a"): 2, ("g", "a"): 1, ("e", "c"): 2, ("e", "g"): 1}, 2, 6, 6,
+    )
+    assert fill_record(min_norm_fill(w, c, 2)) == (
+        1, {("c", "a"): 1, ("e", "a"): 1, ("g", "a"): 1, ("e", "c"): 1, ("e", "g"): 1}, 1, 6, 8,
+    )
+
+
+def test_fill_opens_no_exit_from_an_uncharged_component():
+    # halo point h touches the charged path a-c-e, and halo point i the
+    # uncharged path b-d-f; only h gets an exit
+    g = GraphSpace(list("abcdefhi"), [("a", "c"), ("c", "e"), ("e", "h"), ("b", "d"), ("d", "f"), ("f", "i")])
+    w = WindowedSpace(g, frozenset("abcdef"), frozenset("hi"), 1)
+    res = min_norm_fill(w, ZeroChain({"a": 2, "c": 1, "e": -1}), 1)
+    assert fill_record(res) == (3, {("c", "a"): 2, ("e", "c"): 3, ("h", "e"): 2}, 2, 7, 8)
+
+
 def test_fill_reads_no_ball_at_propagation_one_on_a_graph(monkeypatch):
     # at P = 1 the pairs come from the graph's edge lists
     def no_ball(self, center, R):

@@ -128,6 +128,13 @@ def test_equal_defining_relation_one_step():
     assert replay_path(NUM23, (3, 0), got.certificate) == (0, 2)
 
 
+def test_replay_path_refuses_an_illegal_step():
+    # 2b -> 3a needs two b's; (1, 1) has one
+    with pytest.raises(ValueError, match="does not apply"):
+        replay_path(NUM23, (1, 1), [(0, False)])
+    assert replay_path(NUM23, (1, 2), [(0, False)]) == (4, 0)
+
+
 def test_equal_generators_distinct():
     got = equal(NUM23, (1, 0), (0, 1))
     assert got.no
