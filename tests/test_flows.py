@@ -96,7 +96,9 @@ def test_add_edge_rejects_negative_capacity():
     for capacity, back in [(-1, 0), (1, -1)]:
         with pytest.raises(ValueError, match="nonnegative"):
             net.add_edge(0, 1, capacity, back)
-    assert net.to == [] and net.cap == []
+        with pytest.raises(ValueError, match="nonnegative"):
+            net.add_edges([(0, 1)], capacity, back)
+    assert net.to == [] and net.cap == [] and net.adj == [[], []]
 
 
 def test_add_edges_matches_successive_add_edge():
@@ -112,14 +114,6 @@ def test_add_edges_matches_successive_add_edge():
         got = bulk.add_edges(iter(pairs), capacity, back)
         assert isinstance(got, range) and list(got) == arcs
         assert (bulk.to, bulk.cap, bulk.adj) == (one.to, one.cap, one.adj), seed
-
-
-def test_add_edges_rejects_negative_capacity():
-    net = FlowNetwork(["s", "t"])
-    for capacity, back in [(-1, 0), (1, -1)]:
-        with pytest.raises(ValueError, match="nonnegative"):
-            net.add_edges([(0, 1)], capacity, back)
-    assert net.to == [] and net.cap == [] and net.adj == [[], []]
 
 
 def test_source_side_is_a_min_cut():
