@@ -5,11 +5,11 @@ node i stands for ``labels[i]``, and the labels are kept only for reports.
 Each edge is one arc pair e, e ^ 1 joining two indices, with a capacity
 each way: ``back`` 0 for a directed arc, the same capacity both ways for
 an undirected edge, whose residual ``cap[e]`` is then that capacity minus
-its net flow.  ``add_edge`` adds one edge; ``add_edges`` adds a list of
-edges of one capacity in a single call, exactly as successive ``add_edge``
-calls would.  All capacities are nonnegative integers, so every maximum
-flow found here is integral.  This backs both the doubling matchings and
-the transshipment feasibility solves.
+its net flow.  ``add_edges`` adds a list of edges of one capacity in a
+single call, and ``add_edge`` adds one edge through it.  All capacities
+are nonnegative integers, so every maximum flow found here is integral.
+This backs both the doubling matchings and the transshipment feasibility
+solves.
 
 ``max_flow`` is iterative, so its stack does not grow with the length of
 an augmenting path, and warm-startable: it augments whatever flow the
@@ -40,23 +40,18 @@ class FlowNetwork:
 
     def add_edge(self, u: int, v: int, capacity: int, back: int = 0) -> int:
         """Add u -> v with ``capacity`` and v -> u with ``back``; returns the u -> v arc."""
-        if capacity < 0 or back < 0:
-            raise ValueError("capacity must be nonnegative")
-        e = len(self.to)
-        self.to += (v, u)
-        self.cap += (capacity, back)
-        self.adj[u].append(e)
-        self.adj[v].append(e + 1)
-        return e
+        return self.add_edges(((u, v),), capacity, back)[0]
 
     def add_edges(self, pairs: Iterable[tuple[int, int]], capacity: int, back: int = 0) -> range:
-        """``add_edge(u, v, capacity, back)`` for each (u, v) in order; returns the u -> v arcs."""
+        """Add u -> v with ``capacity`` and v -> u with ``back`` for each (u, v); returns the u -> v arcs."""
         if capacity < 0 or back < 0:
             raise ValueError("capacity must be nonnegative")
         adj, to = self.adj, self.to
         first = e = len(to)
+        put = to.append
         for u, v in pairs:
-            to += (v, u)
+            put(v)
+            put(u)
             adj[u].append(e)
             adj[v].append(e + 1)
             e += 2

@@ -115,11 +115,12 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
     pair an undirected edge at bound 1, and the components are read off its
     pair edges.  Only the components that the chain meets get arcs from the
     source, to the sink or to the halo exit, so max flow never enters the
-    others.  While the flow falls short of the demand, the min cut of the
-    residual network, crossed by k pair edges and with ``fixed`` capacity on
-    its other arcs, shows that every feasible bound b has fixed + k*b >=
-    demand.  So the bound is raised to ceil((demand - fixed) / k) in both
-    directions of every pair edge, which keeps its net flow, and the same
+    others, and the bound raises and the filler skip their pair edges.
+    While the flow falls short of the demand, the min cut of the residual
+    network, crossed by k pair edges and with ``fixed`` capacity on its
+    other arcs, shows that every feasible bound b has fixed + k*b >= demand.
+    So the bound is raised to ceil((demand - fixed) / k) in both directions
+    of every charged pair edge, which keeps its net flow, and the same
     residual network is solved again from its current flow.  Each bound
     tried is a lower bound on the optimum, so the first feasible one is the
     exact optimum, and max-flow integrality gives an integer filler.  The
@@ -158,7 +159,7 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
     support = c.coeffs.keys()
     seen = [False] * n
     exits: list[int] = []
-    nodes = idle = 0
+    rel: list[int] = []  # the points of the components the chain meets
     for start in range(n):
         if seen[start]:
             continue
@@ -174,7 +175,6 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
         charged = support & members
         if not charged:
             # no arc from s, t or w reaches it, so it carries no flow
-            idle += sum(len(adj[p]) for p in comp) // 2
             continue
         touch = [i for i in comp if points[i] in window.halo]
         if not touch:
@@ -182,7 +182,10 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
             if total != 0:
                 raise InfeasibleFill([points[i] for i in sorted(comp)], total)
         exits += touch
-        nodes += len(comp)
+        rel += comp
+    # the pair edges that flow can reach, those of the charged components,
+    # each read at its lower-ranked end
+    live = pair_arcs if len(rel) == n else sorted(e for p in rel for e in adj[p] if not e & 1)
 
     demand = 0
     # s and t meet the chain's points in rank order
@@ -205,20 +208,20 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
         demand -= total
     for h in sorted(exits):
         net.add_edge(w, h, mass + 1, mass + 1)
-    nodes += 3 if total or exits else 2
+    nodes = len(rel) + (3 if total or exits else 2)
     flow = net.max_flow(s, t)
     solves = 1
     while flow < demand:
         # the solve's last level search is the source side of a min cut
         level = net.level
-        k = sum(1 for e in pair_arcs if (level[to[e]] < 0) != (level[to[e ^ 1]] < 0))
+        k = sum(1 for e in live if (level[to[e]] < 0) != (level[to[e ^ 1]] < 0))
         assert k > 0, "a cut without pair edges would make every bound infeasible"
         # the cut's capacity, fixed + k*norm, equals the flow, and a feasible
         # bound b needs fixed + k*b >= demand
         grow = -(-(demand - flow) // k)
         norm += grow
         assert norm <= mass, f"bound {norm} exceeds the chain's total absolute mass {mass}"
-        for e in pair_arcs:
+        for e in live:
             cap[e] += grow
             cap[e ^ 1] += grow
         flow += net.max_flow(s, t)
@@ -226,7 +229,7 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
 
     coeffs: dict = {}
     # the net flow along pair edge e is norm - cap[e]: keep it as it runs
-    for e in pair_arcs:
+    for e in live:
         f = norm - cap[e]
         if f > 0:
             coeffs[(points[to[e ^ 1]], points[to[e]])] = f
@@ -236,4 +239,4 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
     assert chain.sup_norm() <= norm
     got = apply_boundary(chain).restricted_to(window.core)
     assert got == c.restricted_to(window.core), "fill does not bound the chain"
-    return FillResult(chain, norm, solves, nodes, len(to) // 2 - idle)
+    return FillResult(chain, norm, solves, nodes, len(to) // 2 - len(pair_arcs) + len(live))
