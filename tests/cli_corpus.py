@@ -39,6 +39,11 @@ FILES = {
         "edges": [[f"p{i}", f"p{(i + 1) % 6}"] for i in range(6)],
     },
     "subset.json": {"A": list(range(0, 12)) + list(range(40, 52))},
+    # the final run may continue past the truncation: its two tiles are flagged
+    "subset-prefix.json": {
+        "A": list(range(0, 12)) + [20, 21, 23] + list(range(40, 53)),
+        "prefix_of_unbounded": True,
+    },
     "towers.json": {
         "towers": [
             {"height": 3, "columns": [["a0", "a1", "a2"], ["b0", "b1", "b2"]]},
@@ -116,6 +121,8 @@ CALLS = [
      "--in", "folner-greedy-tree-window.json"],
     ["folner", "--strategy", "greedy", "--R", "2", "--epsilon", "1/2", "--budget", "30",
      "--in", "folner-greedy-stacked-window.json"],
+    ["tile", "--strategy", "interval", "--R", "1", "--epsilon", "1/10", "--in", "line.json"],
+    ["tile", "--strategy", "sparse", "--R", "1", "--epsilon", "1/2", "--in", "subset-prefix.json"],
 ]
 
 
