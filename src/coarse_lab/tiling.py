@@ -5,13 +5,22 @@ outer R-boundaries are small relative to the tiles, strictly below a target
 ratio eps.  Four explicit constructions are provided (integer intervals,
 sparse integer subsets, stacked column spaces, cycle-quotient box spaces)
 together with a verifier that replays every claim from scratch.
+
+The interval and sparse constructions cut their tiles as index runs of the
+space's sorted points and read each tile's metadata off the two ends of its
+run; the stacked and box constructions take theirs from the space kernels.
+The verifier never reads that metadata to compute: it replays every count
+and diameter through ``WindowedSpace.boundary_counts`` and
+``space.diameter_of``, and compares.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .space import (
     BoxSpace,
@@ -94,55 +103,84 @@ def block_length(R: int, epsilon: Fraction) -> int:
     return math.floor(Fraction(2 * R) / epsilon) + 1
 
 
-def _chop(run: list, N: int) -> list[list]:
-    """Split a run into blocks of length N, the remainder merged into the
-    final block so its length lands in [N, 2N)."""
-    if len(run) < 2 * N:
-        return [run]
-    count = len(run) // N
-    blocks = [run[i * N:(i + 1) * N] for i in range(count - 1)]
-    blocks.append(run[(count - 1) * N:])
-    return blocks
+def _blocks(a: int, b: int, N: int) -> list[tuple[int, int]]:
+    """The index run [a, b), at least N long, cut into runs of length N, the
+    remainder merged into the final run so its length lands in [N, 2N)."""
+    starts = range(a, b - N + 1, N)
+    return list(zip(starts, [*starts[1:], b]))
 
 
-def _tile_metas(window: WindowedSpace, tiles: list[frozenset], R: int, flag_from: int | None = None) -> list[TileMeta]:
-    """Metadata of tiles cut from the window's core, each a nonempty set of core points.
-
-    Tiles from index ``flag_from`` on are flagged contaminated whatever
-    their boundary says.
-    """
-    flag_from = len(tiles) if flag_from is None else flag_from
+def _tile_metas(window: WindowedSpace, tiles: list[frozenset], R: int) -> list[TileMeta]:
+    """Metadata of tiles cut from the window's core, each a nonempty set of
+    core points, from the space kernels."""
     diameter_of = window.space.diameter_of
     return [
-        TileMeta(Fraction(b, len(tile)), diameter_of(tile), contaminated or i >= flag_from)
-        for i, (tile, (b, contaminated)) in enumerate(zip(tiles, window.boundary_counts(tiles, R)))
+        TileMeta(Fraction(b, len(tile)), diameter_of(tile), contaminated)
+        for tile, (b, contaminated) in zip(tiles, window.boundary_counts(tiles, R))
     ]
+
+
+def _cut_runs(
+    values, runs: list[tuple[int, int]], core: tuple[int, int], R: int, flag_from: int | None = None
+) -> tuple[list[frozenset], list[TileMeta]]:
+    """Tiles ``values[a:b]`` for each index run (a, b), with metadata read off the run's two ends.
+
+    ``values`` are the points of an integer space in increasing order, and
+    the window's core is the index range ``core``; every point outside it is
+    halo.  The run's R-boundary is the points within R of its ends but
+    outside it, two index ranges found by bisection, and the tile is
+    contaminated when they leave the core.  Tiles from index ``flag_from``
+    on are flagged contaminated whatever their boundary says.  Tiles with
+    equal boundary, size, diameter and flag share one frozen ``TileMeta``.
+    """
+    c0, c1 = core
+    flag_from = len(runs) if flag_from is None else flag_from
+    shared: dict[tuple[int, int, int, bool], TileMeta] = {}
+    tiles, meta = [], []
+    for i, (a, b) in enumerate(runs):
+        first, last = values[a], values[b - 1]
+        lo, hi = bisect_left(values, first - R), bisect_right(values, last + R)
+        key = (a - lo + hi - b, b - a, last - first, lo < c0 or hi > c1 or i >= flag_from)
+        m = shared.get(key)
+        if m is None:
+            m = shared[key] = TileMeta(Fraction(key[0], key[1]), key[2], key[3])
+        tiles.append(frozenset(values[a:b]))
+        meta.append(m)
+    return tiles, meta
 
 
 def tile_interval(window: WindowedSpace, R: int, epsilon: Fraction) -> Tiling:
     """Tile a contiguous integer core into blocks of the canonical length.
 
     Every interior block has boundary exactly 2R, hence ratio 2R/N < eps.
-    A core shorter than one block comes back as a single flagged tile.
+    A core shorter than one block comes back as a single flagged tile.  The
+    halo of a line window is the two flanks of its core, so each block's
+    metadata is read off its two ends.
     """
     epsilon = Fraction(epsilon)
-    if not isinstance(window.space, IntegerLineSpace):
+    space = window.space
+    if not isinstance(space, IntegerLineSpace):
         raise ValueError("interval tiling needs an integer-line window")
-    core = sorted(window.core)
+    core = window.core
+    if not core:
+        raise ValueError("window core is empty")
     # distinct integers are contiguous exactly when they span len(core) values
-    if core and core[-1] - core[0] + 1 != len(core):
+    first = min(core)
+    if max(core) - first + 1 != len(core):
         raise ValueError("window core is not a contiguous integer interval")
     N = block_length(R, epsilon)
+    c0 = first - space.lo
+    c1 = c0 + len(core)
     notes = []
     if len(core) < N:
         notes.append("window too small")
-        blocks = [core]
+        runs = [(c0, c1)]
         bound = len(core) - 1
     else:
-        blocks = _chop(core, N)
+        runs = _blocks(c0, c1, N)
         bound = 2 * N - 2
-    tiles = [frozenset(b) for b in blocks]
-    return Tiling(window, tiles, R, epsilon, _tile_metas(window, tiles, R), bound, notes)
+    tiles, meta = _cut_runs(space.points, runs, (c0, c1), R)
+    return Tiling(window, tiles, R, epsilon, meta, bound, notes)
 
 
 def tile_sparse_subset(
@@ -158,23 +196,23 @@ def tile_sparse_subset(
     the set is empty), longer runs are chopped into blocks.  Every tile has
     diameter at most 2RN.  When the set is declared a prefix of an unbounded
     set, the final run's tiles are flagged contaminated: the truncation may
-    have cut that run short.
+    have cut that run short.  Each tile's metadata is read off the two ends
+    of its run.
     """
     epsilon = Fraction(epsilon)
     window = subset_window(A)
-    values = list(window.space.points)
+    values = window.space.points
     N = block_length(R, epsilon)
-    runs: list[list[int]] = [[values[0]]]
-    for prev, cur in zip(values, values[1:]):
-        if cur - prev > R:
-            runs.append([cur])
+    breaks = [i for i, (prev, cur) in enumerate(zip(values, values[1:]), 1) if cur - prev > R]
+    runs: list[tuple[int, int]] = []
+    for a, b in zip([0, *breaks], [*breaks, len(values)]):
+        last_start = len(runs)
+        if b - a < 2 * N:
+            runs.append((a, b))
         else:
-            runs[-1].append(cur)
-    tiles: list[frozenset] = []
-    for run in runs:
-        last_start = len(tiles)
-        tiles.extend(map(frozenset, [run] if len(run) < N else _chop(run, N)))
-    meta = _tile_metas(window, tiles, R, last_start if prefix_of_unbounded else None)
+            runs.extend(_blocks(a, b, N))
+    flag_from = last_start if prefix_of_unbounded else None
+    tiles, meta = _cut_runs(values, runs, (0, len(values)), R, flag_from)
     return Tiling(window, tiles, R, epsilon, meta, 2 * R * N)
 
 
@@ -339,13 +377,16 @@ def verify_tiling(t: Tiling) -> TilingReport:
     reports = []
     failures = []
     mismatches = []
-    # the partition check made every tile a nonempty set of core points
-    for i, (tile, (b, contaminated)) in enumerate(zip(t.tiles, window.boundary_counts(t.tiles, t.R))):
-        declared = t.meta[i] if i < len(t.meta) else None
-        contaminated = contaminated or bool(declared and declared.contaminated)
+    diameter_of, bound = window.space.diameter_of, t.diameter_bound
+    # the partition check made every tile a nonempty set of core points; a
+    # tile past the last declared meta is paired with None
+    counts = window.boundary_counts(t.tiles, t.R)
+    for i, (tile, (b, contaminated), declared) in enumerate(zip(t.tiles, counts, chain(t.meta, repeat(None)))):
+        if declared is not None:
+            contaminated = contaminated or declared.contaminated
         n = len(tile)
-        diam = window.space.diameter_of(tile)
-        reports.append(TileReport(index=i, size=n, boundary=b, diameter=diam, contaminated=contaminated))
+        diam = diameter_of(tile)
+        reports.append(TileReport(i, n, b, diam, contaminated))
         if declared is not None and (
             declared.ratio.numerator * n != b * declared.ratio.denominator
             or declared.diameter != diam
@@ -358,10 +399,8 @@ def verify_tiling(t: Tiling) -> TilingReport:
                 )
             if b * best_n > best_b * n:
                 best_b, best_n = b, n
-        if diam > t.diameter_bound:
-            failures.append(
-                f"tile {i}: diameter {diam} exceeds declared bound {t.diameter_bound}"
-            )
+        if diam > bound:
+            failures.append(f"tile {i}: diameter {diam} exceeds declared bound {bound}")
     max_diam = max((r.diameter for r in reports), default=0)
     return TilingReport(
         tiles=reports,

@@ -15,6 +15,7 @@ from coarse_lab.tiling import (
     PartitionError,
     Tiling,
     TileMeta,
+    TileReport,
     block_length,
     box_tiling_plan,
     stacked_block_height,
@@ -72,6 +73,13 @@ def test_interval_tiling_needs_a_contiguous_core():
     core = frozenset({0, 1, 2, 5})
     window = space.WindowedSpace(line, core, frozenset(line.points) - core, 0)
     with pytest.raises(ValueError, match="window core is not a contiguous integer interval"):
+        tile_interval(window, 1, Fraction(1, 2))
+
+
+def test_interval_tiling_refuses_an_empty_core():
+    line = space.IntegerLineSpace(0, 3)
+    window = space.WindowedSpace(line, frozenset(), frozenset(range(4)), 1)
+    with pytest.raises(ValueError, match="window core is empty"):
         tile_interval(window, 1, Fraction(1, 2))
 
 
@@ -159,6 +167,56 @@ def test_sparse_prefix_flag_contaminates_last_run():
     last_run = [m for tile, m in zip(t.tiles, t.meta) if min(tile) >= 100]
     assert all(not m.contaminated for m in first_run)
     assert all(m.contaminated for m in last_run)
+
+
+# -- run-end metadata against the space kernels --------------------------------
+
+
+def _kernel_metas(window, tiles, R):
+    """(ratio, diameter, halo flag) of each tile from the space kernels."""
+    diameter_of = window.space.diameter_of
+    return [
+        (Fraction(b, len(tile)), diameter_of(tile), contaminated)
+        for tile, (b, contaminated) in zip(tiles, window.boundary_counts(tiles, R))
+    ]
+
+
+def test_sparse_run_end_metadata_matches_the_space_kernels():
+    rng = random.Random(2020)
+    gaps = [1, 1, 2, 3, 4, 7, 15, 60, 700]  # criterion 2's menu
+    for _ in range(30):
+        # the whole menu almost never makes a run long enough to chop, so
+        # each set draws from a prefix of it
+        menu = gaps[:rng.randint(1, len(gaps))]
+        A = [rng.randint(0, 50)]
+        for _ in range(rng.randint(0, 250)):
+            A.append(A[-1] + rng.choice(menu))
+        for R in range(1, 6):
+            # the final run starts after the last gap above R
+            last_run = max((b for a, b in zip(A, A[1:]) if b - a > R), default=A[0])
+            for eps in (Fraction(1, 2), Fraction(1, 10)):
+                for prefix in (False, True):
+                    t = tile_sparse_subset(A, R, eps, prefix)
+                    expected = [
+                        (ratio, diam, c or (prefix and min(tile) >= last_run))
+                        for tile, (ratio, diam, c) in zip(t.tiles, _kernel_metas(t.window, t.tiles, R))
+                    ]
+                    assert [(m.ratio, m.diameter, m.contaminated) for m in t.meta] == expected
+                    assert len(t.meta) == len(t.tiles)
+
+
+def test_interval_run_end_metadata_matches_the_space_kernels():
+    rng = random.Random(2021)
+    for R in range(1, 5):
+        for eps in (Fraction(1, 2), Fraction(1, 3)):
+            N = block_length(R, eps)
+            for h in sorted({0, 1, R - 1, R, R + 1}):
+                for length in (N - 1, N, 2 * N - 1, 2 * N, 3 * N + 1):
+                    lo = rng.randint(-100, 100)
+                    w = integer_window(lo, lo + length - 1, h)
+                    t = tile_interval(w, R, eps)
+                    assert [(m.ratio, m.diameter, m.contaminated) for m in t.meta] == _kernel_metas(w, t.tiles, R)
+                    assert len(t.meta) == len(t.tiles)
 
 
 # -- stacked product tiling --------------------------------------------------
@@ -357,6 +415,51 @@ def test_verifier_reports_mismatched_meta():
     t = Tiling(w, tiles, 1, Fraction(1, 2), lying, 9)
     report = verify_tiling(t)
     assert report.meta_mismatches == [0]
+
+
+def test_verifier_pairs_declared_meta_with_tiles_by_position():
+    # fewer metas than tiles: tile 1 is contaminated only by its declared
+    # flag, tile 2 has no meta, so its clean ratio 1 fails; tiles 0 and 3
+    # meet the halo, and tile 0 declares a wrong diameter
+    w = integer_window(0, 9, 2)
+    tiles = [frozenset(range(0, 3)), frozenset(range(3, 6)), frozenset({6, 7}), frozenset({8, 9})]
+    meta = [TileMeta(Fraction(2, 3), 1, False), TileMeta(Fraction(2, 3), 2, True)]
+    report = verify_tiling(Tiling(w, tiles, 1, Fraction(1, 2), meta, 1))
+    assert report.tiles == [
+        TileReport(0, 3, 2, 2, True),
+        TileReport(1, 3, 2, 2, True),
+        TileReport(2, 2, 2, 1, False),
+        TileReport(3, 2, 2, 1, True),
+    ]
+    assert report.meta_mismatches == [0]
+    assert report.failures == [
+        "tile 0: diameter 2 exceeds declared bound 1",
+        "tile 1: diameter 2 exceeds declared bound 1",
+        "tile 2: ratio 1 is not strictly below 1/2",
+    ]
+    assert (report.max_ratio, report.max_diameter, report.passed) == (1, 2, False)
+    # more metas than tiles: the contaminated flag of meta 4, past the last
+    # tile, reaches no tile; tile 1's declared flag spares its ratio 1
+    w = space.subset_window([1, 2, 3, 10, 11, 30])
+    tiles = [frozenset({1, 2}), frozenset({3}), frozenset({10, 11}), frozenset({30})]
+    meta = [
+        TileMeta(Fraction(1, 2), 1, False), TileMeta(Fraction(1), 0, True), TileMeta(Fraction(1, 2), 1, False),
+        TileMeta(Fraction(0), 0, False), TileMeta(Fraction(5), 9, True), TileMeta(Fraction(0), 0, False),
+    ]
+    report = verify_tiling(Tiling(w, tiles, 1, Fraction(1, 2), meta, 0))
+    assert report.tiles == [
+        TileReport(0, 2, 1, 1, False),
+        TileReport(1, 1, 1, 0, True),
+        TileReport(2, 2, 0, 1, False),
+        TileReport(3, 1, 0, 0, False),
+    ]
+    assert report.meta_mismatches == [2]
+    assert report.failures == [
+        "tile 0: ratio 1/2 is not strictly below 1/2",
+        "tile 0: diameter 1 exceeds declared bound 0",
+        "tile 2: diameter 1 exceeds declared bound 0",
+    ]
+    assert (report.max_ratio, report.max_diameter, report.passed) == (Fraction(1, 2), 1, False)
 
 
 def test_constructions_pass_verifier_sweep():
