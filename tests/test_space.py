@@ -589,7 +589,9 @@ def test_subset_window():
     w = subset_window([1, 4, 9, 16])
     assert w.halo == frozenset()
     assert w.space.dist(4, 16) == 12
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="values must be strictly increasing"):
         IntegerSubsetSpace([3, 3])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty integer subset"):
         IntegerSubsetSpace([])
+    with pytest.raises(ValueError, match="empty integer interval"):
+        IntegerLineSpace(3, 2)
