@@ -13,7 +13,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
+from operator import lt
 from typing import AbstractSet, Collection, Hashable, Iterable, Sequence
 
 Point = Hashable
@@ -31,8 +32,9 @@ class FiniteMetricSpace:
     (``ball_of``, ``boundary_of``, ``boundary_counts``, ``diameter_of``,
     ``pairs_within``) with structure-aware versions; the generic fallbacks
     only rely on ``dist``.  ``boundary_counts`` gives |∂_R F| for each set of
-    a batch; its fallback is the size of ``boundary_of``, and integer subsets
-    count a set that is one run in closed form, building no set.
+    a batch; its fallback is the size of ``boundary_of``, and integer
+    subsets, lines among them, count a set that is one run in closed form,
+    building no set.
     ``pairs_within`` lists the pairs of distinct points within a distance;
     its fallback reads one ball per point, and graphs read their edges at
     distance 1.
@@ -260,74 +262,46 @@ def _runs(values: list[int]) -> list[tuple[int, int]]:
     return runs
 
 
-class IntegerLineSpace(FiniteMetricSpace):
-    """A finite integer interval with the metric |a - b|."""
-
-    def __init__(self, lo: int, hi: int):
-        if lo > hi:
-            raise ValueError("empty integer interval")
-        super().__init__(range(lo, hi + 1))
-        self.lo = lo
-        self.hi = hi
-
-    def dist(self, x: int, y: int) -> int:
-        return abs(x - y)
-
-    def ball_of(self, center: int, R: int) -> set:
-        return set(range(max(self.lo, center - R), min(self.hi, center + R) + 1))
-
-    def boundary_of(self, F: set, R: int) -> set:
-        if not F:
-            return set()
-        a, b = min(F), max(F)
-        # a set that is one run [a, b] needs no sort, and its flanks miss F
-        runs = [(a, b)] if b - a + 1 == len(F) else _runs(sorted(F))
-        out: set = set()
-        for a, b in runs:
-            out.update(range(max(self.lo, a - R), a))
-            out.update(range(b + 1, min(self.hi, b + R) + 1))
-        return out if len(runs) == 1 else out - F
-
-    def diameter_of(self, F: set) -> int:
-        return max(F) - min(F)
-
-
 class IntegerSubsetSpace(FiniteMetricSpace):
     """A strictly increasing set of integers with the metric |a - b|.
 
     This is the subspace metric inherited from the integer line; the subset
     is treated as the whole space, so boundaries count only subset points.
+    Every kernel bisects the sorted ``points`` tuple: a ball is one slice of
+    it, and a set's boundary is the two flanks of each of its index runs, so
+    a set that is one run is counted in closed form.
     """
 
     def __init__(self, values: Iterable[int]):
-        vals = list(values)
+        vals = tuple(values)
         if not vals:
             raise ValueError("empty integer subset")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
+        if not all(map(lt, vals, islice(vals, 1, None))):
             raise ValueError("values must be strictly increasing")
         super().__init__(vals)
-        self._sorted = vals
 
     def dist(self, x: int, y: int) -> int:
         return abs(x - y)
 
     def ball_of(self, center: int, R: int) -> set:
-        vals = self._sorted
-        i = bisect_left(vals, center - R)
-        j = bisect_right(vals, center + R)
-        return set(vals[i:j])
+        vals = self.points
+        return set(vals[bisect_left(vals, center - R):bisect_right(vals, center + R)])
 
     def boundary_of(self, F: set, R: int) -> set:
-        vals = self._sorted
+        if not F:
+            return set()
+        vals, index = self.points, self._index
+        i, j = index[min(F)], index[max(F)]
+        # a set that is one index run [i, j] needs no sort, and its flanks miss F
+        runs = [(i, j)] if j - i + 1 == len(F) else _runs(sorted(map(index.__getitem__, F)))
         out: set = set()
-        for f in F:
-            i = bisect_left(vals, f - R)
-            j = bisect_right(vals, f + R)
-            out.update(vals[i:j])
-        return out - F
+        for i, j in runs:
+            out.update(vals[bisect_left(vals, vals[i] - R):i])
+            out.update(vals[j + 1:bisect_right(vals, vals[j] + R)])
+        return out if len(runs) == 1 else out - F
 
     def boundary_counts(self, sets: Iterable[Collection[int]], R: int) -> list[int]:
-        vals, index = self._sorted, self._index
+        vals, index = self.points, self._index
         counts = []
         for F in sets:
             a, b = min(F), max(F)
@@ -341,6 +315,17 @@ class IntegerSubsetSpace(FiniteMetricSpace):
 
     def diameter_of(self, F: set) -> int:
         return max(F) - min(F)
+
+
+class IntegerLineSpace(IntegerSubsetSpace):
+    """A finite integer interval [lo, hi]: the subset space of its range."""
+
+    def __init__(self, lo: int, hi: int):
+        if lo > hi:
+            raise ValueError("empty integer interval")
+        super().__init__(range(lo, hi + 1))
+        self.lo = lo
+        self.hi = hi
 
 
 class StackedSpace(FiniteMetricSpace):

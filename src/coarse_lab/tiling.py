@@ -104,9 +104,10 @@ def block_length(R: int, epsilon: Fraction) -> int:
 
 
 def _blocks(a: int, b: int, N: int) -> list[tuple[int, int]]:
-    """The index run [a, b), at least N long, cut into runs of length N, the
-    remainder merged into the final run so its length lands in [N, 2N)."""
-    starts = range(a, b - N + 1, N)
+    """The nonempty index run [a, b) cut into runs of length N, the remainder
+    merged into the final run so its length lands in [N, 2N); a run shorter
+    than 2N, one shorter than N included, comes back whole."""
+    starts = range(a, max(a + 1, b - N + 1), N)
     return list(zip(starts, [*starts[1:], b]))
 
 
@@ -174,12 +175,10 @@ def tile_interval(window: WindowedSpace, R: int, epsilon: Fraction) -> Tiling:
     notes = []
     if len(core) < N:
         notes.append("window too small")
-        runs = [(c0, c1)]
         bound = len(core) - 1
     else:
-        runs = _blocks(c0, c1, N)
         bound = 2 * N - 2
-    tiles, meta = _cut_runs(space.points, runs, (c0, c1), R)
+    tiles, meta = _cut_runs(space.points, _blocks(c0, c1, N), (c0, c1), R)
     return Tiling(window, tiles, R, epsilon, meta, bound, notes)
 
 
@@ -207,10 +206,7 @@ def tile_sparse_subset(
     runs: list[tuple[int, int]] = []
     for a, b in zip([0, *breaks], [*breaks, len(values)]):
         last_start = len(runs)
-        if b - a < 2 * N:
-            runs.append((a, b))
-        else:
-            runs.extend(_blocks(a, b, N))
+        runs.extend(_blocks(a, b, N))
     flag_from = last_start if prefix_of_unbounded else None
     tiles, meta = _cut_runs(values, runs, (0, len(values)), R, flag_from)
     return Tiling(window, tiles, R, epsilon, meta, 2 * R * N)
