@@ -43,6 +43,7 @@ from .space import (
     stacked_product_window,
 )
 from .tiling import (
+    TilingReport,
     block_length,
     box_tiling_plan,
     stacked_block_height,
@@ -101,6 +102,31 @@ def _random_sparse_subset(rng: random.Random, size: int) -> list[int]:
     return out
 
 
+def _dense_run_subset(rng: random.Random, runs: int) -> list[int]:
+    """Runs of 202-505 points with gaps 1 or 2, separated by gaps above 5.
+
+    For the sweep's largest block length, 101, such a run is 2N to 5N long,
+    so the tilings chop it and its interior blocks have nonzero boundaries.
+    """
+    acc = rng.randint(0, 50)
+    out = []
+    for _ in range(runs):
+        for _ in range(rng.randint(202, 505)):
+            out.append(acc)
+            acc += rng.choice((1, 2))
+        acc += rng.randint(5, 60)
+    return out
+
+
+def _expect_verified(chk: _Check, report: TilingReport, where: str = "") -> None:
+    """The verdict passed, and every declared tile metadatum matched the replay."""
+    chk.expect(report.passed, f"verification failed{where}: " + "; ".join(report.failures[:3]))
+    chk.expect(
+        not report.meta_mismatches,
+        f"declared metadata disagrees with the replay{where} at tiles {report.meta_mismatches[:3]}",
+    )
+
+
 def criterion_1(ctx: dict) -> CriterionResult:
     chk = _Check()
     t0 = time.perf_counter()
@@ -110,7 +136,7 @@ def criterion_1(ctx: dict) -> CriterionResult:
     t = tile_interval(window, R, eps)
     report = verify_tiling(t)
     elapsed = time.perf_counter() - t0
-    chk.expect(report.passed, "verification failed: " + "; ".join(report.failures[:3]))
+    _expect_verified(chk, report)
     interior = [m for m in t.meta if not m.contaminated]
     chk.expect(bool(interior), "no interior tiles")
     bad = [str(m.ratio) for m in interior if m.ratio != Fraction(10, 1001)]
@@ -127,22 +153,25 @@ def criterion_2(ctx: dict) -> CriterionResult:
     rng = random.Random(0)
     for _ in range(20):
         subsets.append(_random_sparse_subset(rng, rng.randint(150, 400)))
+    for _ in range(3):
+        subsets.append(_dense_run_subset(rng, rng.randint(2, 4)))
     tilings = []
-    count = 0
+    count = chopped = 0
     for A in subsets:
         for R in (1, 2, 5):
             for eps in (Fraction(1, 2), Fraction(1, 10)):
                 t = tile_sparse_subset(A, R, eps)
                 report = verify_tiling(t)
                 count += 1
-                if not report.passed:
-                    chk.expect(False, f"subset tiling failed at R={R}, eps={eps}")
+                chopped += report.max_ratio > 0
+                _expect_verified(chk, report, f" at R={R}, eps={eps}")
                 N = block_length(R, eps)
                 if any(m.diameter > 2 * R * N for m in t.meta):
                     chk.expect(False, f"diameter exceeds 2RN at R={R}, eps={eps}")
                 tilings.append(t)
     elapsed = time.perf_counter() - t0
-    chk.note(f"{count} tilings over {len(subsets)} subsets, all verified")
+    chk.expect(chopped > 0, "no tiling has a tile with a nonzero boundary")
+    chk.note(f"{count} tilings over {len(subsets)} subsets, all verified, {chopped} with a nonzero ratio")
     ctx["tilings_2"] = tilings
     return _result(2, "sparse-subset tilings across the (R, eps) sweep", chk, elapsed, 5.0)
 
@@ -161,7 +190,7 @@ def criterion_3(ctx: dict) -> CriterionResult:
     t = tile_stacked_product(window, R, eps)
     report = verify_tiling(t)
     elapsed = time.perf_counter() - t0
-    chk.expect(report.passed, "verification failed: " + "; ".join(report.failures[:3]))
+    _expect_verified(chk, report)
     bottom_bound = Fraction(S + R, N)
     bottoms = [
         m for tile, m in zip(t.tiles, t.meta) if any(n == 0 for _, n in tile)
@@ -190,7 +219,7 @@ def criterion_4(ctx: dict) -> CriterionResult:
     t = tile_box_space(moduli, R, eps)
     report = verify_tiling(t)
     elapsed = time.perf_counter() - t0
-    chk.expect(report.passed, "verification failed: " + "; ".join(report.failures[:3]))
+    _expect_verified(chk, report)
     x0 = t.tiles[0]
     chk.expect(
         outer_boundary(t.window.space, x0, R) == set(),

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from coarse_lab import cli, monoid, serialize
+from coarse_lab import acceptance, cli, monoid, serialize, tiling
 from coarse_lab.cli import main
 from coarse_lab.monoid import presentation, replay_path
 
@@ -876,6 +876,26 @@ def test_selftest_reports_headroom_under_each_budget(capsys):
     assert eight["headroom_s"] == pytest.approx(10.0 - eight["elapsed_s"], abs=0.002)
     assert 0 < eight["headroom_s"] < 10.0
     assert ten["budget_s"] is None and ten["headroom_s"] is None
+
+
+def test_selftest_fails_a_criterion_on_a_misdeclared_tile(monkeypatch, capsys):
+    # the first tile declares a diameter one too large; the verdict replays
+    # its true diameter and still passes, so only the metadata check fails
+    def misdeclared_interval(window, R, eps):
+        t = tiling.tile_interval(window, R, eps)
+        m = t.meta[0]
+        t.meta[0] = tiling.TileMeta(m.ratio, m.diameter + 1, m.contaminated)
+        return t
+
+    monkeypatch.setattr(acceptance, "tile_interval", misdeclared_interval)
+    result = acceptance.criterion_1({})
+    assert not result.passed
+    assert result.failures == ["declared metadata disagrees with the replay at tiles [0]"]
+    code, out, _ = run(capsys, "--json", "selftest", "--criteria", "1")
+    assert code == 1
+    report = json.loads(out)["result"]
+    assert report["passed"] is False
+    assert report["criteria"][0]["failures"] == result.failures
 
 
 def test_graph_window_file_with_core(tmp_path, capsys):
