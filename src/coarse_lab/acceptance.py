@@ -103,13 +103,8 @@ def _random_sparse_subset(rng: random.Random, size: int) -> list[int]:
 
 
 def _dense_run_subset(rng: random.Random, runs: int) -> list[int]:
-    """Runs of 202-505 points with gaps 1 or 2, separated by gaps above 5.
-
-    For the sweep's largest block length, 101, such a run is 2N to 5N long,
-    so the tilings chop it and its interior blocks have nonzero boundaries.
-    """
-    acc = rng.randint(0, 50)
-    out = []
+    """Runs of 202-505 points (2N-5N for N = 101), gaps 1 or 2 inside a run and above 5 between."""
+    acc, out = rng.randint(0, 50), []
     for _ in range(runs):
         for _ in range(rng.randint(202, 505)):
             out.append(acc)
@@ -121,10 +116,7 @@ def _dense_run_subset(rng: random.Random, runs: int) -> list[int]:
 def _expect_verified(chk: _Check, report: TilingReport, where: str = "") -> None:
     """The verdict passed, and every declared tile metadatum matched the replay."""
     chk.expect(report.passed, f"verification failed{where}: " + "; ".join(report.failures[:3]))
-    chk.expect(
-        not report.meta_mismatches,
-        f"declared metadata disagrees with the replay{where} at tiles {report.meta_mismatches[:3]}",
-    )
+    chk.expect(not report.meta_mismatches, f"declared metadata mismatch{where} at tiles {report.meta_mismatches[:3]}")
 
 
 def criterion_1(ctx: dict) -> CriterionResult:
@@ -153,8 +145,7 @@ def criterion_2(ctx: dict) -> CriterionResult:
     rng = random.Random(0)
     for _ in range(20):
         subsets.append(_random_sparse_subset(rng, rng.randint(150, 400)))
-    for _ in range(3):
-        subsets.append(_dense_run_subset(rng, rng.randint(2, 4)))
+    subsets += [_dense_run_subset(rng, rng.randint(2, 4)) for _ in range(3)]
     tilings = []
     count = chopped = 0
     for A in subsets:
@@ -164,10 +155,12 @@ def criterion_2(ctx: dict) -> CriterionResult:
                 report = verify_tiling(t)
                 count += 1
                 chopped += report.max_ratio > 0
-                _expect_verified(chk, report, f" at R={R}, eps={eps}")
+                where = f" at R={R}, eps={eps}"
+                _expect_verified(chk, report, where)
                 N = block_length(R, eps)
-                if any(m.diameter > 2 * R * N for m in t.meta):
-                    chk.expect(False, f"diameter exceeds 2RN at R={R}, eps={eps}")
+                chk.expect(all(m.diameter <= 2 * R * N for m in t.meta), "diameter exceeds 2RN" + where)
+                # a subset is its own space, with no halo to contaminate a tile
+                chk.expect(not any(m.contaminated for m in t.meta), "a tile is flagged contaminated" + where)
                 tilings.append(t)
     elapsed = time.perf_counter() - t0
     chk.expect(chopped > 0, "no tiling has a tile with a nonzero boundary")

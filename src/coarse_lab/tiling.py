@@ -103,12 +103,13 @@ def block_length(R: int, epsilon: Fraction) -> int:
     return math.floor(Fraction(2 * R) / epsilon) + 1
 
 
-def _blocks(a: int, b: int, N: int) -> list[tuple[int, int]]:
-    """The nonempty index run [a, b) cut into runs of length N, the remainder
-    merged into the final run so its length lands in [N, 2N); a run shorter
-    than 2N, one shorter than N included, comes back whole."""
-    starts = range(a, max(a + 1, b - N + 1), N)
-    return list(zip(starts, [*starts[1:], b]))
+def _blocks(ends: list[int], N: int) -> list[tuple[int, int]]:
+    """The nonempty index runs [ends[k], ends[k + 1]) each cut into runs of
+    length N, the remainder merged into its final run so that run's length
+    lands in [N, 2N); a run shorter than 2N, one shorter than N included,
+    comes back whole."""
+    cuts = [c for a, b in zip(ends, ends[1:]) for c in range(a, b - N + 1, N) or (a,)]
+    return list(zip(cuts, [*cuts[1:], ends[-1]]))
 
 
 def _tile_metas(window: WindowedSpace, tiles: list[frozenset], R: int) -> list[TileMeta]:
@@ -130,18 +131,19 @@ def _cut_runs(
     the window's core is the index range ``core``; every point outside it is
     halo.  The run's R-boundary is the points within R of its ends but
     outside it, two index ranges found by bisection, and the tile is
-    contaminated when they leave the core.  Tiles from index ``flag_from``
-    on are flagged contaminated whatever their boundary says.  Tiles with
-    equal boundary, size, diameter and flag share one frozen ``TileMeta``.
+    contaminated when they leave the core.  Tiles that start at index
+    ``flag_from`` or later are flagged contaminated whatever their boundary
+    says.  Tiles with equal boundary, size, diameter and flag share one
+    frozen ``TileMeta``.
     """
     c0, c1 = core
-    flag_from = len(runs) if flag_from is None else flag_from
+    flag_from = len(values) if flag_from is None else flag_from
     shared: dict[tuple[int, int, int, bool], TileMeta] = {}
     tiles, meta = [], []
-    for i, (a, b) in enumerate(runs):
+    for a, b in runs:
         first, last = values[a], values[b - 1]
         lo, hi = bisect_left(values, first - R), bisect_right(values, last + R)
-        key = (a - lo + hi - b, b - a, last - first, lo < c0 or hi > c1 or i >= flag_from)
+        key = (a - lo + hi - b, b - a, last - first, lo < c0 or hi > c1 or a >= flag_from)
         m = shared.get(key)
         if m is None:
             m = shared[key] = TileMeta(Fraction(key[0], key[1]), key[2], key[3])
@@ -172,14 +174,10 @@ def tile_interval(window: WindowedSpace, R: int, epsilon: Fraction) -> Tiling:
     N = block_length(R, epsilon)
     c0 = first - space.lo
     c1 = c0 + len(core)
-    notes = []
-    if len(core) < N:
-        notes.append("window too small")
-        bound = len(core) - 1
-    else:
-        bound = 2 * N - 2
-    tiles, meta = _cut_runs(space.points, _blocks(c0, c1, N), (c0, c1), R)
-    return Tiling(window, tiles, R, epsilon, meta, bound, notes)
+    tiles, meta = _cut_runs(space.points, _blocks([c0, c1], N), (c0, c1), R)
+    short = len(core) < N
+    bound = len(core) - 1 if short else 2 * N - 2
+    return Tiling(window, tiles, R, epsilon, meta, bound, ["window too small"] if short else [])
 
 
 def tile_sparse_subset(
@@ -203,12 +201,9 @@ def tile_sparse_subset(
     values = window.space.points
     N = block_length(R, epsilon)
     breaks = [i for i, (prev, cur) in enumerate(zip(values, values[1:]), 1) if cur - prev > R]
-    runs: list[tuple[int, int]] = []
-    for a, b in zip([0, *breaks], [*breaks, len(values)]):
-        last_start = len(runs)
-        runs.extend(_blocks(a, b, N))
-    flag_from = last_start if prefix_of_unbounded else None
-    tiles, meta = _cut_runs(values, runs, (0, len(values)), R, flag_from)
+    ends = [0, *breaks, len(values)]
+    flag_from = ends[-2] if prefix_of_unbounded else None
+    tiles, meta = _cut_runs(values, _blocks(ends, N), (0, len(values)), R, flag_from)
     return Tiling(window, tiles, R, epsilon, meta, 2 * R * N)
 
 

@@ -890,7 +890,7 @@ def test_selftest_fails_a_criterion_on_a_misdeclared_tile(monkeypatch, capsys):
     monkeypatch.setattr(acceptance, "tile_interval", misdeclared_interval)
     result = acceptance.criterion_1({})
     assert not result.passed
-    assert result.failures == ["declared metadata disagrees with the replay at tiles [0]"]
+    assert result.failures == ["declared metadata mismatch at tiles [0]"]
     code, out, _ = run(capsys, "--json", "selftest", "--criteria", "1")
     assert code == 1
     report = json.loads(out)["result"]
