@@ -145,7 +145,8 @@ def criterion_2(ctx: dict) -> CriterionResult:
     rng = random.Random(0)
     for _ in range(20):
         subsets.append(_random_sparse_subset(rng, rng.randint(150, 400)))
-    subsets += [_dense_run_subset(rng, rng.randint(2, 4)) for _ in range(3)]
+    dense = [_dense_run_subset(rng, rng.randint(2, 4)) for _ in range(3)]
+    subsets += dense
     tilings = []
     count = chopped = 0
     for A in subsets:
@@ -162,9 +163,22 @@ def criterion_2(ctx: dict) -> CriterionResult:
                 # a subset is its own space, with no halo to contaminate a tile
                 chk.expect(not any(m.contaminated for m in t.meta), "a tile is flagged contaminated" + where)
                 tilings.append(t)
+    # a declared prefix flags exactly the tiles of its final run, those at or
+    # past A's last gap above R; these stay out of criterion 7, because a
+    # subset window has no halo to explain the flags
+    for A in dense:
+        for R in (1, 2, 5):
+            t = tile_sparse_subset(A, R, Fraction(1, 10), prefix_of_unbounded=True)
+            where = f" for a declared prefix at R={R}"
+            _expect_verified(chk, verify_tiling(t), where)
+            start = max((b for a, b in zip(A, A[1:]) if b - a > R), default=A[0])
+            flagged = [i for i, m in enumerate(t.meta) if m.contaminated]
+            final = [i for i, tile in enumerate(t.tiles) if min(tile) >= start]
+            chk.expect(flagged == final, "flagged tiles are not the final run's" + where)
     elapsed = time.perf_counter() - t0
     chk.expect(chopped > 0, "no tiling has a tile with a nonzero boundary")
     chk.note(f"{count} tilings over {len(subsets)} subsets, all verified, {chopped} with a nonzero ratio")
+    chk.note(f"{3 * len(dense)} declared prefixes flag exactly their final run")
     ctx["tilings_2"] = tilings
     return _result(2, "sparse-subset tilings across the (R, eps) sweep", chk, elapsed, 5.0)
 

@@ -241,8 +241,6 @@ def random_castle(rng, max_atoms: int = 60) -> Castle:
         height = rng.randint(1, min(6, remaining))
         width = rng.randint(1, max(1, remaining // height))
         take = height * width
-        if take > remaining:
-            height, width, take = remaining, 1, remaining
         chunk = atoms[pos:pos + take]
         pos += take
         columns = tuple(

@@ -27,15 +27,6 @@ class ZeroChain:
     def __post_init__(self):
         self.coeffs = {p: int(v) for p, v in self.coeffs.items() if v != 0}
 
-    def support(self) -> set:
-        return set(self.coeffs)
-
-    def total(self) -> int:
-        return sum(self.coeffs.values())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ZeroChain) and self.coeffs == other.coeffs
-
     def restricted_to(self, points: Iterable) -> "ZeroChain":
         pts = set(points)
         return ZeroChain({p: v for p, v in self.coeffs.items() if p in pts})
@@ -53,16 +44,6 @@ class OneChain:
 
     def sup_norm(self) -> int:
         return max((abs(v) for v in self.coeffs.values()), default=0)
-
-    def validate(self, window: WindowedSpace) -> None:
-        space = window.space
-        for (x, y), v in self.coeffs.items():
-            if x not in space or y not in space:
-                raise ValueError(f"pair ({x!r}, {y!r}) leaves the window")
-            if space.dist(x, y) > self.propagation:
-                raise ValueError(
-                    f"pair ({x!r}, {y!r}) exceeds propagation {self.propagation}"
-                )
 
 
 class InfeasibleFill(ValueError):
@@ -134,7 +115,7 @@ def min_norm_fill(window: WindowedSpace, c: ZeroChain, P: int) -> FillResult:
             f"propagation {P} exceeds halo depth {window.halo_depth}; "
             "exits through the halo would not be faithful"
         )
-    if not c.support() <= window.core:
+    if not c.coeffs.keys() <= window.core:
         raise ValueError("zero chain must be supported on the core")
     if not c.coeffs:
         return FillResult(OneChain({}, P), 0)

@@ -409,16 +409,18 @@ def properly_infinite(
 
 @dataclass
 class RefinementResult:
+    """``paths`` rewrite a, b, c and d into w + x, y + z, w + y and x + z."""
+
     found: bool
     quadruple: tuple[Vector, Vector, Vector, Vector] | None
     detail: str
+    paths: tuple = ()
 
-    def replay(self, p: MonoidPresentation, a, b, c, d, depth=DEFAULT_DEPTH) -> None:
+    def replay(self, p: MonoidPresentation, a, b, c, d) -> None:
         w, x, y, z = self.quadruple
-        assert equal(p, vadd(w, x), a, depth).yes
-        assert equal(p, vadd(y, z), b, depth).yes
-        assert equal(p, vadd(w, y), c, depth).yes
-        assert equal(p, vadd(x, z), d, depth).yes
+        sums = (vadd(w, x), vadd(y, z), vadd(w, y), vadd(x, z))
+        for start, path, end in zip((a, b, c, d), self.paths, sums, strict=True):
+            assert replay_path(p, start, path) == end
 
 
 def refinement_instance(
@@ -466,7 +468,9 @@ def refinement_instance(
             for y in ys:
                 z = min(zd.intersection(minus(CB, y)), default=None)
                 if z is not None:
-                    return RefinementResult(True, (w, x, y, z), "found")
+                    sums = (vadd(w, x), vadd(y, z), vadd(w, y), vadd(x, z))
+                    paths = tuple(map(_path, (CA, CB, CC, CD), sums))
+                    return RefinementResult(True, (w, x, y, z), "found", paths)
     return RefinementResult(
         False, None, f"no quadruple within entry bound {entry_cap}, depth {depth}"
     )

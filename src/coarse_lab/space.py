@@ -31,10 +31,10 @@ class FiniteMetricSpace:
     Subclasses implement ``dist`` and may override the bulk operations
     (``ball_of``, ``boundary_of``, ``boundary_counts``, ``diameter_of``,
     ``pairs_within``) with structure-aware versions; the generic fallbacks
-    only rely on ``dist``.  ``boundary_counts`` gives |∂_R F| for each set of
-    a batch; its fallback is the size of ``boundary_of``, and integer
-    subsets, lines among them, count a set that is one run in closed form,
-    building no set.
+    only rely on ``dist``, and a ball is its center with the center's
+    boundary.  ``boundary_counts`` gives |∂_R F| for each set of a batch;
+    its fallback is the size of ``boundary_of``, and integer subsets, lines
+    among them, count a set that is one run in closed form, building no set.
     ``pairs_within`` lists the pairs of distinct points within a distance;
     its fallback reads one ball per point, and graphs read their edges at
     distance 1.
@@ -75,13 +75,11 @@ class FiniteMetricSpace:
     # -- bulk operations, overridable ------------------------------------
 
     def ball_of(self, center: Point, R: int) -> set:
-        return {y for y in self.points if self.dist(center, y) <= R}
+        return {center} | self.boundary_of({center}, R)
 
     def boundary_of(self, F: set, R: int) -> set:
-        out: set = set()
-        for f in F:
-            out |= self.ball_of(f, R)
-        return out - F
+        dist = self.dist
+        return {y for y in self.points if y not in F and any(dist(f, y) <= R for f in F)}
 
     def boundary_counts(self, sets: Iterable[Collection[Point]], R: int) -> list[int]:
         """|∂_R F| for each F, a nonempty collection of distinct points."""
@@ -209,29 +207,23 @@ class GraphSpace(FiniteMetricSpace):
                 raise KeyError(p)
         return self._eccentricity(x, {y})
 
-    def ball_of(self, center: Point, R: int) -> set:
+    def _reach(self, F: Collection[Point], R: int) -> set:
+        """The points within R of F, F among them; the whole space once R reaches the sentinel."""
         if R >= self.sentinel:
             return set(self.points)
-        seen = {center}
-        frontier = [center]
+        seen = set(F)
+        frontier = list(F)
         for _ in range(R):
             frontier = self._step(seen, frontier)
             if not frontier:
                 break
         return seen
 
+    def ball_of(self, center: Point, R: int) -> set:
+        return self._reach((center,), R)
+
     def boundary_of(self, F: set, R: int) -> set:
-        if R >= self.sentinel:
-            return set(self.points) - F
-        seen = set(F)
-        out: set = set()
-        frontier = list(F)
-        for _ in range(R):
-            frontier = self._step(seen, frontier)
-            if not frontier:
-                break
-            out.update(frontier)
-        return out
+        return self._reach(F, R) - F
 
     def pairs_within(self, P: int) -> list[tuple[Point, Point]]:
         if P != 1:
@@ -247,6 +239,14 @@ class GraphSpace(FiniteMetricSpace):
 def _as_set(F: Collection[Point]) -> AbstractSet[Point]:
     """F itself when it is a set or frozenset, else a set of its points."""
     return F if isinstance(F, (set, frozenset)) else set(F)
+
+
+def _by_first(F: Iterable[tuple]) -> dict[Point, list]:
+    """The second coordinates of F's pairs, listed under their first coordinate."""
+    groups: dict[Point, list] = {}
+    for x, n in F:
+        groups.setdefault(x, []).append(n)
+    return groups
 
 
 def _runs(values: list[int]) -> list[tuple[int, int]]:
@@ -324,8 +324,6 @@ class IntegerLineSpace(IntegerSubsetSpace):
         if lo > hi:
             raise ValueError("empty integer interval")
         super().__init__(range(lo, hi + 1))
-        self.lo = lo
-        self.hi = hi
 
 
 class StackedSpace(FiniteMetricSpace):
@@ -350,15 +348,9 @@ class StackedSpace(FiniteMetricSpace):
             return abs(n - m)
         return n + m + self.base.dist(x, y)
 
-    def ball_of(self, center: tuple, R: int) -> set:
-        return {center} | self.boundary_of({center}, R)
-
     def boundary_of(self, F: set, R: int) -> set:
-        cols: dict[Point, list[int]] = {}
-        for x, n in F:
-            cols.setdefault(x, []).append(n)
         out: set = set()
-        for x, levels in cols.items():
+        for x, levels in _by_first(F).items():
             levels.sort()
             for a, b in _runs(levels):
                 out.update((x, m) for m in range(max(0, a - R), a))
@@ -380,11 +372,8 @@ class StackedSpace(FiniteMetricSpace):
         return out - F
 
     def diameter_of(self, F: set) -> int:
-        cols: dict[Point, list[int]] = {}
-        for x, n in F:
-            cols.setdefault(x, []).append(n)
         best = 0
-        items = [(x, min(levels), max(levels)) for x, levels in cols.items()]
+        items = [(x, min(levels), max(levels)) for x, levels in _by_first(F).items()]
         for i, (x, lo_x, hi_x) in enumerate(items):
             best = max(best, hi_x - lo_x)
             for y, _, hi_y in items[i + 1:]:
@@ -428,13 +417,8 @@ class BoxSpace(FiniteMetricSpace):
         """The distance between any two points of distinct blocks i and j."""
         return self.block_offsets[i] + self.block_offsets[j]
 
-    def ball_of(self, center: tuple, R: int) -> set:
-        return {center} | self.boundary_of({center}, R)
-
     def boundary_of(self, F: set, R: int) -> set:
-        blocks: dict[int, list[int]] = {}
-        for i, a in F:
-            blocks.setdefault(i, []).append(a)
+        blocks = _by_first(F)
         # D_j > m_j / 2, so a radius that crosses into a block F meets already
         # covers its cycle; other blocks are reached from F's lowest block
         near = min((self.block_offsets[i] for i in blocks), default=R + 1)
@@ -447,9 +431,7 @@ class BoxSpace(FiniteMetricSpace):
         return out - F
 
     def diameter_of(self, F: set) -> int:
-        blocks: dict[int, list[int]] = {}
-        for i, a in F:
-            blocks.setdefault(i, []).append(a)
+        blocks = _by_first(F)
         best = 0
         idxs = sorted(blocks)
         for i in idxs:
@@ -557,14 +539,6 @@ def outer_boundary(space: FiniteMetricSpace, F: Iterable[Point], R: int) -> set:
     if not Fs:
         return set()
     return space.boundary_of(Fs, R)
-
-
-def diameter(space: FiniteMetricSpace, F: Iterable[Point]) -> int:
-    """Largest pairwise distance within the nonempty set F."""
-    Fs = space.point_set(F)
-    if not Fs:
-        raise ValueError("diameter of the empty set is undefined")
-    return space.diameter_of(Fs)
 
 
 def stacked_product_window(X: FiniteMetricSpace, K: int, halo_depth: int | None = None) -> WindowedSpace:

@@ -172,7 +172,7 @@ def tile_interval(window: WindowedSpace, R: int, epsilon: Fraction) -> Tiling:
     if max(core) - first + 1 != len(core):
         raise ValueError("window core is not a contiguous integer interval")
     N = block_length(R, epsilon)
-    c0 = first - space.lo
+    c0 = first - space.points[0]
     c1 = c0 + len(core)
     tiles, meta = _cut_runs(space.points, _blocks([c0, c1], N), (c0, c1), R)
     short = len(core) < N
@@ -249,7 +249,6 @@ class BoxTilingPlan:
 
     monotile_index: int
     monotile_length: int
-    center_reach: int
     absorbed_blocks: tuple[int, ...]
     arc_blocks: tuple[int, ...]
 
@@ -299,7 +298,6 @@ def box_tiling_plan(moduli, R: int, epsilon: Fraction) -> BoxTilingPlan:
     return BoxTilingPlan(
         monotile_index=i0,
         monotile_length=m0,
-        center_reach=L,
         absorbed_blocks=tuple(range(i1)),
         arc_blocks=tuple(range(i1, len(mods))),
     )

@@ -43,6 +43,18 @@ def test_search_R_zero_trivial():
     assert res.ratio == 0
 
 
+@pytest.mark.parametrize(
+    "window, strategy, err",
+    [
+        (integer_window(0, 20, 1), "spiral", "unknown strategy: 'spiral'"),
+        (regular_tree_window(3, 2, 1), "intervals", "interval strategy needs an integer-line window"),
+    ],
+)
+def test_search_refuses_a_strategy_it_cannot_run(window, strategy, err):
+    with pytest.raises(ValueError, match=err):
+        folner_search(window, 1, Fraction(1, 2), strategy=strategy, budget=5)
+
+
 def test_search_empty_candidate_set():
     # a window whose entire core is halo-contaminated at this radius
     w = integer_window(0, 2, 1)
@@ -289,3 +301,9 @@ def test_violator_agrees_with_enumeration_oracle():
     assert isinstance(res, HallViolator)
     violators = hall_violators_by_enumeration(w, F, 2)
     assert res.points in violators
+
+
+def test_enumeration_oracle_refuses_a_large_set():
+    w = integer_window(0, 30, 2)
+    with pytest.raises(ValueError, match="enumeration oracle limited to small sets"):
+        hall_violators_by_enumeration(w, set(range(17)), 1)

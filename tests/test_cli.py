@@ -624,6 +624,7 @@ def test_non_integer_presentation_is_a_schema_error(tmp_path, capsys, pres, err)
         ({"stack": {"base": 5, "K": 4}}, "stack 'base': expected an object, got 5"),
         ({"vertices": [1, 2, 3], "edges": [[1, 2]], "core": "12"}, "window 'core': expected a list, got '12'"),
         ({"vertices": [1, 2, 3], "edges": [[1, 2]], "core": [["1"]]}, "unknown point key ['1']"),
+        ({"vertices": [1, "1"], "edges": []}, "error: point keys collide at '1'"),
     ],
 )
 def test_malformed_window_is_a_schema_error(tmp_path, capsys, window, err):

@@ -43,16 +43,7 @@ def test_boundary_total_mass_zero():
     for _ in range(30):
         x, y = rng.randint(0, 20), rng.randint(0, 20)
         coeffs[(x, y)] = rng.randint(-5, 5)
-    assert apply_boundary(OneChain(coeffs, 25)).total() == 0
-
-
-def test_one_chain_validation():
-    w = integer_window(0, 10, 2)
-    OneChain({(0, 1): 2}, 1).validate(w)
-    with pytest.raises(ValueError, match="propagation"):
-        OneChain({(0, 5): 1}, 1).validate(w)
-    with pytest.raises(ValueError, match="window"):
-        OneChain({(0, 99): 1}, 200).validate(w)
+    assert sum(apply_boundary(OneChain(coeffs, 25)).coeffs.values()) == 0
 
 
 # -- min_norm_fill -----------------------------------------------------------
@@ -123,6 +114,14 @@ def test_fill_agrees_with_scan_oracle():
         res = min_norm_fill(w, c, P)
         assert res.norm == min_fill_norm_by_scan(w, c.coeffs, P)
         assert apply_boundary(res.chain).restricted_to(w.core) == c
+
+
+def test_scan_oracle_gives_up_past_its_cap():
+    # no halo, so the dipole's mass 3 crosses every edge of the path
+    w = integer_window(0, 4, 0)
+    c = ZeroChain({0: 3, 4: -3})
+    assert min_norm_fill(w, c, 1).norm == min_fill_norm_by_scan(w, c.coeffs, 1, cap=3) == 3
+    assert min_fill_norm_by_scan(w, c.coeffs, 1, cap=2) is None
 
 
 def random_chain(rng: random.Random, points) -> ZeroChain:

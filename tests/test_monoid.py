@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 from itertools import product
@@ -501,6 +502,18 @@ def test_refinement_with_relations():
     res = refinement_instance(NUM23, (3, 0), (0, 1), (0, 2), (0, 1))
     assert res.found
     res.replay(NUM23, (3, 0), (0, 1), (0, 2), (0, 1))
+
+
+def test_refinement_found_at_a_large_entry_cap_replays():
+    # w + x = (24, 0) lies above the default entry cap of 20, so the result
+    # must replay its own rewrites, not search again at the default bounds
+    args = (18, 4), (0, 1), (15, 6), (0, 1)
+    res = refinement_instance(NUM23, *args, 12, 50)
+    assert res.quadruple == ((24, 0), (0, 0), (0, 0), (0, 1))
+    res.replay(NUM23, *args)
+    # a result without its four rewrites cannot replay vacuously
+    with pytest.raises(ValueError):
+        dataclasses.replace(res, paths=()).replay(NUM23, *args)
 
 
 def _sorted_refinement(p, a, b, c, d, depth=monoid.DEFAULT_DEPTH, entry_cap=monoid.DEFAULT_ENTRY_CAP):

@@ -13,10 +13,10 @@ from coarse_lab.space import (
     MatrixSpace,
     StackedSpace,
     TRIANGLE_CHECK_LIMIT,
+    WindowedSpace,
     ball,
     box_window,
     build_graph_metric,
-    diameter,
     integer_window,
     outer_boundary,
     regular_tree_window,
@@ -263,7 +263,7 @@ def test_boundary_names_the_unknown_point():
         outer_boundary(s, {3, 4, 999}, 1)
     assert str(e.value) == "set contains an unknown point: 999"
     with pytest.raises(ValueError) as e:
-        diameter(s, [3, "x"])
+        s.point_set([3, "x"])
     assert str(e.value) == "set contains an unknown point: 'x'"
     # with several unknown points, the first in a fresh set(F) is named, also
     # for a set whose emptied slots make it iterate in another order than its copy
@@ -273,7 +273,7 @@ def test_boundary_names_the_unknown_point():
     shrunk.add(1500)
     for F in ({150, 3, 250}, shrunk):
         first = next(p for p in set(F) if p not in s)
-        for check in (lambda F: outer_boundary(s, F, 1), lambda F: diameter(s, F)):
+        for check in (lambda F: outer_boundary(s, F, 1), s.point_set):
             with pytest.raises(ValueError) as e:
                 check(F)
             assert str(e.value) == f"set contains an unknown point: {first!r}"
@@ -283,7 +283,6 @@ def test_boundary_of_list_and_generator():
     s = IntegerLineSpace(0, 20)
     assert outer_boundary(s, [5, 6, 6, 7], 2) == {3, 4, 8, 9}
     assert outer_boundary(s, (p for p in range(5, 8)), 2) == {3, 4, 8, 9}
-    assert diameter(s, (p for p in (2, 9))) == 7
     with pytest.raises(ValueError, match="unknown point: 21"):
         outer_boundary(s, (p for p in (5, 21)), 1)
 
@@ -306,7 +305,7 @@ def test_boundary_leaves_the_callers_set_alone():
                 assert bd is not F and F == before
                 assert bd == brute_boundary(w.space, F, R)
                 bd, _ = w.boundary(F, R)
-                diameter(w.space, F)
+                w.space.diameter_of(F)
                 assert F == before
 
 
@@ -346,23 +345,17 @@ def test_folner_ratio_empty_set_rejected():
 
 def test_diameter_singleton():
     s = IntegerLineSpace(0, 5)
-    assert diameter(s, {3}) == 0
+    assert s.diameter_of({3}) == 0
 
 
 def test_diameter_interval():
     s = IntegerLineSpace(-20, 20)
-    assert diameter(s, set(range(0, 10))) == 9
+    assert s.diameter_of(set(range(0, 10))) == 9
 
 
 def test_diameter_spread_set():
     s = IntegerLineSpace(-20, 20)
-    assert diameter(s, {0, 1, 4}) == 4
-
-
-def test_diameter_empty_rejected():
-    s = IntegerLineSpace(0, 5)
-    with pytest.raises(ValueError):
-        diameter(s, set())
+    assert s.diameter_of({0, 1, 4}) == 4
 
 
 # -- stacked product --------------------------------------------------------
@@ -573,9 +566,33 @@ def test_integer_window_split():
 def test_window_partition_enforced():
     s = IntegerLineSpace(0, 4)
     with pytest.raises(ValueError):
-        from coarse_lab.space import WindowedSpace
-
         WindowedSpace(s, frozenset({0, 1}), frozenset({1, 2, 3, 4}), 1)
+
+
+@pytest.mark.parametrize(
+    "build, err",
+    [
+        (lambda: WindowedSpace(IntegerLineSpace(0, 4), frozenset({0, 1}), frozenset({2, 3}), 1),
+         "core and halo do not partition the window"),
+        (lambda: WindowedSpace(IntegerLineSpace(0, 4), frozenset({0, 1}), frozenset({2, 3, 4}), -1),
+         "halo depth must be nonnegative"),
+        (lambda: stacked_product_window(IntegerLineSpace(0, 2), 4, 4), "halo depth must satisfy 0 <= H < K"),
+        (lambda: stacked_product_window(IntegerLineSpace(0, 2), 4, -1), "halo depth must satisfy 0 <= H < K"),
+        (lambda: MatrixSpace(["a", "b"], [[0, 1]]), "distance matrix shape does not match point count"),
+        (lambda: MatrixSpace([0, 1], [[1, 1], [1, 0]]), "nonzero self-distance at 0"),
+    ],
+    ids=["window-cover", "window-depth", "stack-depth-high", "stack-depth-low", "matrix-shape", "matrix-diagonal"],
+)
+def test_malformed_space_or_window_is_refused(build, err):
+    with pytest.raises(ValueError, match=err):
+        build()
+
+
+def test_graph_dist_refuses_an_unknown_point():
+    s = build_graph_metric(["a", "b"], [("a", "b")])
+    for x, y in (("a", "z"), ("z", "a")):
+        with pytest.raises(KeyError, match="'z'"):
+            s.dist(x, y)
 
 
 def test_halo_contamination_flag():

@@ -288,7 +288,6 @@ def test_box_plan_powers_of_two():
     mods = [2 ** k for k in range(1, 13)]
     plan = box_tiling_plan(mods, 1, Fraction(1, 3))
     assert plan.monotile_length == 8
-    assert plan.center_reach == 7
     # blocks shorter than 4(R+L)=32 fail the isometry-radius check
     assert plan.absorbed_blocks == (0, 1, 2, 3)
     assert [mods[i] for i in plan.arc_blocks] == [32, 64, 128, 256, 512, 1024, 2048, 4096]
@@ -621,6 +620,6 @@ def test_construction_metadata_agrees_with_boundary_set_by_set(construct):
         t = construct(R)
         for tile, m in zip(t.tiles, t.meta):
             bd, contaminated = t.window.boundary(tile, R)
-            assert (m.ratio, m.diameter) == (Fraction(len(bd), len(tile)), space.diameter(t.window.space, tile))
+            assert (m.ratio, m.diameter) == (Fraction(len(bd), len(tile)), t.window.space.diameter_of(tile))
             assert m.contaminated >= contaminated
         assert len(t.meta) == len(t.tiles)
