@@ -215,7 +215,8 @@ def castle_from_tiling(t: Tiling) -> Castle:
     fixes the positional bijections between levels.  The columns of a tower
     are disjoint, so their first atoms alone order them, by :func:`_order_key`.
     The tiling is verified first; a broken partition propagates as
-    :class:`PartitionError`.
+    :class:`PartitionError`.  A tiling already verified is not replayed:
+    :func:`verify_tiling` returns the report it keeps on the frozen tiling.
     """
     verify_tiling(t)
     by_size: dict[int, list[tuple]] = {}

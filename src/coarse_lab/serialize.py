@@ -258,7 +258,7 @@ def tiling_from_dict(data: dict, window: WindowedSpace | None = None) -> Tiling:
         epsilon=parse_fraction(_require(data, "epsilon", "tiling")),
         meta=meta,
         diameter_bound=diam_bound,
-        notes=list(_expect(data.get("notes", []), list, "tiling 'notes'")),
+        notes=_expect(data.get("notes", []), list, "tiling 'notes'"),
     )
 
 

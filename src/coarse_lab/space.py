@@ -72,6 +72,12 @@ class FiniteMetricSpace:
     def dist(self, x: Point, y: Point) -> int:
         raise NotImplementedError
 
+    def _require_points(self, *ps: Point) -> None:
+        """Raise ``KeyError(p)`` for the first p that is not a point of this space."""
+        for p in ps:
+            if p not in self._index:
+                raise KeyError(p)
+
     # -- bulk operations, overridable ------------------------------------
 
     def ball_of(self, center: Point, R: int) -> set:
@@ -202,9 +208,7 @@ class GraphSpace(FiniteMetricSpace):
         return d
 
     def dist(self, x: Point, y: Point) -> int:
-        for p in (x, y):
-            if p not in self._index:
-                raise KeyError(p)
+        self._require_points(x, y)
         return self._eccentricity(x, {y})
 
     def _reach(self, F: Collection[Point], R: int) -> set:
@@ -281,6 +285,7 @@ class IntegerSubsetSpace(FiniteMetricSpace):
         super().__init__(vals)
 
     def dist(self, x: int, y: int) -> int:
+        self._require_points(x, y)
         return abs(x - y)
 
     def ball_of(self, center: int, R: int) -> set:
@@ -343,6 +348,7 @@ class StackedSpace(FiniteMetricSpace):
         self.K = K
 
     def dist(self, p: tuple, q: tuple) -> int:
+        self._require_points(p, q)
         (x, n), (y, m) = p, q
         if x == y:
             return abs(n - m)
@@ -408,6 +414,7 @@ class BoxSpace(FiniteMetricSpace):
         return min(d, m - d)
 
     def dist(self, p: tuple, q: tuple) -> int:
+        self._require_points(p, q)
         (i, a), (j, b) = p, q
         if i == j:
             return self._cycle_dist(self.moduli[i], a, b)

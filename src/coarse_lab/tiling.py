@@ -12,15 +12,24 @@ run; the stacked and box constructions take theirs from the space kernels.
 The verifier never reads that metadata to compute: it replays every count
 and diameter through ``WindowedSpace.boundary_counts`` and
 ``space.diameter_of``, and compares.
+
+A ``Tiling`` is frozen: its tiles, metadata and notes are tuples, and no
+field can be reassigned.  So the verifier's report stays true of the tiling
+it was computed for, and ``verify_tiling`` keeps it on the tiling: the
+first call replays, later calls (``castle_from_tiling``'s among them)
+return a fresh copy of that report.  ``dataclasses.replace`` makes a new
+tiling with nothing cached.  A partition or radius error is never cached;
+every call raises it again.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, repeat
+from typing import NamedTuple
 
 from .space import (
     BoxSpace,
@@ -47,24 +56,34 @@ class TileMeta:
     contaminated: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tiling:
-    """A partition of the window core with per-tile invariance metadata."""
+    """A partition of the window core with per-tile invariance metadata.
+
+    Frozen, with ``tiles``, ``meta`` and ``notes`` stored as tuples (lists
+    are converted).  ``_report`` is where ``verify_tiling`` keeps its
+    report; it is not an init field, so ``dataclasses.replace`` does not
+    carry it over.
+    """
 
     window: WindowedSpace
-    tiles: list[frozenset]
+    tiles: tuple[frozenset, ...]
     R: int
     epsilon: Fraction
-    meta: list[TileMeta]
+    meta: tuple[TileMeta, ...]
     diameter_bound: int
-    notes: list[str] = field(default_factory=list)
+    notes: tuple[str, ...] = ()
+    _report: TilingReport | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("tiles", "meta", "notes"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def max_ratio(self) -> Fraction:
         return max((m.ratio for m in self.meta if not m.contaminated), default=Fraction(0))
 
 
-@dataclass
-class TileReport:
+class TileReport(NamedTuple):
     """One tile as ``verify_tiling`` recomputed it; ``boundary`` is |∂_R T|."""
 
     index: int
@@ -333,14 +352,34 @@ def tile_box_space(moduli, R: int, epsilon: Fraction) -> Tiling:
 
 
 def verify_tiling(t: Tiling) -> TilingReport:
-    """Replay every claim of a tiling from scratch.
+    """Replay every claim of a tiling from scratch, once per tiling.
 
     Raises :class:`PartitionError` when the tiles are not an exact partition
     of the core.  The verdict is a pass when every non-contaminated tile is
     strictly below epsilon, no tile exceeds the declared diameter bound, and
     the bound itself is declared.  Ratios are compared as boundary and tile
     counts, cross-multiplied; only the reported maximum is a ``Fraction``.
+
+    The first call on a tiling replays and keeps the report on the frozen
+    tiling; later calls return it without replaying.  Errors are not kept,
+    so a broken partition or a negative radius raises on every call.  Each
+    call returns its own ``tiles``, ``failures`` and ``meta_mismatches``
+    lists, so a caller that edits its report cannot change the next one.
     """
+    report = t._report
+    if report is None:
+        report = _replay(t)
+        object.__setattr__(t, "_report", report)
+    return replace(
+        report,
+        tiles=list(report.tiles),
+        failures=list(report.failures),
+        meta_mismatches=list(report.meta_mismatches),
+    )
+
+
+def _replay(t: Tiling) -> TilingReport:
+    """The report of :func:`verify_tiling`, recomputed from the tiling's tiles."""
     window = t.window
     if not all(t.tiles):
         raise PartitionError("empty tile", set())

@@ -10,6 +10,9 @@ After a deliberate change to the reports, rewrite the golden from a scratch
 directory (the calls write their input files into the current directory):
 
     cd "$(mktemp -d)" && PYTHONPATH=<repo>/src python <repo>/tests/cli_corpus.py
+
+The script takes no arguments: given any, ``--help`` included, it prints a
+usage line to stderr, exits 2 and writes nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import contextlib
 import io
 import json
 import re
+import sys
 from pathlib import Path
 
 from coarse_lab.cli import main
@@ -158,4 +162,7 @@ def split(text: str) -> list[str]:
 
 
 if __name__ == "__main__":
+    if len(sys.argv) > 1:
+        print(f"usage: python {sys.argv[0]}  (takes no arguments; rewrites {GOLDEN.name})", file=sys.stderr)
+        sys.exit(2)
     GOLDEN.write_text("".join(blocks()))

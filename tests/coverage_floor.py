@@ -41,7 +41,6 @@ ALLOWLIST = [
     ("acceptance.py", "discrepancies += 1"),
     ("acceptance.py", "continue"),
     ("acceptance.py", "failures += 1"),
-    ("acceptance.py", 'chk.expect( False, f"defect {defect} != max clean tile ratio {t.max_ratio()}", )'),
     ("acceptance.py", 'chk.expect(False, "scaled leq certificate does not replay")'),
     ("acceptance.py", 'chk.expect(False, f"witness replay failed at radius {radius}: {e}")'),
     ("acceptance.py", 'chk.expect(False, f"violator replay failed: {e}")'),

@@ -1,12 +1,14 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from coarse_lab import acceptance, cli, monoid, serialize, tiling
+from coarse_lab import acceptance, cli, monoid, serialize, space, tiling
 from coarse_lab.cli import main
 from coarse_lab.monoid import presentation, replay_path
 
@@ -411,6 +413,21 @@ def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
         assert done.returncode == 0 and done.stderr == "", done.stderr
         outs.append(done.stdout)
     assert outs == [cli_corpus.GOLDEN.read_text()] * 2
+
+
+def test_corpus_script_refuses_arguments_and_writes_nothing(tmp_path):
+    golden = cli_corpus.GOLDEN
+    before = (golden.read_bytes(), golden.stat().st_mtime_ns)
+    paths = [str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    done = subprocess.run(
+        [sys.executable, str(Path(cli_corpus.__file__)), "--help"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("usage: ")
+    assert (golden.read_bytes(), golden.stat().st_mtime_ns) == before
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_monoid_cli_verdicts(tmp_path, capsys):
@@ -885,8 +902,7 @@ def test_selftest_fails_a_criterion_on_a_misdeclared_tile(monkeypatch, capsys):
     def misdeclared_interval(window, R, eps):
         t = tiling.tile_interval(window, R, eps)
         m = t.meta[0]
-        t.meta[0] = tiling.TileMeta(m.ratio, m.diameter + 1, m.contaminated)
-        return t
+        return dataclasses.replace(t, meta=(tiling.TileMeta(m.ratio, m.diameter + 1, m.contaminated), *t.meta[1:]))
 
     monkeypatch.setattr(acceptance, "tile_interval", misdeclared_interval)
     result = acceptance.criterion_1({})
@@ -897,6 +913,22 @@ def test_selftest_fails_a_criterion_on_a_misdeclared_tile(monkeypatch, capsys):
     report = json.loads(out)["result"]
     assert report["passed"] is False
     assert report["criteria"][0]["failures"] == result.failures
+
+
+def test_selftest_fails_criterion_7_on_a_wrong_defect(monkeypatch, capsys):
+    # the defect is counted apart from the tiling's verification, so a wrong
+    # one must fail the tie-back check; a cached report cannot hide it
+    monkeypatch.setattr(acceptance, "invariance_defect", lambda c, window, R: Fraction(-1))
+    t = tiling.tile_interval(space.integer_window(0, 99, 1), 1, Fraction(1, 2))
+    result = acceptance.criterion_7({"tiling_1": t})
+    assert not result.passed
+    assert result.failures == [f"defect -1 != max clean tile ratio {t.max_ratio()}"]
+    code, out, _ = run(capsys, "--json", "selftest", "--criteria", "7")
+    assert code == 1
+    report = json.loads(out)["result"]
+    assert report["passed"] is False
+    failures = report["criteria"][0]["failures"]
+    assert failures and all(f.startswith("defect -1 != max clean tile ratio ") for f in failures)
 
 
 def test_graph_window_file_with_core(tmp_path, capsys):

@@ -588,11 +588,24 @@ def test_malformed_space_or_window_is_refused(build, err):
         build()
 
 
-def test_graph_dist_refuses_an_unknown_point():
-    s = build_graph_metric(["a", "b"], [("a", "b")])
-    for x, y in (("a", "z"), ("z", "a")):
-        with pytest.raises(KeyError, match="'z'"):
-            s.dist(x, y)
+@pytest.mark.parametrize(
+    "space, known, unknown",
+    [
+        (MatrixSpace(["a", "b"], [[0, 1], [1, 0]]), "a", "z"),
+        (build_graph_metric(["a", "b"], [("a", "b")]), "a", "z"),
+        (IntegerLineSpace(0, 5), 0, 99),
+        (StackedSpace(IntegerLineSpace(0, 2), 4), (0, 0), (7, 0)),  # an unknown column
+        (StackedSpace(IntegerLineSpace(0, 2), 4), (0, 0), (0, 4)),  # a level above the window
+        (BoxSpace([2, 4]), (0, 0), (5, 0)),  # an unknown block
+        (BoxSpace([2, 4]), (0, 0), (0, 3)),  # a residue past the block's modulus
+    ],
+    ids=["matrix", "graph", "line", "stacked-column", "stacked-level", "box-block", "box-residue"],
+)
+def test_dist_refuses_a_point_outside_the_space(space, known, unknown):
+    for x, y in ((known, unknown), (unknown, known)):
+        with pytest.raises(KeyError) as e:
+            space.dist(x, y)
+        assert e.value.args == (unknown,)
 
 
 def test_halo_contamination_flag():

@@ -104,8 +104,7 @@ def test_interval_diameter_bound():
 def test_refining_epsilon_still_passes_coarser():
     w = integer_window(-300, 300, 2)
     fine = tile_interval(w, 1, Fraction(1, 20))
-    fine.epsilon = Fraction(1, 10)
-    assert verify_tiling(fine).passed
+    assert verify_tiling(dataclasses.replace(fine, epsilon=Fraction(1, 10))).passed
 
 
 # -- sparse subset tiling ----------------------------------------------------
@@ -393,6 +392,75 @@ def test_verifier_fails_ratio_at_epsilon():
     assert any("tile 1" in f for f in report.failures)
 
 
+# -- one verification per tiling ---------------------------------------------
+
+
+def test_tiling_is_frozen_and_stores_tuples():
+    w = integer_window(0, 5, 1)
+    t = Tiling(w, [frozenset({0, 1, 2}), frozenset({3, 4, 5})], 1, Fraction(1, 2), [], 2, ["a note"])
+    assert (t.tiles, t.meta, t.notes) == ((frozenset({0, 1, 2}), frozenset({3, 4, 5})), (), ("a note",))
+    for name, value in (("epsilon", Fraction(1, 10)), ("tiles", ()), ("meta", ()), ("R", 2)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, name, value)
+    assert dataclasses.replace(t, notes=["other"]).notes == ("other",)
+
+
+def test_replaced_tiling_gets_a_fresh_verdict():
+    t = tile_interval(integer_window(-300, 300, 2), 1, Fraction(1, 20))
+    assert verify_tiling(t).passed
+    # interior ratio 2/41 is not below 1/100: a cached verdict would still pass
+    coarse = dataclasses.replace(t, epsilon=Fraction(1, 100))
+    assert not verify_tiling(coarse).passed
+    assert verify_tiling(t).passed
+
+
+def test_editing_a_report_leaves_the_next_one_alone():
+    # the middle tile is clean at ratio 1/5, not below 1/10, and tile 0 declares a false diameter
+    tiles = [frozenset(range(a, a + 10)) for a in (0, 10, 20)]
+    t = Tiling(integer_window(0, 29, 1), tiles, 1, Fraction(1, 10), [TileMeta(Fraction(1, 10), 0, True)], 9)
+    first = verify_tiling(t)
+    expected = verify_tiling(dataclasses.replace(t))
+    assert first == expected and first.failures and first.meta_mismatches == [0]
+    first.tiles.clear()
+    first.failures.append("edited")
+    first.meta_mismatches.clear()
+    first.passed = True
+    assert verify_tiling(t) == expected
+
+
+def test_errors_are_raised_on_every_call():
+    w = integer_window(0, 5, 1)
+    overlap = Tiling(w, [frozenset({0, 1, 2}), frozenset({2, 3, 4, 5})], 1, Fraction(1, 2), [], 5)
+    for call in (verify_tiling, verify_tiling, castle.castle_from_tiling, verify_tiling):
+        with pytest.raises(PartitionError, match="tiles overlap"):
+            call(overlap)
+    negative = dataclasses.replace(_valid_line_tiling(), R=-1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            verify_tiling(negative)
+
+
+def test_castle_from_a_verified_tiling_counts_no_boundary(monkeypatch):
+    t = _valid_line_tiling()
+    report = verify_tiling(t)
+    calls = []
+    counts = space.WindowedSpace.boundary_counts
+
+    def counting(self, sets, R):
+        calls.append(R)
+        return counts(self, sets, R)
+
+    monkeypatch.setattr(space.WindowedSpace, "boundary_counts", counting)
+    c = castle.castle_from_tiling(t)
+    assert calls == []
+    assert sorted(map(frozenset, c.orbits()), key=min) == sorted(t.tiles, key=min)
+    assert verify_tiling(t) == report and calls == []
+    # an unverified copy replays, and the defect always counts for itself
+    castle.castle_from_tiling(dataclasses.replace(t))
+    assert castle.invariance_defect(c, t.window, t.R) == report.max_ratio
+    assert calls == [t.R, t.R]
+
+
 def test_max_ratio_is_the_largest_clean_ratio():
     w = integer_window(0, 9, 1)
     rng = random.Random(17)
@@ -532,7 +600,7 @@ def test_negative_radius_is_refused(call, message):
 def test_radius_is_checked_after_the_partition_and_only_for_a_nonempty_batch():
     t = _valid_line_tiling()
     with pytest.raises(PartitionError, match="tiles overlap"):
-        verify_tiling(dataclasses.replace(t, tiles=t.tiles + [t.tiles[0]], R=-1))
+        verify_tiling(dataclasses.replace(t, tiles=(*t.tiles, t.tiles[0]), R=-1))
     # a window with a halo and one without
     assert list(t.window.boundary_counts([], -1)) == []
     assert list(space.subset_window([1, 2, 5]).boundary_counts([], -1)) == []
