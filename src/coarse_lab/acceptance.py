@@ -116,7 +116,7 @@ def _dense_run_subset(rng: random.Random, runs: int) -> list[int]:
 def _expect_verified(chk: _Check, report: TilingReport, where: str = "") -> None:
     """The verdict passed, and every declared tile metadatum matched the replay."""
     chk.expect(report.passed, f"verification failed{where}: " + "; ".join(report.failures[:3]))
-    chk.expect(not report.meta_mismatches, f"declared metadata mismatch{where} at tiles {report.meta_mismatches[:3]}")
+    chk.expect(not report.meta_mismatches, f"declared metadata mismatch{where} at tiles {list(report.meta_mismatches[:3])}")
 
 
 def criterion_1(ctx: dict) -> CriterionResult:

@@ -66,25 +66,27 @@ class HallViolator:
 
 
 def _candidate_balls(window: WindowedSpace, R: int, budget: int):
+    """Balls about the core points, radius by radius, centers in ``repr`` order.
+
+    A ball and its R-neighbourhood only grow with the radius, so a center
+    whose ball is halo-contaminated at one radius is dropped for good.
+    """
     space = window.space
-    centers = sorted((p for p in window.core), key=repr)
+    centers = sorted(window.core, key=repr)
     produced = 0
     radius = 0
-    while produced < budget:
-        emitted = False
+    while centers:
+        clean = []
         for c in centers:
             F = ball(space, c, radius)
-            if not F <= window.core:
-                continue
             bd, contaminated = window.boundary(F, R)
             if not contaminated:
-                emitted = True
+                clean.append(c)
                 yield F, len(bd)
                 produced += 1
                 if produced >= budget:
                     return
-        if not emitted:
-            return
+        centers = clean
         radius += 1
 
 
@@ -116,9 +118,10 @@ def _candidate_greedy(window: WindowedSpace, R: int, budget: int):
     size, so these counts order them as their ratios would, and the first
     one in ``repr`` order wins a tie.
 
-    The kept boundary ∂_R F is halo-free, and F and p lie in the core, so
-    F ∪ {p} has a halo-contaminated boundary exactly when B_R(p) meets the
-    halo.  Only the winner's boundary is built, and it is the next frontier.
+    The kept F is not halo-contaminated, so F ∪ ∂_R F misses the halo, and
+    F ∪ {p} is contaminated, by the window's rule, exactly when B_R(p)
+    meets the halo.  Only the winner's boundary is built, and it is the
+    next frontier.
 
     Every core point is scored at the first step.  Its ball is kept until
     the point joins F, since a point outside one frontier may enter a later
@@ -170,8 +173,8 @@ def folner_search(
 ) -> FolnerResult:
     """Examine up to ``budget`` candidate sets and return the best ratio seen.
 
-    Candidates are restricted to core sets whose R-ball stays off the halo,
-    so every reported ratio is faithful to the ambient space.  The search is
+    Candidates are restricted to sets that are not halo-contaminated, so
+    every reported ratio is faithful to the ambient space.  The search is
     deliberately incomplete: success means a witness was found, failure only
     means none was found among the examined candidates.  Ratios are compared
     as cross-multiplied counts; the first of equal ratios is kept.

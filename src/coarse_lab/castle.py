@@ -254,8 +254,8 @@ def random_castle(rng, max_atoms: int = 60) -> Castle:
 def invariance_defect(c: Castle, window: WindowedSpace, R: int) -> Fraction:
     """Worst orbit boundary ratio: max over orbits of |bd_R(orbit)| / |orbit|.
 
-    Orbits whose boundary meets the halo are skipped; the window cannot
-    speak for the ambient space there.
+    Orbits whose R-neighbourhood meets the halo are skipped; the window
+    cannot speak for the ambient space there.
     """
     _require_valid(c)
     # a generator, so that a failure names the first unknown atom in c.atoms() order

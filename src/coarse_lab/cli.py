@@ -150,8 +150,10 @@ def cmd_boundary(args, em: Emitter) -> int:
     window = _load_window(args.infile)
     codec = PointCodec(window.space)
     F = _point_set(args, codec)
-    bd = outer_boundary(window.space, F, args.R)
-    contaminated = bool(bd & window.halo)
+    if F:
+        bd, contaminated = window.boundary(F, args.R)
+    else:  # empty, so clean; outer_boundary still refuses a negative radius
+        bd, contaminated = outer_boundary(window.space, F, args.R), False
     em.say(f"outer {args.R}-boundary has {len(bd)} points"
            + (" (halo-contaminated)" if contaminated else ""))
     return em.finish(

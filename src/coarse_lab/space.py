@@ -457,13 +457,13 @@ class BoxSpace(FiniteMetricSpace):
 class WindowedSpace:
     """A finite stand-in for an infinite space: core plus quarantined halo.
 
-    The halo absorbs truncation artifacts; computations whose R-neighbourhood
-    stays off the halo are faithful to the ambient space the window was cut
-    from.  ``halo_depth`` is declared by the window's constructor; nothing
-    checks that every halo point lies within it of the core.  ``boundary``
-    gives one checked set's boundary and halo flag; ``boundary_counts``
-    gives a batch's boundary sizes and flags, and builds no boundary set
-    when the window has no halo.
+    The halo absorbs truncation artifacts.  A set F is halo-contaminated at
+    radius R when F ∪ ∂_R F meets the halo, that is (the metric being
+    symmetric) when F meets N_R(halo) = halo ∪ ∂_R(halo); only a clean F
+    has the boundary the ambient space gives it.  ``halo_depth`` is declared
+    by the window's constructor; nothing checks that every halo point lies
+    within it of the core.  ``boundary`` gives one checked set's boundary
+    and flag; ``boundary_counts`` gives a batch's sizes and flags.
     """
 
     space: FiniteMetricSpace
@@ -481,39 +481,38 @@ class WindowedSpace:
             raise ValueError("halo depth must be nonnegative")
 
     def boundary(self, F: Collection[Point], R: int) -> tuple[set, bool]:
-        """The outer R-boundary of F, and whether it meets the halo.
+        """The outer R-boundary of F, and whether F is halo-contaminated.
 
         F must be nonempty and free of repeats, so that |∂_R F| / |F| is its
         Følner ratio.  Callers compare ratios by cross-multiplying counts and
-        build a ``Fraction`` only for a ratio they store or report.  A
-        contaminated ratio may disagree with the ambient space the window
-        stands in for; callers skip such sets or downgrade them to advisory.
+        build a ``Fraction`` only for a ratio they store or report, and skip
+        contaminated sets or downgrade them to advisory.
         """
         if not F:
             raise ValueError("boundary ratio of the empty set is undefined")
         bd = outer_boundary(self.space, F, R)
-        return bd, not bd.isdisjoint(self.halo)
+        return bd, not (self.halo.isdisjoint(bd) and self.halo.isdisjoint(F))
 
     def boundary_counts(self, sets: Sequence[Collection[Point]], R: int) -> Iterable[tuple[int, bool]]:
-        """(|∂_R F|, whether ∂_R F meets the halo) for each F of a batch.
+        """(|∂_R F|, whether F is halo-contaminated) for each F of a batch.
 
         Contract: every set is a nonempty collection of distinct window
         points, and the caller has established this for the whole batch (a
         partition of the core, one membership test over all the sets, or
         sets cut from the core), so no set is looked up here.  R is checked
         once, before the first boundary, so an empty batch raises nothing.
-        A window without a halo takes every count from the space's
-        ``boundary_counts`` and builds no boundary set; a window with one
-        builds each set to test it against the halo.  ``boundary`` stays the
-        checked entry for a single set of unknown origin.
+        Every count comes from the space's ``boundary_counts``; the flags
+        test each set against N_R(halo), built once per batch.
         """
-        if sets and R < 0:
+        if not sets:
+            return []
+        if R < 0:
             raise ValueError("radius must be nonnegative")
+        counts = self.space.boundary_counts(sets, R)
         if not self.halo:
-            return zip(self.space.boundary_counts(sets, R), repeat(False))
-        boundary_of, halo = self.space.boundary_of, self.halo
-        bds = (boundary_of(_as_set(F), R) for F in sets)
-        return [(len(bd), not bd.isdisjoint(halo)) for bd in bds]
+            return zip(counts, repeat(False))
+        near = self.halo | self.space.boundary_of(self.halo, R)
+        return zip(counts, [not near.isdisjoint(F) for F in sets])
 
 
 # ---------------------------------------------------------------------------

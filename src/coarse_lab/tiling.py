@@ -17,16 +17,16 @@ A ``Tiling`` is frozen: its tiles, metadata and notes are tuples, and no
 field can be reassigned.  So the verifier's report stays true of the tiling
 it was computed for, and ``verify_tiling`` keeps it on the tiling: the
 first call replays, later calls (``castle_from_tiling``'s among them)
-return a fresh copy of that report.  ``dataclasses.replace`` makes a new
-tiling with nothing cached.  A partition or radius error is never cached;
-every call raises it again.
+return that report, which is frozen too.  ``dataclasses.replace`` makes a
+new tiling with nothing cached.  A partition or radius error is never
+cached; every call raises it again.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
 from typing import NamedTuple
@@ -97,20 +97,20 @@ class TileReport(NamedTuple):
         return Fraction(self.boundary, self.size)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TilingReport:
-    """Everything ``verify_tiling`` recomputed, plus the verdict.
+    """Everything ``verify_tiling`` recomputed, plus the verdict; immutable.
 
-    The verdict ignores contaminated tiles: their boundaries meet the halo,
-    so the window cannot speak for the ambient space there.
+    The verdict ignores halo-contaminated tiles: the window cannot speak
+    for the ambient space there.
     """
 
-    tiles: list[TileReport]
+    tiles: tuple[TileReport, ...]
     max_ratio: Fraction
     max_diameter: int
     passed: bool
-    failures: list[str] = field(default_factory=list)
-    meta_mismatches: list[int] = field(default_factory=list)
+    failures: tuple[str, ...] = ()
+    meta_mismatches: tuple[int, ...] = ()
 
 
 def block_length(R: int, epsilon: Fraction) -> int:
@@ -360,22 +360,16 @@ def verify_tiling(t: Tiling) -> TilingReport:
     the bound itself is declared.  Ratios are compared as boundary and tile
     counts, cross-multiplied; only the reported maximum is a ``Fraction``.
 
-    The first call on a tiling replays and keeps the report on the frozen
-    tiling; later calls return it without replaying.  Errors are not kept,
-    so a broken partition or a negative radius raises on every call.  Each
-    call returns its own ``tiles``, ``failures`` and ``meta_mismatches``
-    lists, so a caller that edits its report cannot change the next one.
+    The first call on a tiling replays and keeps the immutable report on
+    the frozen tiling; later calls return that same report without
+    replaying.  Errors are not kept, so a broken partition or a negative
+    radius raises on every call.
     """
     report = t._report
     if report is None:
         report = _replay(t)
         object.__setattr__(t, "_report", report)
-    return replace(
-        report,
-        tiles=list(report.tiles),
-        failures=list(report.failures),
-        meta_mismatches=list(report.meta_mismatches),
-    )
+    return report
 
 
 def _replay(t: Tiling) -> TilingReport:
@@ -431,10 +425,10 @@ def _replay(t: Tiling) -> TilingReport:
             failures.append(f"tile {i}: diameter {diam} exceeds declared bound {bound}")
     max_diam = max((r.diameter for r in reports), default=0)
     return TilingReport(
-        tiles=reports,
+        tiles=tuple(reports),
         max_ratio=Fraction(best_b, best_n),
         max_diameter=max_diam,
         passed=not failures,
-        failures=failures,
-        meta_mismatches=mismatches,
+        failures=tuple(failures),
+        meta_mismatches=tuple(mismatches),
     )

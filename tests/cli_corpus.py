@@ -80,6 +80,12 @@ FILES = {
             "halo_depth": 3,
         }
     },
+    # the orbit {10} is a halo point: the window shows it the boundary {9},
+    # the ambient line {9, 11}, so the defect skips it and reads 1/2
+    "castle-defect-halo-window.json": {"interval": {"lo": 0, "hi": 9, "halo_depth": 1}},
+    "castle-defect-halo-castle.json": {
+        "towers": [{"height": 1, "columns": [["10"]]}, {"height": 4, "columns": [["3", "4", "5", "6"]]}]
+    },
 }
 
 # in order: a call may read a file that an earlier one wrote (--out)
@@ -127,6 +133,8 @@ CALLS = [
      "--in", "folner-greedy-stacked-window.json"],
     ["tile", "--strategy", "interval", "--R", "1", "--epsilon", "1/10", "--in", "line.json"],
     ["tile", "--strategy", "sparse", "--R", "1", "--epsilon", "1/2", "--in", "subset-prefix.json"],
+    ["castle", "defect", "--in", "castle-defect-halo-castle.json", "--space", "castle-defect-halo-window.json",
+     "--R", "1"],
 ]
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from coarse_lab import acceptance, cli, monoid, serialize, space, tiling
+from coarse_lab import acceptance, castle, cli, monoid, serialize, space, tiling
 from coarse_lab.cli import main
 from coarse_lab.monoid import presentation, replay_path
 
@@ -234,6 +234,22 @@ def test_malformed_castle_is_a_schema_error(tmp_path, capsys, castle, err, op):
     code, out, stderr = run(capsys, "castle", op[0], "--in", path, *op[1:])
     assert (code, out) == (2, "")
     assert err in stderr
+
+
+@pytest.mark.parametrize(
+    "targets, err",
+    [
+        ({"targets": 5}, "error: 'targets': expected a list, got 5"),
+        ({"targets": [["a0"], 5]}, "error: target 1: expected a list, got 5"),
+        ({"targets": [["a0", ["a1"]]]}, "error: target 0: atom ['a1'] is not a scalar"),
+        ({"targets": [[{"a": 1}]]}, "error: target 0: atom {'a': 1} is not a scalar"),
+    ],
+)
+def test_malformed_targets_are_a_schema_error(tmp_path, capsys, targets, err):
+    castle = write(tmp_path / "castle.json", {"towers": TOWERS})
+    path = write(tmp_path / "targets.json", targets)
+    code, out, stderr = run(capsys, "castle", "refine", "--in", castle, "--targets", path)
+    assert (code, out, stderr) == (2, "", err + "\n")
 
 
 def test_castle_compare_refuses_an_ambiguous_atom_name(tmp_path, capsys):
@@ -931,6 +947,39 @@ def test_selftest_fails_criterion_7_on_a_wrong_defect(monkeypatch, capsys):
     assert failures and all(f.startswith("defect -1 != max clean tile ratio ") for f in failures)
 
 
+def _selftest_failures(capsys, number):
+    """The failures that ``selftest --criteria <number>`` reports; it must exit 1."""
+    code, out, _ = run(capsys, "--json", "selftest", "--criteria", str(number))
+    assert code == 1
+    report = json.loads(out)["result"]
+    assert report["passed"] is False
+    return report["criteria"][0]["failures"]
+
+
+def test_selftest_fails_criterion_5_when_compare_disagrees_with_the_oracle(monkeypatch, capsys):
+    compare = acceptance.compare
+
+    def flipped(c, A, B):
+        res = compare(c, A, B)
+        return dataclasses.replace(res, ok=not res.ok)
+
+    monkeypatch.setattr(acceptance, "compare", flipped)
+    assert _selftest_failures(capsys, 5) == ["1000 disagreements with the type-vector oracle"]
+
+
+def test_selftest_fails_criterion_6_when_refine_drops_a_tower(monkeypatch, capsys):
+    refine = acceptance.refine
+
+    def dropping(c, targets):
+        # the criterion refines the result again, by targets whose atoms may be gone
+        atoms = c.atoms()
+        return castle.Castle(refine(c, [atoms.intersection(t) for t in targets]).towers[1:])
+
+    # every random castle has an atom, so every refinement loses an orbit
+    monkeypatch.setattr(acceptance, "refine", dropping)
+    assert _selftest_failures(capsys, 6) == ["500 refinement failures"]
+
+
 def test_graph_window_file_with_core(tmp_path, capsys):
     window = write(
         tmp_path / "graph.json",
@@ -946,6 +995,25 @@ def test_graph_window_file_with_core(tmp_path, capsys):
     data_code, out, _ = run(capsys, "--json", "boundary", "--in", window, "--points", "b", "--R", "1")
     data = json.loads(out)
     assert data["result"]["halo_contaminated"] is True
+
+
+def test_a_set_with_a_halo_point_is_contaminated(tmp_path, capsys):
+    # the window shows {10} the boundary {9}; the ambient line shows {9, 11}
+    window = write(tmp_path / "window.json", {"interval": {"lo": 0, "hi": 9, "halo_depth": 1}})
+    code, out, _ = run(capsys, "--json", "boundary", "--in", window, "--points", "9,10", "--R", "1")
+    assert code == 0
+    assert json.loads(out)["result"] == {"boundary": ["8"], "halo_contaminated": True, "size": 1}
+    # the empty set is clean and has no boundary
+    code, out, _ = run(capsys, "--json", "boundary", "--in", window, "--points", ",", "--R", "1")
+    assert code == 0
+    assert json.loads(out)["result"] == {"boundary": [], "halo_contaminated": False, "size": 0}
+    # a negative radius is refused, for the empty set too
+    for points in ("9,10", ","):
+        code, out, err = run(capsys, "boundary", "--in", window, "--points", points, "--R", "-1")
+        assert (code, out, err) == (2, "", "error: radius must be nonnegative\n")
+    only = write(tmp_path / "castle.json", {"towers": [{"height": 1, "columns": [["10"]]}]})
+    code, out, err = run(capsys, "castle", "defect", "--in", only, "--space", window, "--R", "1")
+    assert (code, out, err) == (2, "", "error: every orbit is halo-contaminated at this radius\n")
 
 
 def test_matrix_space_file(tmp_path, capsys):

@@ -613,6 +613,28 @@ def test_halo_contamination_flag():
     for F, expected in (({4, 5}, (2, False)), ({0, 1}, (2, True))):  # {0, 1} reaches -2, -1
         bd, contaminated = w.boundary(F, 2)
         assert (Fraction(len(bd), len(F)), contaminated) == expected
+    # a set with a halo point is contaminated though its boundary is all core:
+    # the window shows {10} the boundary {9}, the ambient line {9, 11}
+    w = integer_window(0, 9, 1)
+    for F, bd in (({10}, {9}), ({9, 10}, {8})):
+        assert w.boundary(F, 1) == (bd, True)
+        assert list(w.boundary_counts([F], 1)) == [(len(bd), True)]
+
+
+def test_halo_window_counts_core_runs_without_building_their_boundaries(monkeypatch):
+    # the counts come from the run kernel; the flags from N_R(halo), built once
+    w = integer_window(0, 99, 3)
+    calls = []
+    boundary_of = IntegerSubsetSpace.boundary_of
+
+    def counting(self, F, R):
+        calls.append((set(F), R))
+        return boundary_of(self, F, R)
+
+    monkeypatch.setattr(IntegerSubsetSpace, "boundary_of", counting)
+    runs = [tuple(range(a, a + 10)) for a in range(0, 100, 10)]
+    assert list(w.boundary_counts(runs, 2)) == [(4, True)] + [(4, False)] * 8 + [(4, True)]
+    assert calls == [(w.halo, 2)]
 
 
 def test_subset_window():

@@ -415,17 +415,18 @@ def test_replaced_tiling_gets_a_fresh_verdict():
 
 
 def test_editing_a_report_leaves_the_next_one_alone():
+    # the report is frozen and kept, so no edit can reach the next call;
     # the middle tile is clean at ratio 1/5, not below 1/10, and tile 0 declares a false diameter
     tiles = [frozenset(range(a, a + 10)) for a in (0, 10, 20)]
     t = Tiling(integer_window(0, 29, 1), tiles, 1, Fraction(1, 10), [TileMeta(Fraction(1, 10), 0, True)], 9)
     first = verify_tiling(t)
-    expected = verify_tiling(dataclasses.replace(t))
-    assert first == expected and first.failures and first.meta_mismatches == [0]
-    first.tiles.clear()
-    first.failures.append("edited")
-    first.meta_mismatches.clear()
-    first.passed = True
-    assert verify_tiling(t) == expected
+    assert verify_tiling(t) is first
+    assert first == verify_tiling(dataclasses.replace(t))
+    assert first.failures and first.meta_mismatches == (0,)
+    assert all(isinstance(getattr(first, name), tuple) for name in ("tiles", "failures", "meta_mismatches"))
+    for name, value in (("passed", True), ("failures", ()), ("tiles", ()), ("meta_mismatches", ())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(first, name, value)
 
 
 def test_errors_are_raised_on_every_call():
@@ -481,7 +482,7 @@ def test_verifier_reports_mismatched_meta():
     lying = [TileMeta(Fraction(0), 0, False)]
     t = Tiling(w, tiles, 1, Fraction(1, 2), lying, 9)
     report = verify_tiling(t)
-    assert report.meta_mismatches == [0]
+    assert report.meta_mismatches == (0,)
 
 
 def test_verifier_pairs_declared_meta_with_tiles_by_position():
@@ -492,18 +493,18 @@ def test_verifier_pairs_declared_meta_with_tiles_by_position():
     tiles = [frozenset(range(0, 3)), frozenset(range(3, 6)), frozenset({6, 7}), frozenset({8, 9})]
     meta = [TileMeta(Fraction(2, 3), 1, False), TileMeta(Fraction(2, 3), 2, True)]
     report = verify_tiling(Tiling(w, tiles, 1, Fraction(1, 2), meta, 1))
-    assert report.tiles == [
+    assert report.tiles == (
         TileReport(0, 3, 2, 2, True),
         TileReport(1, 3, 2, 2, True),
         TileReport(2, 2, 2, 1, False),
         TileReport(3, 2, 2, 1, True),
-    ]
-    assert report.meta_mismatches == [0]
-    assert report.failures == [
+    )
+    assert report.meta_mismatches == (0,)
+    assert report.failures == (
         "tile 0: diameter 2 exceeds declared bound 1",
         "tile 1: diameter 2 exceeds declared bound 1",
         "tile 2: ratio 1 is not strictly below 1/2",
-    ]
+    )
     assert (report.max_ratio, report.max_diameter, report.passed) == (1, 2, False)
     # more metas than tiles: the contaminated flag of meta 4, past the last
     # tile, reaches no tile; tile 1's declared flag spares its ratio 1
@@ -514,18 +515,18 @@ def test_verifier_pairs_declared_meta_with_tiles_by_position():
         TileMeta(Fraction(0), 0, False), TileMeta(Fraction(5), 9, True), TileMeta(Fraction(0), 0, False),
     ]
     report = verify_tiling(Tiling(w, tiles, 1, Fraction(1, 2), meta, 0))
-    assert report.tiles == [
+    assert report.tiles == (
         TileReport(0, 2, 1, 1, False),
         TileReport(1, 1, 1, 0, True),
         TileReport(2, 2, 0, 1, False),
         TileReport(3, 1, 0, 0, False),
-    ]
-    assert report.meta_mismatches == [2]
-    assert report.failures == [
+    )
+    assert report.meta_mismatches == (2,)
+    assert report.failures == (
         "tile 0: ratio 1/2 is not strictly below 1/2",
         "tile 0: diameter 1 exceeds declared bound 0",
         "tile 2: diameter 1 exceeds declared bound 0",
-    ]
+    )
     assert (report.max_ratio, report.max_diameter, report.passed) == (Fraction(1, 2), 1, False)
 
 
@@ -642,12 +643,28 @@ def test_batch_boundaries_agree_with_boundary_set_by_set(name):
     # shuffled tiles are almost never runs, so slices of the sorted core,
     # from a second generator, reach the closed-form counts as well
     slices = random.Random(name + "/slices")
+    anywhere = random.Random(name + "/window")
     contaminated = set()
     for R in range(4):
+        # pieces of the whole window, halo points among them: a piece is
+        # contaminated when it or its boundary meets the halo
+        pieces = _random_tiles(anywhere, window.space.points, 6)
+        by_set = [window.boundary(F, R) for F in pieces]
+        assert [c for _, c in by_set] == [not window.halo.isdisjoint({*F, *bd}) for F, (bd, _) in zip(pieces, by_set)]
+        assert list(window.boundary_counts(pieces, R)) == [(len(bd), c) for bd, c in by_set]
+        clean = [Fraction(len(bd), len(F)) for F, (bd, halo) in zip(pieces, by_set) if not halo]
+        one_column_each = castle.Castle([castle.Tower(len(F), (tuple(F),)) for F in pieces])
+        if clean:
+            assert castle.invariance_defect(one_column_each, window, R) == max(clean)
+        else:
+            with pytest.raises(ValueError, match="every orbit is halo-contaminated"):
+                castle.invariance_defect(one_column_each, window, R)
         batches = [_random_tiles(rng, window.core, 6) for _ in range(4)]
         batches += [_random_tiles(slices, window.core, 6, shuffle=False) for _ in range(2)]
         for tiles in batches:
             by_set = [window.boundary(F, R) for F in tiles]
+            # a core set is contaminated exactly when its boundary meets the halo
+            assert [c for _, c in by_set] == [not bd.isdisjoint(window.halo) for bd, _ in by_set]
             assert list(window.boundary_counts(tiles, R)) == [(len(bd), c) for bd, c in by_set]
             contaminated.update(c for _, c in by_set)
             # each pass on the batch path: verify, castle columns (tuple orbits), defect
