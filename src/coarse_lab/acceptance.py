@@ -1,7 +1,9 @@
 """The acceptance suite: ten criteria, each replayed from scratch.
 
-Every criterion is a function returning a :class:`CriterionResult`; the CLI
-``selftest`` subcommand and the pytest acceptance module both run these.
+Every criterion is a body that records its checks on a
+:class:`CriterionResult`; ``_criterion`` registers it in ``CRITERIA`` as a
+timed function of the context.  The CLI ``selftest`` subcommand and the
+pytest acceptance module both run these.
 All tolerances are exact (rational arithmetic); the only inexact quantities
 are wall-clock budgets, which are part of the stated criteria.  Expensive
 intermediates (the four tilings) are shared through a context dict so the
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -57,23 +60,19 @@ from .tiling import (
 
 @dataclass
 class CriterionResult:
+    """A criterion's verdict; its body records checks and notes on it as it runs."""
+
     number: int
     title: str
-    passed: bool
-    elapsed: float
     budget: float | None = None
+    elapsed: float = 0.0
     details: list[str] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
+    _start: float = field(default=0.0, init=False, repr=False, compare=False)
 
-    def line(self) -> str:
-        mark = "PASS" if self.passed else "FAIL"
-        return f"[{mark}] criterion {self.number}: {self.title} ({self.elapsed:.2f}s)"
-
-
-class _Check:
-    def __init__(self):
-        self.failures: list[str] = []
-        self.details: list[str] = []
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def expect(self, ok: bool, message: str):
         if not ok:
@@ -82,14 +81,45 @@ class _Check:
     def note(self, message: str):
         self.details.append(message)
 
+    def replays(self, replay: Callable[[], object], message: str):
+        """Run a certificate's replay; an ``AssertionError`` it raises is a failure."""
+        try:
+            replay()
+        except AssertionError as e:
+            self.failures.append(f"{message}: {e}")
 
-def _result(number: int, title: str, chk: _Check, elapsed: float, budget: float | None) -> CriterionResult:
-    if budget is not None:
-        chk.expect(elapsed < budget, f"runtime {elapsed:.2f}s exceeds budget {budget}s")
-    return CriterionResult(
-        number, title, passed=not chk.failures, elapsed=elapsed, budget=budget,
-        details=chk.details, failures=chk.failures,
-    )
+    def restart_clock(self):
+        self._start = time.perf_counter()
+
+    def line(self) -> str:
+        mark = "PASS" if self.passed else "FAIL"
+        return f"[{mark}] criterion {self.number}: {self.title} ({self.elapsed:.2f}s)"
+
+
+CRITERIA: dict[int, Callable[[dict], CriterionResult]] = {}
+
+
+def _criterion(number: int, title: str, budget: float | None = None):
+    """Register a body ``(ctx, chk)`` as criterion ``number``.
+
+    The registered function times the whole body, applies the wall-clock
+    budget, and returns ``chk``, the body's :class:`CriterionResult`.
+    """
+
+    def register(body: Callable[[dict, CriterionResult], None]) -> Callable[[dict], CriterionResult]:
+        def run(ctx: dict) -> CriterionResult:
+            chk = CriterionResult(number, title, budget)
+            chk.restart_clock()
+            body(ctx, chk)
+            chk.elapsed = time.perf_counter() - chk._start
+            if budget is not None:
+                chk.expect(chk.elapsed < budget, f"runtime {chk.elapsed:.2f}s exceeds budget {budget}s")
+            return chk
+
+        CRITERIA[number] = run
+        return run
+
+    return register
 
 
 def _random_sparse_subset(rng: random.Random, size: int) -> list[int]:
@@ -113,21 +143,19 @@ def _dense_run_subset(rng: random.Random, runs: int) -> list[int]:
     return out
 
 
-def _expect_verified(chk: _Check, report: TilingReport, where: str = "") -> None:
+def _expect_verified(chk: CriterionResult, report: TilingReport, where: str = "") -> None:
     """The verdict passed, and every declared tile metadatum matched the replay."""
     chk.expect(report.passed, f"verification failed{where}: " + "; ".join(report.failures[:3]))
     chk.expect(not report.meta_mismatches, f"declared metadata mismatch{where} at tiles {list(report.meta_mismatches[:3])}")
 
 
-def criterion_1(ctx: dict) -> CriterionResult:
-    chk = _Check()
-    t0 = time.perf_counter()
+@_criterion(1, "integer-line tiling at (5, 1/100)", budget=2.0)
+def criterion_1(ctx: dict, chk: CriterionResult) -> None:
     window = integer_window(-100_000, 100_000, 5)
     R, eps = 5, Fraction(1, 100)
     chk.expect(block_length(R, eps) == 1001, "block length is not 1001")
     t = tile_interval(window, R, eps)
     report = verify_tiling(t)
-    elapsed = time.perf_counter() - t0
     _expect_verified(chk, report)
     interior = [m for m in t.meta if not m.contaminated]
     chk.expect(bool(interior), "no interior tiles")
@@ -135,12 +163,10 @@ def criterion_1(ctx: dict) -> CriterionResult:
     chk.expect(not bad, f"interior ratios other than 10/1001: {bad[:3]}")
     chk.note(f"{len(t.tiles)} tiles, {len(interior)} interior at ratio 10/1001")
     ctx["tiling_1"] = t
-    return _result(1, "integer-line tiling at (5, 1/100)", chk, elapsed, 2.0)
 
 
-def criterion_2(ctx: dict) -> CriterionResult:
-    chk = _Check()
-    t0 = time.perf_counter()
+@_criterion(2, "sparse-subset tilings across the (R, eps) sweep", budget=5.0)
+def criterion_2(ctx: dict, chk: CriterionResult) -> None:
     subsets = [[n * n for n in range(1, 1001)]]
     rng = random.Random(0)
     for _ in range(20):
@@ -175,17 +201,14 @@ def criterion_2(ctx: dict) -> CriterionResult:
             flagged = [i for i, m in enumerate(t.meta) if m.contaminated]
             final = [i for i, tile in enumerate(t.tiles) if min(tile) >= start]
             chk.expect(flagged == final, "flagged tiles are not the final run's" + where)
-    elapsed = time.perf_counter() - t0
     chk.expect(chopped > 0, "no tiling has a tile with a nonzero boundary")
     chk.note(f"{count} tilings over {len(subsets)} subsets, all verified, {chopped} with a nonzero ratio")
     chk.note(f"{3 * len(dense)} declared prefixes flag exactly their final run")
     ctx["tilings_2"] = tilings
-    return _result(2, "sparse-subset tilings across the (R, eps) sweep", chk, elapsed, 5.0)
 
 
-def criterion_3(ctx: dict) -> CriterionResult:
-    chk = _Check()
-    t0 = time.perf_counter()
+@_criterion(3, "stacked column tiling over the depth-5 tree ball")
+def criterion_3(ctx: dict, chk: CriterionResult) -> None:
     X = regular_tree_window(3, 5, 0).space
     R, eps = 2, Fraction(1, 20)
     # halo is a quarter of K, so K = 909 gives core height 682 = 2N with N = 341
@@ -196,7 +219,6 @@ def criterion_3(ctx: dict) -> CriterionResult:
     chk.expect((window.space.K - window.halo_depth) % N == 0, "core height not a multiple of N")
     t = tile_stacked_product(window, R, eps)
     report = verify_tiling(t)
-    elapsed = time.perf_counter() - t0
     _expect_verified(chk, report)
     bottom_bound = Fraction(S + R, N)
     bottoms = [
@@ -209,12 +231,10 @@ def criterion_3(ctx: dict) -> CriterionResult:
     )
     chk.note(f"S={S}, N={N}, {len(t.tiles)} tiles, bottom ratios <= {bottom_bound}")
     ctx["tiling_3"] = t
-    return _result(3, "stacked column tiling over the depth-5 tree ball", chk, elapsed, None)
 
 
-def criterion_4(ctx: dict) -> CriterionResult:
-    chk = _Check()
-    t0 = time.perf_counter()
+@_criterion(4, "box-space tiling over cycle quotients")
+def criterion_4(ctx: dict, chk: CriterionResult) -> None:
     moduli = [2 ** k for k in range(1, 13)]
     R, eps = 1, Fraction(1, 3)
     plan = box_tiling_plan(moduli, R, eps)
@@ -225,7 +245,6 @@ def criterion_4(ctx: dict) -> CriterionResult:
     )
     t = tile_box_space(moduli, R, eps)
     report = verify_tiling(t)
-    elapsed = time.perf_counter() - t0
     _expect_verified(chk, report)
     x0 = t.tiles[0]
     chk.expect(
@@ -240,12 +259,10 @@ def criterion_4(ctx: dict) -> CriterionResult:
     )
     chk.note(f"{len(arcs)} arcs of length 8 at ratio 1/4, X_0 absorbs blocks {list(plan.absorbed_blocks)}")
     ctx["tiling_4"] = t
-    return _result(4, "box-space tiling over cycle quotients", chk, elapsed, None)
 
 
-def criterion_5(ctx: dict) -> CriterionResult:
-    chk = _Check()
-    t0 = time.perf_counter()
+@_criterion(5, "castle comparison is exactly the type-vector order", budget=10.0)
+def criterion_5(ctx: dict, chk: CriterionResult) -> None:
     rng = random.Random(5)
     discrepancies = 0
     for _ in range(1000):
@@ -259,19 +276,13 @@ def criterion_5(ctx: dict) -> CriterionResult:
             discrepancies += 1
             continue
         if res.ok:
-            try:
-                res.witness.replay(A, B)
-            except AssertionError as e:
-                chk.expect(False, f"witness replay failed: {e}")
-    elapsed = time.perf_counter() - t0
+            chk.replays(lambda: res.witness.replay(A, B), "witness replay failed")
     chk.expect(discrepancies == 0, f"{discrepancies} disagreements with the type-vector oracle")
     chk.note("1000 castles, comparison agrees with per-orbit mass everywhere")
-    return _result(5, "castle comparison is exactly the type-vector order", chk, elapsed, 10.0)
 
 
-def criterion_6(ctx: dict) -> CriterionResult:
-    chk = _Check()
-    t0 = time.perf_counter()
+@_criterion(6, "castle refinement against random targets")
+def criterion_6(ctx: dict, chk: CriterionResult) -> None:
     rng = random.Random(6)
     failures = 0
     for _ in range(500):
@@ -299,45 +310,34 @@ def criterion_6(ctx: dict) -> CriterionResult:
         ok = ok and levels(r2) == levels(r)
         if not ok:
             failures += 1
-    elapsed = time.perf_counter() - t0
     chk.expect(failures == 0, f"{failures} refinement failures")
     chk.note("500 castles refined: adapted levels, orbits and masses preserved, idempotent")
-    return _result(6, "castle refinement against random targets", chk, elapsed, None)
 
 
-def criterion_7(ctx: dict) -> CriterionResult:
-    chk = _Check()
-    tilings = []
-    for key in ("tiling_1", "tiling_3", "tiling_4"):
-        if key in ctx:
-            tilings.append(ctx[key])
-    tilings.extend(ctx.get("tilings_2", []))
+def _tilings(ctx: dict) -> list:
+    """The tilings that criteria 1-4 left in the context."""
+    return [ctx[key] for key in ("tiling_1", "tiling_3", "tiling_4") if key in ctx] + ctx.get("tilings_2", [])
+
+
+@_criterion(7, "castle invariance defect ties back to tile ratios")
+def criterion_7(ctx: dict, chk: CriterionResult) -> None:
+    tilings = _tilings(ctx)
     if not tilings:
-        # standalone invocation: rebuild the four construction families
-        criterion_1(ctx)
-        criterion_2(ctx)
-        criterion_3(ctx)
-        criterion_4(ctx)
-        return criterion_7(ctx)
-    t0 = time.perf_counter()
-    checked = 0
+        # standalone invocation: rebuild the four construction families, and
+        # time only the tie-back
+        for build in (criterion_1, criterion_2, criterion_3, criterion_4):
+            build(ctx)
+        tilings = _tilings(ctx)
+        chk.restart_clock()
+    chk.expect(bool(tilings), "no tilings to tie back")
     for t in tilings:
-        c = castle_from_tiling(t)
-        defect = invariance_defect(c, t.window, t.R)
-        if defect != t.max_ratio():
-            chk.expect(
-                False,
-                f"defect {defect} != max clean tile ratio {t.max_ratio()}",
-            )
-        checked += 1
-    elapsed = time.perf_counter() - t0
-    chk.note(f"{checked} tilings: invariance defect equals max tile ratio exactly")
-    return _result(7, "castle invariance defect ties back to tile ratios", chk, elapsed, None)
+        defect, ratio = invariance_defect(castle_from_tiling(t), t.window, t.R), t.max_ratio()
+        chk.expect(defect == ratio, f"defect {defect} != max clean tile ratio {ratio}")
+    chk.note(f"{len(tilings)} tilings: invariance defect equals max tile ratio exactly")
 
 
-def criterion_8(ctx: dict) -> CriterionResult:
-    chk = _Check()
-    t0 = time.perf_counter()
+@_criterion(8, "monoid decision suite", budget=10.0)
+def criterion_8(ctx: dict, chk: CriterionResult) -> None:
     free3 = presentation(3)
     res = check_almost_unperforated(free3, x_cap=8, n_max=4, depth=12, z_cap=10)
     chk.expect(not res.found, f"free monoid produced a counterexample: {res.counterexample}")
@@ -351,10 +351,10 @@ def criterion_8(ctx: dict) -> CriterionResult:
             (ce.x, ce.y, ce.n) == ((1, 0), (0, 1), 2),
             f"counterexample {(ce.x, ce.y, ce.n)} != ((1,0), (0,1), 2)",
         )
-        try:
-            ce.scaled_leq.certificate.replay(num23, vscale(ce.n + 1, ce.x), vscale(ce.n, ce.y))
-        except AssertionError:
-            chk.expect(False, "scaled leq certificate does not replay")
+        chk.replays(
+            lambda: ce.scaled_leq.certificate.replay(num23, vscale(ce.n + 1, ce.x), vscale(ce.n, ce.y)),
+            "scaled leq certificate does not replay",
+        )
         chk.expect(ce.plain_leq.no, "plain leq verdict is not a No")
 
     idem = presentation(1, [[(2,), (1,)]])
@@ -362,14 +362,11 @@ def criterion_8(ctx: dict) -> CriterionResult:
     chk.expect(pinf.verdict.yes, "2a <= a not established in the idempotent monoid")
     canc = cancellative_equal(idem, (1,), (0,))
     chk.expect(canc.yes, "a != 0 in the cancellative hull of the idempotent monoid")
-    elapsed = time.perf_counter() - t0
     chk.note("free N^3 clean, <2,3> counterexample (a, b, 2), idempotent collapses")
-    return _result(8, "monoid decision suite", chk, elapsed, 10.0)
 
 
-def criterion_9(ctx: dict) -> CriterionResult:
-    chk = _Check()
-    t0 = time.perf_counter()
+@_criterion(9, "boundary-fill growth dichotomy: line vs tree", budget=30.0)
+def criterion_9(ctx: dict, chk: CriterionResult) -> None:
     norms = {}
     for L in (50, 100, 200):
         window = integer_window(0, L - 1, 2)
@@ -399,14 +396,11 @@ def criterion_9(ctx: dict) -> CriterionResult:
         min_fill_norm_by_scan(wt, ct, 1) == tree_norms[4],
         "oracle disagrees on the radius-4 tree ball",
     )
-    elapsed = time.perf_counter() - t0
     chk.note(f"line norms {norms}, tree norms {tree_norms}, oracle agrees")
-    return _result(9, "boundary-fill growth dichotomy: line vs tree", chk, elapsed, 30.0)
 
 
-def criterion_10(ctx: dict) -> CriterionResult:
-    chk = _Check()
-    t0 = time.perf_counter()
+@_criterion(10, "paradoxical-vs-amenable dichotomy via doubling")
+def criterion_10(ctx: dict, chk: CriterionResult) -> None:
     R = 2
     for radius in (3, 4, 5):
         window = regular_tree_window(3, radius + R, R)
@@ -417,10 +411,7 @@ def criterion_10(ctx: dict) -> CriterionResult:
             f"tree ball radius {radius} did not double",
         )
         if isinstance(res, ParadoxWitness):
-            try:
-                res.replay(window)
-            except AssertionError as e:
-                chk.expect(False, f"witness replay failed at radius {radius}: {e}")
+            chk.replays(lambda: res.replay(window), f"witness replay failed at radius {radius}")
         if len(F) <= 200:
             chk.expect(
                 doubling_possible_by_matching(window, F, R)
@@ -438,37 +429,15 @@ def criterion_10(ctx: dict) -> CriterionResult:
             if 2 * r < L:
                 chk.expect(violator, f"interval L={L}, R={r} did not violate Hall")
                 if violator:
-                    try:
-                        res.replay(window)
-                    except AssertionError as e:
-                        chk.expect(False, f"violator replay failed: {e}")
+                    chk.replays(lambda: res.replay(window), "violator replay failed")
             if L <= 200:
                 chk.expect(
                     doubling_possible_by_matching(window, F, r) == witness,
                     f"matching oracle disagrees on interval L={L}, R={r}",
                 )
-    elapsed = time.perf_counter() - t0
     chk.note("tree balls double with replayable maps; intervals yield Hall violators")
-    return _result(10, "paradoxical-vs-amenable dichotomy via doubling", chk, elapsed, None)
-
-
-CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-}
 
 
 def run_criteria(numbers=None) -> list[CriterionResult]:
     ctx: dict = {}
-    results = []
-    for n in sorted(numbers or CRITERIA):
-        results.append(CRITERIA[n](ctx))
-    return results
+    return [CRITERIA[n](ctx) for n in sorted(numbers or CRITERIA)]

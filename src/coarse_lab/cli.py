@@ -65,7 +65,7 @@ from .serialize import (
     window_from_spec,
     zero_chain_from_dict,
 )
-from .space import ball, outer_boundary
+from .space import ball
 from .tiling import (
     tile_box_space,
     tile_interval,
@@ -150,10 +150,7 @@ def cmd_boundary(args, em: Emitter) -> int:
     window = _load_window(args.infile)
     codec = PointCodec(window.space)
     F = _point_set(args, codec)
-    if F:
-        bd, contaminated = window.boundary(F, args.R)
-    else:  # empty, so clean; outer_boundary still refuses a negative radius
-        bd, contaminated = outer_boundary(window.space, F, args.R), False
+    bd, contaminated = window.boundary(F, args.R)
     em.say(f"outer {args.R}-boundary has {len(bd)} points"
            + (" (halo-contaminated)" if contaminated else ""))
     return em.finish(

@@ -214,7 +214,7 @@ class GraphSpace(FiniteMetricSpace):
     def _reach(self, F: Collection[Point], R: int) -> set:
         """The points within R of F, F among them; the whole space once R reaches the sentinel."""
         if R >= self.sentinel:
-            return set(self.points)
+            return set(self.points) if F else set()
         seen = set(F)
         frontier = list(F)
         for _ in range(R):
@@ -483,13 +483,12 @@ class WindowedSpace:
     def boundary(self, F: Collection[Point], R: int) -> tuple[set, bool]:
         """The outer R-boundary of F, and whether F is halo-contaminated.
 
-        F must be nonempty and free of repeats, so that |∂_R F| / |F| is its
-        Følner ratio.  Callers compare ratios by cross-multiplying counts and
-        build a ``Fraction`` only for a ratio they store or report, and skip
-        contaminated sets or downgrade them to advisory.
+        The empty set has no boundary and meets no halo, so it is clean.
+        For a nonempty F, |∂_R F| / |F| is its Følner ratio.  Callers compare
+        ratios by cross-multiplying counts and build a ``Fraction`` only for
+        a ratio they store or report, and skip contaminated sets or downgrade
+        them to advisory.
         """
-        if not F:
-            raise ValueError("boundary ratio of the empty set is undefined")
         bd = outer_boundary(self.space, F, R)
         return bd, not (self.halo.isdisjoint(bd) and self.halo.isdisjoint(F))
 

@@ -1,9 +1,12 @@
 """Statement coverage floor: every statement of ``src/coarse_lab`` runs under tier-1.
 
-Runs the tier-1 collection (``tests/`` and ``benchmarks/``, as CI does) in
-this process under a ``sys.settrace`` / ``threading.settrace`` line tracer,
-and fails unless every statement of the package ran, save those on the
-allowlist below.  Only the standard library traces; pytest runs the tests.
+Runs the tier-1 collection (``tests/`` and ``benchmarks/``, as CI does)
+without the seeded fuzzer ``tests/test_fuzz.py`` in this process under a
+``sys.settrace`` / ``threading.settrace`` line tracer, and fails unless every
+statement of the package ran, save those on the allowlist below.  Leaving
+the fuzzer out means every statement needs a named test, so a change to the
+fuzzer's draws or the CLI corpus cannot fail the floor on unrelated code.
+Only the standard library traces; pytest runs the tests.
 Tests that run the package in a subprocess (the hash-seed replay, the
 benchmark's refusal run) are not counted: their statements must also run
 in-process to count.
@@ -36,11 +39,6 @@ PACKAGE = os.path.join(ROOT, "src", "coarse_lab")
 
 # (file, statement text): statements no tier-1 test needs to run
 ALLOWLIST = [
-    # criteria failure branches: each fires only when a construction lies
-    ("acceptance.py", 'chk.expect(False, f"witness replay failed: {e}")'),
-    ("acceptance.py", 'chk.expect(False, "scaled leq certificate does not replay")'),
-    ("acceptance.py", 'chk.expect(False, f"witness replay failed at radius {radius}: {e}")'),
-    ("acceptance.py", 'chk.expect(False, f"violator replay failed: {e}")'),
     # the module run as a script
     ("cli.py", "sys.exit(main())"),
     # the abstract metric
@@ -109,7 +107,7 @@ def run_traced(argv: list[str]) -> tuple[int, dict[str, set[int]]]:
 def main() -> int:
     os.chdir(ROOT)
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    code, ran = run_traced(["-q", "-W", "error", "-p", "no:cacheprovider"])
+    code, ran = run_traced(["-q", "-W", "error", "-p", "no:cacheprovider", "--ignore=tests/test_fuzz.py"])
     if code != 0:
         print(f"coverage floor: tier-1 failed (pytest exit {code})")
         return code

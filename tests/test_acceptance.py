@@ -5,6 +5,7 @@ appear; the CLI equivalent is ``coarse-lab selftest``.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,12 +31,20 @@ def test_criterion(number):
 
 def test_criterion_7_alone_runs_criteria_1_to_4_first(monkeypatch):
     # with no tilings in its context, criterion 7 runs criteria 1-4 to build
-    # them; cheap stand-ins record the calls and leave one chopped tiling
+    # them; cheap stand-ins record the calls and leave one chopped tiling.
+    # Each stand-in moves the criteria's clock on by 100 s, and criterion 7
+    # times only its tie-back
     ran = []
+    clock = [0.0]
+
+    def perf_counter():
+        clock[0] += 0.001
+        return clock[0]
 
     def stand_in(n):
         def criterion(ctx):
             ran.append(n)
+            clock[0] += 100
             if n == 2:
                 ctx["tilings_2"] = [tile_sparse_subset([*range(40), *range(50, 90)], 1, Fraction(1, 2))]
 
@@ -43,7 +52,15 @@ def test_criterion_7_alone_runs_criteria_1_to_4_first(monkeypatch):
 
     for n in (1, 2, 3, 4):
         monkeypatch.setattr(acceptance, f"criterion_{n}", stand_in(n))
+    monkeypatch.setattr(acceptance, "time", SimpleNamespace(perf_counter=perf_counter))
     result = acceptance.criterion_7({})
     assert ran == [1, 2, 3, 4]
     assert result.passed, result.failures
+    assert 0 < result.elapsed < 1
     assert result.details == ["1 tilings: invariance defect equals max tile ratio exactly"]
+
+
+def test_criterion_7_fails_when_criteria_1_to_4_build_no_tiling(monkeypatch):
+    for n in (1, 2, 3, 4):
+        monkeypatch.setattr(acceptance, f"criterion_{n}", lambda ctx: None)
+    assert acceptance.criterion_7({}).failures == ["no tilings to tie back"]

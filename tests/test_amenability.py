@@ -261,6 +261,11 @@ def test_doubling_requires_core_domain():
         doubling_check(w, {-1, 0}, 1)
 
 
+def test_doubling_refuses_a_negative_radius():
+    with pytest.raises(ValueError, match="R must be nonnegative"):
+        doubling_check(integer_window(0, 5, 2), {0, 1}, -1)
+
+
 def test_doubling_interval_sweep_fails_below_half():
     # every interval F with R < |F|/2 must produce a violator
     w = integer_window(-80, 80, 6)

@@ -35,6 +35,11 @@ def two_tower_castle():
     )
 
 
+def test_refine_refuses_a_target_with_a_non_atom():
+    with pytest.raises(ValueError, match="target 1 contains non-atoms"):
+        refine(two_tower_castle(), [{"a0"}, {"a1", "nope"}])
+
+
 def level_partition(c: Castle) -> set:
     return {frozenset(t.level(j)) for t in c.towers for j in range(t.height)}
 

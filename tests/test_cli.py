@@ -266,6 +266,15 @@ def test_castle_compare_refuses_an_ambiguous_atom_name(tmp_path, capsys):
     assert json.loads(out)["result"]["bisections"] == [{"x": "x"}]
 
 
+def test_castle_compare_skips_empty_names_and_refuses_unknown_atoms(tmp_path, capsys):
+    castle = write(tmp_path / "castle.json", {"towers": [{"height": 1, "columns": [["x"]]}]})
+    code, out, _ = run(capsys, "--json", "castle", "compare", "--in", castle, "--A", ",x", "--B", "x,")
+    assert code == 0
+    assert json.loads(out)["result"]["bisections"] == [{"x": "x"}]
+    code, out, err = run(capsys, "castle", "compare", "--in", castle, "--A", ",nope", "--B", "x")
+    assert (code, out, err) == (2, "", "error: unknown atom 'nope'\n")
+
+
 def test_castle_validate_lists_every_violation(tmp_path, capsys):
     castle = write(
         tmp_path / "castle.json",
@@ -658,6 +667,7 @@ def test_non_integer_presentation_is_a_schema_error(tmp_path, capsys, pres, err)
         ({"vertices": [1, 2, 3], "edges": [[1, 2]], "core": "12"}, "window 'core': expected a list, got '12'"),
         ({"vertices": [1, 2, 3], "edges": [[1, 2]], "core": [["1"]]}, "unknown point key ['1']"),
         ({"vertices": [1, "1"], "edges": []}, "error: point keys collide at '1'"),
+        ({"core": [3]}, "space: expected 'vertices' or 'points'"),
     ],
 )
 def test_malformed_window_is_a_schema_error(tmp_path, capsys, window, err):
@@ -749,6 +759,11 @@ def tiling_with(**fields):
         ("verify-tiling", 5, "tiling: expected an object, got 5"),
         ("sparse", {"A": [0, 1], "prefix_of_unbounded": "no"}, "sparse 'prefix_of_unbounded': expected a boolean, got 'no'"),
         ("box", {"moduli": [0, 4]}, "moduli must be positive integers"),
+        (
+            "verify-tiling",
+            {k: v for k, v in tiling_with().items() if k != "space"},
+            "tiling: no embedded 'space' and no window supplied",
+        ),
     ],
 )
 def test_malformed_tiling_input_is_a_schema_error(tmp_path, capsys, strategy, spec, err):
@@ -967,6 +982,14 @@ def test_selftest_fails_criterion_5_when_compare_disagrees_with_the_oracle(monke
     assert _selftest_failures(capsys, 5) == ["1000 disagreements with the type-vector oracle"]
 
 
+def test_selftest_fails_criterion_5_when_a_witness_does_not_replay(monkeypatch, capsys):
+    def tampered(self, A, B):
+        raise AssertionError("tampered")
+
+    monkeypatch.setattr(castle.ComparisonWitness, "replay", tampered)
+    assert "witness replay failed: tampered" in _selftest_failures(capsys, 5)
+
+
 def test_selftest_fails_criterion_6_when_refine_drops_a_tower(monkeypatch, capsys):
     refine = acceptance.refine
 
@@ -1073,3 +1096,33 @@ def test_internal_error_exits_3(monkeypatch, capsys, zwindow):
     assert code == 3
     assert out == ""
     assert err == "internal error: AssertionError: replay failed\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["boundary", "--in", "{window}", "--R", "1"], "supply --points or --set"),
+        (["monoid", "equal", "--in", "{free2}", "--u", "1,x", "--v", "0,1"],
+         "bad vector '1,x'; expected comma-separated integers"),
+        (["selftest", "--criteria", "9,11"], "no criterion 11"),
+    ],
+    ids=["no-point-set", "bad-vector", "no-criterion"],
+)
+def test_unusable_argument_value_exits_2(tmp_path, capsys, argv, err):
+    # argparse accepts these values; the command refuses them with one stderr line
+    files = {
+        "window": write(tmp_path / "window.json", {"interval": {"lo": 0, "hi": 9}}),
+        "free2": write(tmp_path / "free2.json", {"rank": 2, "relations": []}),
+    }
+    assert run(capsys, *(arg.format(**files) for arg in argv)) == (2, "", f"error: {err}\n")
+
+
+def test_tiling_file_reads_an_integer_epsilon(tmp_path, capsys):
+    # a JSON integer is a rational too: epsilon 1 reads as the string "1" does
+    reports = []
+    for eps in (1, "1"):
+        path = write(tmp_path / "tiling.json", tiling_with(epsilon=eps))
+        code, out, err = run(capsys, "--json", "verify-tiling", "--in", path)
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out)["result"])
+    assert reports[0] == reports[1]

@@ -327,6 +327,12 @@ def test_fill_requires_core_support():
         min_norm_fill(w, ZeroChain({-1: 1}), 1)
 
 
+def test_fill_refuses_a_propagation_below_1():
+    w = integer_window(0, 5, 1)
+    with pytest.raises(ValueError, match="propagation must be a positive integer"):
+        min_norm_fill(w, ZeroChain({0: 1, 1: -1}), 0)
+
+
 def test_fill_propagation_capped_by_halo_depth():
     w = integer_window(0, 5, 1)
     with pytest.raises(ValueError, match="halo depth"):

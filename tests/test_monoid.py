@@ -160,6 +160,21 @@ def test_equal_rank_mismatch():
         equal(FREE2, (1,), (1, 0))
 
 
+@pytest.mark.parametrize(
+    "build, err",
+    [
+        (lambda: presentation(0), "rank must be positive"),
+        (lambda: presentation(2, [[(1,), (0, 1)]]), "relation vectors must have length equal to the rank"),
+        (lambda: presentation(2, [[(1, -1), (0, 1)]]), "relation vectors must be nonnegative"),
+        (lambda: equal(FREE2, (1, -1), (1, 0)), "elements are nonnegative integer vectors"),
+    ],
+    ids=["rank", "relation-length", "relation-sign", "element-sign"],
+)
+def test_malformed_presentation_or_element_is_refused(build, err):
+    with pytest.raises(ValueError, match=err):
+        build()
+
+
 def test_equal_unknown_when_truncated():
     # the idempotent class of a is infinite upward; a tiny entry cap truncates it
     got = equal(IDEM, (1,), (19,), depth=30, entry_cap=3)

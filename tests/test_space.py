@@ -334,10 +334,12 @@ def test_folner_ratio_tree_ball():
     assert (Fraction(len(bd), len(F)), contaminated) == (Fraction(24, 22), False)
 
 
-def test_folner_ratio_empty_set_rejected():
-    w = integer_window(0, 5, 0)
-    with pytest.raises(ValueError):
-        w.boundary(set(), 1)
+def test_boundary_of_the_empty_set_is_empty_and_clean():
+    # ∅ meets no halo, even on a window that has one
+    w = integer_window(0, 5, 2)
+    assert w.boundary(set(), 1) == (set(), False)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        w.boundary(set(), -1)
 
 
 # -- diameter ---------------------------------------------------------------
@@ -492,7 +494,8 @@ def test_bulk_operations_match_generic_fallbacks(name):
     runs = [set(ordered)] + [set(ordered[i:i + k]) for i in range(len(ordered)) for k in (1, 3)]
     for F in sets:
         assert s.diameter_of(F) == generic.diameter_of(F), F
-    for R in range(6):
+    # the last radius is the forest's sentinel distance, which joins every pair
+    for R in (*range(6), 10):
         assert s.boundary_of(set(), R) == generic.boundary_of(set(), R) == set()
         bds = [generic.boundary_of(F, R) for F in sets + runs]
         for F, bd in zip(sets + runs, bds):
@@ -580,8 +583,16 @@ def test_window_partition_enforced():
         (lambda: stacked_product_window(IntegerLineSpace(0, 2), 4, -1), "halo depth must satisfy 0 <= H < K"),
         (lambda: MatrixSpace(["a", "b"], [[0, 1]]), "distance matrix shape does not match point count"),
         (lambda: MatrixSpace([0, 1], [[1, 1], [1, 0]]), "nonzero self-distance at 0"),
+        (lambda: integer_window(5, 4, 0), "empty core interval"),
+        (lambda: integer_window(0, 4, -1), "halo depth must be nonnegative"),
+        (lambda: regular_tree_window(1, 2, 0), "tree degree must be at least 2"),
+        (lambda: regular_tree_window(3, 2, -1), "depths must be nonnegative"),
+        (lambda: ball(IntegerLineSpace(0, 4), 2, -1), "radius must be nonnegative"),
     ],
-    ids=["window-cover", "window-depth", "stack-depth-high", "stack-depth-low", "matrix-shape", "matrix-diagonal"],
+    ids=[
+        "window-cover", "window-depth", "stack-depth-high", "stack-depth-low", "matrix-shape", "matrix-diagonal",
+        "interval-empty", "interval-depth", "tree-degree", "tree-depth", "ball-radius",
+    ],
 )
 def test_malformed_space_or_window_is_refused(build, err):
     with pytest.raises(ValueError, match=err):

@@ -330,6 +330,13 @@ def test_box_rejects_hopeless_epsilon():
         tile_box_space([2, 4], 1, Fraction(1, 100))
 
 
+def test_box_rejects_moduli_with_no_isometric_quotient():
+    # epsilon = 1 admits the monotile length 4, and isometry then needs a
+    # cycle of length 4 (R + 3) = 16 or more
+    with pytest.raises(ValueError, match="no quotient passes the separation and isometry-radius checks"):
+        box_tiling_plan([2, 4, 8], 1, Fraction(1))
+
+
 # -- verifier ----------------------------------------------------------------
 
 
