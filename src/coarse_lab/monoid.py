@@ -159,8 +159,8 @@ def _saturate(
             break
         frontier = nxt
     else:
-        if frontier:
-            truncated = True
+        # the search ran to its depth with a nonempty frontier left
+        truncated = True
     return parents, not truncated, target is not None and target in parents
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import filterfalse
 from pathlib import Path
 
 from .castle import Castle, Tower
@@ -101,6 +102,9 @@ def load_json(path) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}: not valid JSON ({e})") from None
+    except RecursionError:
+        # no schema nests more than a few levels, so such a file is malformed
+        raise SchemaError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _integer(obj: dict, key: str, context: str, default=None) -> int:
@@ -125,8 +129,9 @@ def integer_list(values, context: str) -> list:
 
 
 # the most points a window generated from a few numbers (an interval, a
-# tree, a box or a stack) may have; a 10^6-point interval takes about
-# 0.3 GB, a graph-backed tree or stack about three times as much
+# tree, a box or a stack) may have; a CLI ball on a 10^6-point interval
+# peaks near 0.3 GB resident, and so does one on the largest degree-3 tree
+# (786 430 points) or on a 992 970-point stack over a path
 MAX_WINDOW_POINTS = 1_000_000
 
 
@@ -202,14 +207,14 @@ def window_from_spec(spec: dict) -> WindowedSpace:
     if "core" in spec:
         codec = PointCodec(space)
         core = frozenset(codec.decode(k) for k in _expect(spec["core"], list, "window 'core'"))
-        halo = frozenset(space.points) - core
+        halo = frozenset(filterfalse(core.__contains__, space.points))
         return WindowedSpace(space, core, halo, _integer(spec, "halo_depth", "window", 0))
     pts = frozenset(space.points)
     return WindowedSpace(space, pts, frozenset(), 0)
 
 
-def tiling_to_dict(t: Tiling, space_spec: dict | None = None) -> dict:
-    out = {
+def tiling_to_dict(t: Tiling, space_spec: dict) -> dict:
+    return {
         "R": t.R,
         "epsilon": format_fraction(t.epsilon),
         "tiles": [sorted(encode_point(p) for p in tile) for tile in t.tiles],
@@ -223,10 +228,8 @@ def tiling_to_dict(t: Tiling, space_spec: dict | None = None) -> dict:
         ],
         "diameter_bound": t.diameter_bound,
         "notes": t.notes,
+        "space": space_spec,
     }
-    if space_spec is not None:
-        out["space"] = space_spec
-    return out
 
 
 def tiling_from_dict(data: dict, window: WindowedSpace | None = None) -> Tiling:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, compress, cycle, islice, product, repeat
 from operator import lt
 from typing import AbstractSet, Collection, Hashable, Iterable, Sequence
 
@@ -42,11 +42,11 @@ class FiniteMetricSpace:
 
     def __init__(self, points: Iterable[Point]):
         pts = tuple(points)
-        index: dict[Point, int] = {}
-        for i, p in enumerate(pts):
-            if p in index:
-                raise ValueError(f"duplicate point identifier: {p!r}")
-            index[p] = i
+        index = dict(zip(pts, range(len(pts))))
+        if len(index) < len(pts):
+            seen: set = set()
+            first = next(p for p in pts if p in seen or seen.add(p))
+            raise ValueError(f"duplicate point identifier: {first!r}")
         self.points = pts
         self._index = index
 
@@ -166,23 +166,28 @@ class GraphSpace(FiniteMetricSpace):
 
     def __init__(self, points: Iterable[Point], edges: Iterable[tuple[Point, Point]]):
         super().__init__(points)
-        adj: dict[Point, list[Point]] = {p: [] for p in self.points}
-        seen: set[frozenset] = set()
+        pts, get = self.points, self._index.get
+        n = len(pts)
+        # an edge is keyed i * n + j by its vertex indices i < j
+        keys: list[int] = []
         for a, b in edges:
-            if a not in self._index or b not in self._index:
+            i = get(a)
+            j = None if i is None else get(b)
+            if j is None:
                 raise ValueError(f"edge ({a!r}, {b!r}) references an undeclared vertex")
-            if a == b:
+            if i == j:
                 raise ValueError(f"self-loop edge at {a!r}")
-            key = frozenset((a, b))
-            if key in seen:
-                continue
-            seen.add(key)
-            adj[a].append(b)
-            adj[b].append(a)
-        for p in adj:
-            adj[p].sort(key=self._index.__getitem__)
-        self._adj = adj
-        self.sentinel = len(self.points) + 1
+            keys.append(i * n + j if i < j else j * n + i)
+        # keys that already rise strictly (the generators' edges do) need no dedupe or sort
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            keys = sorted(set(keys))
+        # in key order a vertex meets its lower neighbours, then its higher: index order
+        nbrs: list[list[Point]] = [[] for _ in pts]
+        for i, j in map(divmod, keys, repeat(n)):
+            nbrs[i].append(pts[j])
+            nbrs[j].append(pts[i])
+        self._adj = dict(zip(pts, nbrs))
+        self.sentinel = n + 1
 
     def _step(self, seen: set, frontier: list) -> list:
         """The breadth-first layer after frontier; its points are added to seen."""
@@ -343,7 +348,7 @@ class StackedSpace(FiniteMetricSpace):
     def __init__(self, base: FiniteMetricSpace, K: int):
         if K < 2:
             raise ValueError("stacked window needs height K >= 2")
-        super().__init__((x, n) for x in base.points for n in range(K))
+        super().__init__(product(base.points, range(K)))
         self.base = base
         self.K = K
 
@@ -472,10 +477,11 @@ class WindowedSpace:
     halo_depth: int
 
     def __post_init__(self):
-        pts = set(self.space.points)
-        if self.core & self.halo:
+        core, halo, keys = self.core, self.halo, self.space._index.keys()
+        if not core.isdisjoint(halo):
             raise ValueError("core and halo overlap")
-        if self.core | self.halo != pts:
+        # disjoint sets partition the points when both lie in them and the sizes add up
+        if len(core) + len(halo) != len(self.space.points) or not (keys >= core and keys >= halo):
             raise ValueError("core and halo do not partition the window")
         if self.halo_depth < 0:
             raise ValueError("halo depth must be nonnegative")
@@ -557,8 +563,10 @@ def stacked_product_window(X: FiniteMetricSpace, K: int, halo_depth: int | None 
     H = K // 4 if halo_depth is None else halo_depth
     if H < 0 or H >= K:
         raise ValueError("halo depth must satisfy 0 <= H < K")
-    core = frozenset(p for p in space.points if p[1] < K - H)
-    halo = frozenset(p for p in space.points if p[1] >= K - H)
+    # the points run column by column, levels 0 .. K - 1 in each
+    levels = [True] * (K - H) + [False] * H
+    core = frozenset(compress(space.points, cycle(levels)))
+    halo = frozenset(compress(space.points, cycle([not b for b in levels])))
     return WindowedSpace(space, core, halo, H)
 
 
@@ -570,7 +578,7 @@ def integer_window(lo: int, hi: int, halo_depth: int) -> WindowedSpace:
         raise ValueError("halo depth must be nonnegative")
     space = IntegerLineSpace(lo - halo_depth, hi + halo_depth)
     core = frozenset(range(lo, hi + 1))
-    halo = frozenset(space.points) - core
+    halo = frozenset(chain(range(lo - halo_depth, lo), range(hi + 1, hi + halo_depth + 1)))
     return WindowedSpace(space, core, halo, halo_depth)
 
 
@@ -585,26 +593,23 @@ def regular_tree_window(degree: int, core_depth: int, halo_depth: int) -> Window
         raise ValueError("tree degree must be at least 2")
     if core_depth < 0 or halo_depth < 0:
         raise ValueError("depths must be nonnegative")
-    total = core_depth + halo_depth
+    # shell by shell, so the core comes first; parents[k] is vertices[k + 1]'s parent
+    digits = [str(c) for c in range(degree)]
     vertices = ["v"]
-    edges: list[tuple[str, str]] = []
-    core = {"v"}
-    frontier = ["v"]
-    for depth in range(1, total + 1):
-        nxt = []
-        for parent in frontier:
-            fanout = degree if parent == "v" else degree - 1
-            for c in range(fanout):
-                child = parent + str(c)
-                vertices.append(child)
-                edges.append((parent, child))
-                nxt.append(child)
-                if depth <= core_depth:
-                    core.add(child)
-        frontier = nxt
-    space = GraphSpace(vertices, edges)
-    halo = frozenset(space.points) - frozenset(core)
-    return WindowedSpace(space, frozenset(core), halo, halo_depth)
+    parents: list[str] = []
+    shell = ["v"]
+    n_core = 1
+    for depth in range(1, core_depth + halo_depth + 1):
+        fanout = digits if depth == 1 else digits[:-1]
+        parents += [p for p in shell for _ in fanout]
+        shell = [p + c for p in shell for c in fanout]
+        vertices += shell
+        if depth == core_depth:
+            n_core = len(vertices)
+    space = GraphSpace(vertices, zip(parents, islice(vertices, 1, None)))
+    core = frozenset(islice(vertices, n_core))
+    halo = frozenset(islice(vertices, n_core, None))
+    return WindowedSpace(space, core, halo, halo_depth)
 
 
 def subset_window(values: Iterable[int]) -> WindowedSpace:

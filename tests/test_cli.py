@@ -590,6 +590,19 @@ def test_truncated_json_input_exits_2(tmp_path, capsys):
     assert stderr.startswith(f"error: {path}: not valid JSON (") and stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["--in", "--chain"])
+def test_deeply_nested_json_input_exits_2(tmp_path, capsys, zwindow, flag):
+    # json.load recurses once per level; the file is valid JSON, but no schema nests like this
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    if flag == "--in":
+        argv = ["ball", "--in", str(deep), "--center", "0", "--R", "1"]
+    else:
+        argv = ["homology-fill", "--in", zwindow, "--chain", str(deep), "--P", "1"]
+    code, out, stderr = run(capsys, *argv)
+    assert (code, out, stderr) == (2, "", f"error: {deep}: JSON nested too deeply to read\n")
+
+
 def test_monoid_search_at_the_limit_runs(tmp_path, capsys):
     # the free monoid's sweep over 10^6 (x, y) pairs is the largest accepted
     pres = write(tmp_path / "free1.json", {"rank": 1, "relations": []})

@@ -75,6 +75,46 @@ def test_edge_to_undeclared_vertex_rejected():
         build_graph_metric(["a"], [("a", "b")])
 
 
+def frozenset_adjacency(vertices, edges):
+    """The neighbour lists built edge by edge: a frozenset dedupe key per edge, then a sort per vertex."""
+    index = {p: i for i, p in enumerate(vertices)}
+    adj = {p: [] for p in vertices}
+    seen = set()
+    for a, b in edges:
+        if frozenset((a, b)) not in seen:
+            seen.add(frozenset((a, b)))
+            adj[a].append(b)
+            adj[b].append(a)
+    for p in adj:
+        adj[p].sort(key=index.__getitem__)
+    return adj
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_graph_adjacency_matches_the_frozenset_reference(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 30)
+    vertices = rng.sample([*range(40), *map(str, range(40))], n)
+    edges = []
+    for _ in range(rng.randint(0, 3 * n)):
+        a, b = rng.sample(vertices, 2)
+        edges += [(a, b)] * rng.randint(1, 2) + [(b, a)] * rng.randint(0, 1)
+    rng.shuffle(edges)
+    # in index order too, where each repeat sits next to its first copy
+    index = {p: i for i, p in enumerate(vertices)}
+    in_order = sorted(edges, key=lambda e: sorted(map(index.__getitem__, e)))
+    for es in (edges, in_order):
+        # same lists in the same dict order, so every search visits neighbours alike
+        assert list(GraphSpace(vertices, es)._adj.items()) == list(frozenset_adjacency(vertices, es).items())
+
+
+def test_tree_window_adjacency_matches_the_frozenset_reference():
+    w = regular_tree_window(3, 3, 2)
+    edges = [(p[:-1], p) for p in w.space.points if p != "v"]
+    assert list(w.space._adj.items()) == list(frozenset_adjacency(w.space.points, edges).items())
+    assert w.core == ball(w.space, "v", 3)
+
+
 def test_graph_ball_crosses_sentinel():
     s = build_graph_metric(["a", "b", "c"], [("a", "b")])
     assert ball(s, "a", 1) == {"a", "b"}
@@ -572,6 +612,10 @@ def test_window_partition_enforced():
         WindowedSpace(s, frozenset({0, 1}), frozenset({1, 2, 3, 4}), 1)
 
 
+def window_of(core, halo):
+    return WindowedSpace(IntegerLineSpace(0, 4), frozenset(core), frozenset(halo), 1)
+
+
 @pytest.mark.parametrize(
     "build, err",
     [
@@ -588,10 +632,25 @@ def test_window_partition_enforced():
         (lambda: regular_tree_window(1, 2, 0), "tree degree must be at least 2"),
         (lambda: regular_tree_window(3, 2, -1), "depths must be nonnegative"),
         (lambda: ball(IntegerLineSpace(0, 4), 2, -1), "radius must be nonnegative"),
+        # each refusal below is the first that applies, with its message whole
+        (lambda: window_of({0, 1, 99}, {1, 2}), "^core and halo overlap$"),
+        (lambda: window_of({0, 1, 2, 3}, {99}), "^core and halo do not partition the window$"),
+        (lambda: window_of({0, 1, 2, 3, 99}, set()), "^core and halo do not partition the window$"),
+        (lambda: window_of({0, 1, 2}, {3, 4, 99}), "^core and halo do not partition the window$"),
+        (lambda: build_graph_metric(["a", "b"], [("a", "b"), ("b", "b"), ("a", "z")]), "^self-loop edge at 'b'$"),
+        (lambda: build_graph_metric(["a", "b"], [("a", "b"), ("z", "a"), ("b", "b")]),
+         r"^edge \('z', 'a'\) references an undeclared vertex$"),
+        (lambda: build_graph_metric(["a", "b"], [("a", "z"), ("z", "a")]),
+         r"^edge \('a', 'z'\) references an undeclared vertex$"),
+        (lambda: build_graph_metric([3, 1, 2, 1, 3], []), "^duplicate point identifier: 1$"),
+        (lambda: build_graph_metric(["a", "b", "b", "a"], []), "^duplicate point identifier: 'b'$"),
     ],
     ids=[
         "window-cover", "window-depth", "stack-depth-high", "stack-depth-low", "matrix-shape", "matrix-diagonal",
         "interval-empty", "interval-depth", "tree-degree", "tree-depth", "ball-radius",
+        "window-overlap-and-foreign", "window-foreign-halo-point", "window-foreign-core-point", "window-one-too-many",
+        "graph-self-loop-first", "graph-undeclared-first", "graph-undeclared-second-end",
+        "duplicate-first-repeat", "duplicate-first-repeat-str",
     ],
 )
 def test_malformed_space_or_window_is_refused(build, err):
