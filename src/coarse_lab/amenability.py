@@ -91,20 +91,34 @@ def _candidate_balls(window: WindowedSpace, R: int, budget: int):
 
 
 def _candidate_intervals(window: WindowedSpace, R: int, budget: int):
+    """Intervals about the core's midpoint, lengths 1, 2, ... up to budget.
+
+    The interval of length L is [mid - L // 2, mid + (L - 1) // 2]; mid lies
+    no further from hi than from lo, so the intervals stop at the first
+    length that reaches below lo.  They are built as frozensets and scored
+    in batches through ``WindowedSpace.boundary_counts``, each one counted
+    in closed form.  A batch holds at most max(|window|, 2^16) points, so
+    the candidates held at once stay within a constant factor of the window.
+    """
     if not isinstance(window.space, IntegerLineSpace):
         raise ValueError("interval strategy needs an integer-line window")
-    core = sorted(window.core)
-    lo, hi = core[0], core[-1]
+    lo, hi = min(window.core), max(window.core)
     mid = (lo + hi) // 2
-    for length in range(1, budget + 1):
-        a = mid - length // 2
-        b = a + length - 1
-        if a < lo or b > hi:
-            return
-        F = set(range(a, b + 1))
-        bd, contaminated = window.boundary(F, R)
-        if not contaminated:
-            yield F, len(bd)
+    longest = min(budget, 2 * (mid - lo) + 1)
+    cap = max(len(window.space.points), 2 ** 16)
+    length = 1
+    while length <= longest:
+        batch: list[frozenset] = []
+        size = 0
+        # no interval is longer than the window, so every batch takes one
+        while length <= longest and size + length <= cap:
+            a = mid - length // 2
+            batch.append(frozenset(range(a, a + length)))
+            size += length
+            length += 1
+        for F, (count, contaminated) in zip(batch, window.boundary_counts(batch, R)):
+            if not contaminated:
+                yield F, count
 
 
 def _candidate_greedy(window: WindowedSpace, R: int, budget: int):
@@ -156,7 +170,8 @@ def _candidate_greedy(window: WindowedSpace, R: int, budget: int):
 
 
 # each strategy yields (F, |∂_R F|) for halo-free candidates only, each F
-# scored once; F may change after the next step, so a caller keeps a copy
+# scored once; greedy's F changes after the next step, so a caller keeps a
+# frozenset of it (intervals yields frozensets, which that does not copy)
 _STRATEGIES = {
     "balls": _candidate_balls,
     "intervals": _candidate_intervals,

@@ -134,6 +134,13 @@ def integer_list(values, context: str) -> list:
 # (786 430 points) or on a 992 970-point stack over a path
 MAX_WINDOW_POINTS = 1_000_000
 
+# tree vertices are named by their whole paths, so a degree-2 tree's names
+# grow with the square of its depth; at this limit (depth 9 998) a CLI ball
+# peaks near 0.12 GB resident, a folner or paradox call, which sorts the
+# names' reprs, near 0.22 GB.  A degree-3 tree within the point limit holds
+# at most 14 155 777 characters.
+_MAX_TREE_NAME_CHARS = 100_000_000
+
 
 def _check_size(kind: str, points: int) -> None:
     """Refuse a generated window above the point limit before building it."""
@@ -183,6 +190,12 @@ def window_from_spec(spec: dict) -> WindowedSpace:
         total = core_depth + halo
         if degree == 2:
             _check_size("tree", 1 + 2 * total)
+            # "v", then two names of k + 1 characters at each depth k
+            chars = 1 + total * (total + 3)
+            if chars > _MAX_TREE_NAME_CHARS:
+                raise SchemaError(
+                    f"tree window: {chars} characters of vertex names, above the limit of {_MAX_TREE_NAME_CHARS}"
+                )
         elif degree > 2 and total > 0:
             # 1 + degree (1 + (degree - 1) + ... + (degree - 1)^(total - 1)); the
             # first 64 shells already pass the limit

@@ -359,6 +359,32 @@ class StackedSpace(FiniteMetricSpace):
             return abs(n - m)
         return n + m + self.base.dist(x, y)
 
+    def _other_columns(self, x: Point, budget: int, out: set) -> None:
+        """Add to out the points of columns y != x within budget of (x, 0).
+
+        A route to another column passes through level 0, so column y at
+        base distance r gets levels 0 .. budget - r, every level once
+        r <= full; so at most K base balls are read however large budget is.
+        """
+        full = budget - self.K + 1
+        inner = {x}
+        if full >= 1:
+            inner = self.base.ball_of(x, full)
+            out.update(product(inner - {x}, range(self.K)))
+        for r in range(max(1, full + 1), budget + 1):
+            ring = self.base.ball_of(x, r)
+            out.update(product(ring - inner, range(budget - r + 1)))
+            inner = ring
+
+    def ball_of(self, center: tuple, R: int) -> set:
+        # the center's column run, then the columns reached through level 0;
+        # the center itself is kept at every radius, as the base class keeps it
+        x, n = center
+        out = {center}
+        out.update(product((x,), range(max(0, n - R), min(self.K, n + R + 1))))
+        self._other_columns(x, R - n, out)
+        return out
+
     def boundary_of(self, F: set, R: int) -> set:
         out: set = set()
         for x, levels in _by_first(F).items():
@@ -366,20 +392,8 @@ class StackedSpace(FiniteMetricSpace):
             for a, b in _runs(levels):
                 out.update((x, m) for m in range(max(0, a - R), a))
                 out.update((x, m) for m in range(b + 1, min(self.K - 1, b + R) + 1))
-            # a route to another column passes through level 0, so the
-            # lowest level reaches furthest: column y at base distance r
-            # gets levels 0 .. R - levels[0] - r, every level once r <= full,
-            # so at most K base balls are read however large R is
-            budget = R - levels[0]
-            full = budget - self.K + 1
-            inner = {x}
-            if full >= 1:
-                inner = self.base.ball_of(x, full)
-                out.update((y, m) for y in inner - {x} for m in range(self.K))
-            for r in range(max(1, full + 1), budget + 1):
-                ring = self.base.ball_of(x, r)
-                out.update((y, m) for y in ring - inner for m in range(budget - r + 1))
-                inner = ring
+            # the lowest level reaches furthest into the other columns
+            self._other_columns(x, R - levels[0], out)
         return out - F
 
     def diameter_of(self, F: set) -> int:
@@ -507,7 +521,8 @@ class WindowedSpace:
         sets cut from the core), so no set is looked up here.  R is checked
         once, before the first boundary, so an empty batch raises nothing.
         Every count comes from the space's ``boundary_counts``; the flags
-        test each set against N_R(halo), built once per batch.
+        test each set against N_R(halo), built once per batch as the halo
+        with its ``outer_boundary``.
         """
         if not sets:
             return []
@@ -516,7 +531,7 @@ class WindowedSpace:
         counts = self.space.boundary_counts(sets, R)
         if not self.halo:
             return zip(counts, repeat(False))
-        near = self.halo | self.space.boundary_of(self.halo, R)
+        near = self.halo | outer_boundary(self.space, self.halo, R)
         return zip(counts, [not near.isdisjoint(F) for F in sets])
 
 

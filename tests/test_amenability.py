@@ -86,9 +86,12 @@ def test_search_deterministic():
 )
 def test_search_scores_each_candidate_with_one_boundary(monkeypatch, window, strategy):
     # with no halo every candidate is admissible, so each one examined
-    # should cost exactly one boundary computation
+    # should cost exactly one boundary computation; intervals are counted
+    # in batches, so each reaches boundary_counts once and no set is built
     calls = {"outer_boundary": 0, "boundary_of": 0}
+    counted_sets = []
     outer, boundary_of = space.outer_boundary, type(window.space).boundary_of
+    boundary_counts = type(window.space).boundary_counts
 
     def counted_outer(*args):
         calls["outer_boundary"] += 1
@@ -98,11 +101,101 @@ def test_search_scores_each_candidate_with_one_boundary(monkeypatch, window, str
         calls["boundary_of"] += 1
         return boundary_of(*args)
 
+    def counted_boundary_counts(sp, sets, R):
+        counted_sets.extend(sets)
+        return boundary_counts(sp, sets, R)
+
     monkeypatch.setattr(space, "outer_boundary", counted_outer)
     monkeypatch.setattr(type(window.space), "boundary_of", counted_boundary_of)
+    monkeypatch.setattr(type(window.space), "boundary_counts", counted_boundary_counts)
     res = folner_search(window, 2, Fraction(1, 3), strategy=strategy, budget=30)
     assert res.examined > 1
-    assert calls == {"outer_boundary": res.examined, "boundary_of": res.examined}
+    if strategy == "intervals":
+        assert calls == {"outer_boundary": 0, "boundary_of": 0}
+        assert len(counted_sets) == len(set(counted_sets)) == res.examined
+    else:
+        assert calls == {"outer_boundary": res.examined, "boundary_of": res.examined}
+        assert counted_sets == []
+
+
+def reference_intervals(window, R, epsilon, budget):
+    """The interval search with every candidate checked and bounded alone.
+
+    Returns (points, ratio, success, examined) as ``folner_search`` reports
+    them, or None where it finds no admissible candidate.
+    """
+    lo, hi = min(window.core), max(window.core)
+    mid = (lo + hi) // 2
+    best = None
+    examined = 0
+    for length in range(1, budget + 1):
+        a = mid - length // 2
+        b = a + length - 1
+        if a < lo or b > hi:
+            break
+        F = set(range(a, b + 1))
+        bd, contaminated = window.boundary(F, R)
+        if contaminated:
+            continue
+        examined += 1
+        ratio = Fraction(len(bd), len(F))
+        if best is None or ratio < best[1]:
+            best = (frozenset(F), ratio)
+    if best is None:
+        return None
+    return best[0], best[1], best[1] < Fraction(epsilon), examined
+
+
+@pytest.mark.parametrize(
+    "window",
+    [
+        integer_window(-60, 60, 0),
+        integer_window(-60, 61, 2),
+        integer_window(7, 9, 4),  # nothing is admissible from R = 2 on
+        space.WindowedSpace(  # a core that is not one run: some candidates meet the halo
+            space.IntegerLineSpace(0, 40),
+            frozenset(range(0, 41)) - {5, 30},
+            frozenset({5, 30}),
+            1,
+        ),
+    ],
+    ids=["no-halo", "halo", "narrow-halo", "gapped-core"],
+)
+def test_interval_search_matches_the_one_at_a_time_reference(window):
+    eps = Fraction(1, 10)
+    for R in range(5):
+        for budget in (1, 2, 3, 10, 57, 120, 400):
+            expect = reference_intervals(window, R, eps, budget)
+            if expect is None:
+                with pytest.raises(ValueError, match="admissible"):
+                    folner_search(window, R, eps, "intervals", budget)
+                continue
+            res = folner_search(window, R, eps, "intervals", budget)
+            assert (res.points, res.ratio, res.success, res.examined) == expect, (R, budget)
+
+
+def test_a_long_interval_search_splits_into_capped_batches(monkeypatch):
+    # 1 005 points, so a batch holds at most 2^16 of them; the 1 000
+    # candidates hold about 500 000, so they are counted in several batches
+    window = integer_window(0, 1000, 2)
+    cap = 2 ** 16
+    batches = []
+    boundary_counts = space.WindowedSpace.boundary_counts
+
+    def counted(w, sets, R):
+        batches.append([len(F) for F in sets])
+        return boundary_counts(w, sets, R)
+
+    monkeypatch.setattr(space.WindowedSpace, "boundary_counts", counted)
+    res = folner_search(window, 2, Fraction(1, 100), "intervals", 1000)
+    monkeypatch.undo()
+    assert len(batches) > 5
+    assert all(0 < sum(b) <= cap for b in batches)
+    # each batch is full: the next candidate would not have fit
+    assert all(sum(b) + n[0] > cap for b, n in zip(batches, batches[1:]))
+    assert [n for b in batches for n in b] == list(range(1, 1001))
+    expect = reference_intervals(window, 2, Fraction(1, 100), 1000)
+    assert (res.points, res.ratio, res.success, res.examined) == expect
 
 
 def reference_greedy(window, R, epsilon, budget):
@@ -206,7 +299,8 @@ def test_greedy_scores_no_set_twice(monkeypatch, window):
         return ball_of(sp, center, R)
 
     def counted_boundary_of(sp, F, R):
-        # the stacked and box balls are the boundary of their center, plus it
+        # a box ball is the boundary of its center, plus it; the other
+        # spaces build their balls directly
         sets.append(len(F))
         return boundary_of(sp, F, R)
 

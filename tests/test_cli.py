@@ -725,6 +725,58 @@ def test_window_above_the_point_limit_is_refused_unbuilt(tmp_path, capsys, monke
     assert stderr == f"error: {kind} window: {points} points or more, above the limit of {LIMIT}\n"
 
 
+def test_a_degree_2_tree_with_too_many_name_characters_is_refused_unbuilt(tmp_path, capsys, monkeypatch):
+    # a vertex is named by its whole path, so a degree-2 tree of 100 001
+    # points would hold 2 500 150 001 characters of names (it exited 3 with
+    # MemoryError under a 2 GB address-space limit); the point check passes
+    built = []
+
+    def recorded(*args):
+        built.append(args)
+        return space.regular_tree_window(2, 1, 0)
+
+    monkeypatch.setattr(serialize, "regular_tree_window", recorded)
+    limit = serialize._MAX_TREE_NAME_CHARS
+    cases = [
+        ({"degree": 2, "core_depth": 50000}, 2500150001),
+        # total depth 9 999, the first past the limit: 1 + 9 999 * 10 002 characters
+        ({"degree": 2, "core_depth": 9000, "halo_depth": 999}, 100009999),
+    ]
+    for tree, chars in cases:
+        path = write(tmp_path / "window.json", {"tree": tree})
+        code, out, stderr = run(capsys, "ball", "--in", path, "--center", "v", "--R", "1")
+        assert (code, out) == (2, "")
+        assert stderr == f"error: tree window: {chars} characters of vertex names, above the limit of {limit}\n"
+    assert built == []
+    # total depth 9 998 holds 99 989 999 characters, within the limit
+    path = write(tmp_path / "window.json", {"tree": {"degree": 2, "core_depth": 9000, "halo_depth": 998}})
+    code, _, stderr = run(capsys, "ball", "--in", path, "--center", "v", "--R", "1")
+    assert (code, stderr) == (0, "")
+    assert built == [(2, 9000, 998)]
+
+
+@pytest.mark.parametrize(
+    "tree, code, err",
+    [
+        ({"degree": 1, "core_depth": 3}, 2, "error: tree degree must be at least 2\n"),
+        ({"degree": -4, "core_depth": 10 ** 12}, 2, "error: tree degree must be at least 2\n"),
+        ({"degree": 3, "core_depth": 0}, 0, ""),
+        ({"degree": 5, "core_depth": 0, "halo_depth": 0}, 0, ""),
+        ({"degree": 3, "core_depth": 2, "halo_depth": -2}, 2, "error: depths must be nonnegative\n"),
+        ({"degree": 3, "core_depth": -1}, 2, "error: depths must be nonnegative\n"),
+    ],
+    ids=["degree-1", "negative-degree", "depth-0", "depth-0-degree-5", "negative-halo", "negative-depth"],
+)
+def test_tree_specs_that_skip_the_size_check(tmp_path, capsys, tree, code, err):
+    # below degree 2, or at total depth 0 or less, there is no size to check;
+    # the constructor refuses what is not a tree, and depth 0 is the root alone
+    path = write(tmp_path / "window.json", {"tree": tree})
+    got = run(capsys, "--json", "ball", "--in", path, "--center", "v", "--R", "1")
+    assert (got[0], got[2]) == (code, err)
+    if code == 0:
+        assert json.loads(got[1])["result"]["ball"] == ["v"]
+
+
 def tiling_with(**fields):
     """A two-tile interval tiling with top-level fields, or a field of its first tile's meta, replaced."""
     meta = [{"ratio": "2/5", "diam": 4, "contaminated": False} for _ in range(2)]
@@ -902,6 +954,33 @@ def test_castle_from_tiling_and_defect(tmp_path, capsys, zwindow):
     )
     assert code == 0
     assert "2/21" in out
+
+
+def test_a_tiling_without_its_space_reads_the_window_from_space(tmp_path, capsys, zwindow):
+    # the same tiling with and without its embedded window gives the same
+    # verification and the same castle, once --space supplies the window
+    tiling, bare = str(tmp_path / "tiling.json"), tmp_path / "bare.json"
+    code, _, err = run(
+        capsys, "tile", "--strategy", "interval", "--R", "1", "--epsilon", "1/10", "--in", zwindow, "--out", tiling
+    )
+    assert code == 0, err
+    data = json.loads(Path(tiling).read_text())
+    del data["space"]
+    write(bare, data)
+    reports = []
+    for args in (["--in", tiling], ["--in", str(bare), "--space", zwindow]):
+        code, out, err = run(capsys, "--json", "verify-tiling", *args)
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out)["result"])
+    assert reports[0] == reports[1]
+    assert reports[0]["passed"]
+    castles = []
+    for args in (["--in", tiling], ["--in", str(bare), "--space", zwindow]):
+        out_path = tmp_path / f"castle{len(castles)}.json"
+        code, _, err = run(capsys, "castle", "from-tiling", *args, "--out", str(out_path))
+        assert code == 0, err
+        castles.append(out_path.read_text())
+    assert castles[0] == castles[1]
 
 
 def test_castle_from_stacked_tiling_with_mixed_vertex_kinds(tmp_path, capsys):

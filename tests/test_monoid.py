@@ -201,6 +201,18 @@ def test_leq_generator_gap():
     assert got.no  # needs image 1, which <2,3> lacks
 
 
+def test_leq_no_names_dominating_members_whose_z_exceeds_the_cap():
+    # the class of (5,) in free rank 1 is {(5,)}, which dominates (0,) by z = (5,)
+    got = leq(FREE1, (0,), (5,), depth=3, z_cap=2, entry_cap=9)
+    assert got.no
+    assert got.detail == (
+        "class of (5,) complete (1 elements); dominating members exist but every z "
+        "exceeds z_cap within depth 3, entry cap 9, z_cap 2"
+    )
+    # without the cap that member is the witness
+    assert leq(FREE1, (0,), (5,), z_cap=5).certificate.z == (5,)
+
+
 def test_leq_certificates_replay():
     rng = random.Random(9)
     for _ in range(30):

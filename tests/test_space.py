@@ -451,6 +451,29 @@ def test_stacked_boundary_matches_brute():
         )
 
 
+STACK_BASES = {
+    "tree": lambda: regular_tree_window(3, 2, 0).space,
+    # a path and a triangle: columns over the other component sit past the sentinel
+    "two-component": lambda: GraphSpace(range(6), [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]),
+    "subset": lambda: IntegerSubsetSpace([0, 1, 3, 4, 9]),
+}
+
+
+@pytest.mark.parametrize("name", STACK_BASES)
+@pytest.mark.parametrize("K", [2, 5])
+def test_stacked_ball_kernel_matches_the_generic_ball(name, K):
+    base = STACK_BASES[name]()
+    s = StackedSpace(base, K)
+    diameter = max(base.dist(x, y) for x in base.points for y in base.points)
+    # R = -1 keeps the center, as the generic ball does; from R = K + diameter
+    # - 1 on, a level-0 ball reads its inner columns whole (the full-column branch)
+    for R in range(-1, K + diameter + 2):
+        for p in s.points:
+            assert s.ball_of(p, R) == FiniteMetricSpace.ball_of(s, p, R) == brute_ball(s, p, R) | {p}, (R, p)
+    if name != "two-component":
+        assert all(s.ball_of((x, 0), K - 1 + diameter) == set(s.points) for x in base.points)
+
+
 def test_stacked_window_split():
     X = build_graph_metric(["p"], [])
     w = stacked_product_window(X, 8)
