@@ -94,13 +94,14 @@ def _require_valid(c: Castle) -> None:
         raise ValueError("invalid castle: " + "; ".join(violations[:5]))
 
 
-def refine(c: Castle, targets: Sequence[Iterable]) -> Castle:
-    """Split towers until every level is contained in or disjoint from each target.
+def _pattern_groups(c: Castle, targets: Sequence[Iterable]) -> list[tuple[int, tuple, list]]:
+    """The refined towers of ``c`` against ``targets``, as (height, pattern, columns).
 
-    Columns of a tower are grouped by their membership pattern: which levels
-    lie in which target.  Each group becomes a thinner tower whose levels
-    are then homogeneous with respect to every target.  Atoms, columns and
-    hence orbits are untouched; only the grouping changes.
+    A column's pattern holds, per level, whether that level's atom lies in
+    each target; columns that share a pattern form one refined tower, in
+    tower order and within a tower in pattern order.  The castle and the
+    targets are checked first: an invalid castle, or a target with an atom
+    outside it, is refused before any grouping.
     """
     _require_valid(c)
     target_sets = [frozenset(t) for t in targets]
@@ -108,17 +109,32 @@ def refine(c: Castle, targets: Sequence[Iterable]) -> Castle:
     for i, t in enumerate(target_sets):
         if not t <= atoms:
             raise ValueError(f"target {i} contains non-atoms")
-    new_towers: list[Tower] = []
+    members = [t.__contains__ for t in target_sets]
+    out: list[tuple[int, tuple, list]] = []
     for tower in c.towers:
         groups: dict[tuple, list] = {}
         for col in tower.columns:
-            pattern = tuple(
-                tuple(col[j] in t for t in target_sets) for j in range(tower.height)
-            )
+            # one tuple of target memberships per level; () for every column without targets
+            pattern = tuple(zip(*[map(member, col) for member in members]))
             groups.setdefault(pattern, []).append(col)
-        for pattern in sorted(groups, key=repr):
-            new_towers.append(Tower(tower.height, tuple(groups[pattern])))
-    return Castle(new_towers)
+        # Within one tower every pattern has the same shape, so the first
+        # differing bool decides between two of them, and False < True both
+        # as ints and by repr ("F" < "T"): plain order is the order by repr.
+        out.extend((tower.height, p, groups[p]) for p in sorted(groups))
+    return out
+
+
+def refine(c: Castle, targets: Sequence[Iterable]) -> Castle:
+    """Split towers until every level is contained in or disjoint from each target.
+
+    Columns of a tower are grouped by their membership pattern: which levels
+    lie in which target.  Each group becomes a thinner tower whose levels
+    are then homogeneous with respect to every target.  Atoms, columns and
+    hence orbits are untouched; only the grouping changes.  The groups of a
+    tower follow in the order of their patterns (see :func:`_pattern_groups`),
+    and ``refine(c, [])`` returns every tower unchanged.
+    """
+    return Castle([Tower(h, tuple(cols)) for h, _, cols in _pattern_groups(c, targets)])
 
 
 def type_vector(c: Castle, f: dict) -> TypeVector:
@@ -179,21 +195,23 @@ def compare(c: Castle, A: Iterable, B: Iterable) -> ComparisonResult:
     After refining against {A, B}, count per tower the levels inside A and
     inside B; A is subequivalent to B iff the A-count never exceeds the
     B-count, and in that case level-to-level bisections realise the move.
+    The counts are read off each refined tower's membership pattern, so no
+    refined castle is built; a refusal's ``tower_index`` counts the towers
+    of ``refine(c, [A, B])``.
     """
     A = frozenset(A)
     B = frozenset(B)
-    refined = refine(c, [A, B])
     bisections: list[dict] = []
-    for ti, tower in enumerate(refined.towers):
-        a_levels = [j for j in range(tower.height) if tower.level(j) <= A]
-        b_levels = [j for j in range(tower.height) if tower.level(j) <= B]
+    for ti, (_, pattern, columns) in enumerate(_pattern_groups(c, [A, B])):
+        a_levels = [j for j, (in_a, _) in enumerate(pattern) if in_a]
+        b_levels = [j for j, (_, in_b) in enumerate(pattern) if in_b]
         if len(a_levels) > len(b_levels):
             return ComparisonResult(
                 ok=False,
                 refusal=ComparisonRefusal(ti, len(a_levels), len(b_levels)),
             )
         for j, k in zip(a_levels, b_levels):
-            bisections.append({col[j]: col[k] for col in tower.columns})
+            bisections.append({col[j]: col[k] for col in columns})
     return ComparisonResult(ok=True, witness=ComparisonWitness(bisections))
 
 

@@ -18,7 +18,6 @@ import argparse
 import sys
 
 from . import __version__
-from .acceptance import CRITERIA, run_criteria
 from .amenability import ParadoxWitness, doubling_check, folner_search
 from .castle import (
     castle_from_tiling,
@@ -466,6 +465,9 @@ def cmd_monoid(args, em: Emitter) -> int:
 
 
 def cmd_selftest(args, em: Emitter) -> int:
+    # imported here, so that every other subcommand's cold run skips the criteria module
+    from .acceptance import CRITERIA, run_criteria
+
     numbers = None
     if args.criteria:
         numbers = [int(x) for x in args.criteria.split(",")]

@@ -192,6 +192,99 @@ def test_refine_idempotent_and_preserves_type_vectors():
         assert orbit_masses(c, f) == orbit_masses(r1, f)
 
 
+def test_refine_with_no_targets_returns_every_tower_unchanged():
+    c = two_tower_castle()
+    assert refine(c, []).towers == c.towers
+    rng = random.Random(3)
+    for _ in range(20):
+        c = random_castle(rng, 40)
+        assert refine(c, []).towers == c.towers
+
+
+@pytest.mark.parametrize(
+    "call", [lambda c, A, B: refine(c, [A, B]), compare], ids=["refine", "compare"]
+)
+def test_a_non_atom_target_is_refused_with_its_index(call):
+    c = two_tower_castle()
+    for A, B, index in [({"a0", "nope"}, {"a1"}, 0), ({"a0"}, {"c1", 7}, 1), ({"x"}, {"y"}, 0)]:
+        with pytest.raises(ValueError) as e:
+            call(c, A, B)
+        assert str(e.value) == f"target {index} contains non-atoms"
+    # an invalid castle is refused before its targets are looked at
+    bad = castle_of([(2, [("a", "c"), ("a", "d")])])
+    with pytest.raises(ValueError) as e:
+        call(bad, {"nope"}, set())
+    assert str(e.value) == "invalid castle: atom 'a' appears in tower 0 and tower 0"
+
+
+def _reference_refine(c: Castle, targets) -> Castle:
+    """refine as first written: a nested generator per column builds its
+    pattern, and each tower's groups are ordered by repr."""
+    target_sets = [frozenset(t) for t in targets]
+    new_towers = []
+    for tower in c.towers:
+        groups: dict = {}
+        for col in tower.columns:
+            pattern = tuple(
+                tuple(col[j] in t for t in target_sets) for j in range(tower.height)
+            )
+            groups.setdefault(pattern, []).append(col)
+        for pattern in sorted(groups, key=repr):
+            new_towers.append(Tower(tower.height, tuple(groups[pattern])))
+    return Castle(new_towers)
+
+
+def _reference_compare(c: Castle, A, B):
+    """compare as first written: refine against {A, B}, then two level subset
+    tests per level; a refusal as (tower index, A-levels, B-levels), else the
+    bisections."""
+    A, B = frozenset(A), frozenset(B)
+    bisections = []
+    for ti, tower in enumerate(_reference_refine(c, [A, B]).towers):
+        a_levels = [j for j in range(tower.height) if tower.level(j) <= A]
+        b_levels = [j for j in range(tower.height) if tower.level(j) <= B]
+        if len(a_levels) > len(b_levels):
+            return (ti, len(a_levels), len(b_levels))
+        for j, k in zip(a_levels, b_levels):
+            bisections.append({col[j]: col[k] for col in tower.columns})
+    return bisections
+
+
+def _mixed_castle(rng) -> Castle:
+    """A random castle whose atoms are ints or their decimal strings, at random."""
+    c = random_castle(rng, 40)
+    name = {a: a if rng.random() < 0.5 else str(a) for a in c.atoms()}
+    return castle_of(
+        [(t.height, [[name[a] for a in col] for col in t.columns]) for t in c.towers]
+    )
+
+
+def _random_target(rng, atoms: list) -> set:
+    kind = rng.randrange(3)
+    if kind == 0:
+        return set()
+    if kind == 1:
+        return set(atoms)
+    return set(rng.sample(atoms, rng.randint(0, len(atoms))))
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["int-atoms", "mixed-atoms"])
+def test_refine_and_compare_match_the_level_set_reference(mixed):
+    rng = random.Random(29 + mixed)
+    for _ in range(300):
+        c = _mixed_castle(rng) if mixed else random_castle(rng, 40)
+        atoms = sorted(c.atoms(), key=repr)
+        targets = [_random_target(rng, atoms) for _ in range(rng.randint(0, 3))]
+        assert refine(c, targets).towers == _reference_refine(c, targets).towers
+        A, B = _random_target(rng, atoms), _random_target(rng, atoms)
+        res = compare(c, A, B)
+        expected = _reference_compare(c, A, B)
+        if res.ok:
+            assert res.witness.bisections == expected
+        else:
+            ref = res.refusal
+            assert (ref.tower_index, ref.a_levels, ref.b_levels) == expected
+
 # -- type vectors -------------------------------------------------------------
 
 
@@ -246,6 +339,15 @@ def test_compare_refusal_example():
     assert res.refusal.tower_index == 0
     assert (res.refusal.a_levels, res.refusal.b_levels) == (2, 1)
 
+
+
+def test_compare_refusal_index_counts_refined_towers():
+    # tower 0 splits in two against B, so the refusal in tower 1 is at refined tower 2
+    c = castle_of([(1, [("p",), ("q",)]), (2, [("r", "s")])])
+    res = compare(c, {"r", "s"}, {"p"})
+    assert not res.ok
+    assert (res.refusal.tower_index, res.refusal.a_levels, res.refusal.b_levels) == (2, 2, 0)
+    assert len(refine(c, [{"r", "s"}, {"p"}]).towers) == 3
 
 def test_compare_empty_A():
     c = two_tower_castle()

@@ -1008,6 +1008,31 @@ def test_selftest_subset(capsys):
     assert "criterion 5" in out and "criterion 6" in out
 
 
+def test_importing_the_cli_leaves_the_criteria_module_unloaded(tmp_path):
+    # only selftest needs acceptance, so every other cold run skips compiling it
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, coarse_lab.cli; print('coarse_lab.acceptance' in sys.modules)"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+def test_selftest_without_criteria_runs_them_all(monkeypatch, capsys):
+    asked = []
+
+    def fake_run_criteria(numbers=None):
+        asked.append(numbers)
+        return [acceptance.CriterionResult(n, f"title {n}") for n in sorted(numbers or acceptance.CRITERIA)]
+
+    monkeypatch.setattr(acceptance, "run_criteria", fake_run_criteria)
+    code, out, _ = run(capsys, "--json", "selftest")
+    assert (code, asked) == (0, [None])
+    report = json.loads(out)["result"]
+    assert report["passed"] is True
+    assert [c["number"] for c in report["criteria"]] == list(range(1, 11))
+
+
 def test_selftest_reports_headroom_under_each_budget(capsys):
     # criterion 8 has a 10 s budget, criterion 10 none
     code, out, _ = run(capsys, "--json", "selftest", "--criteria", "8,10")
