@@ -47,6 +47,7 @@ from .serialize import (
     _expect,
     _list_of,
     _require,
+    atom_list,
     castle_from_dict,
     castle_to_dict,
     dump_json,
@@ -173,17 +174,14 @@ def cmd_ball(args, em: Emitter) -> int:
 def cmd_tile(args, em: Emitter) -> int:
     eps = parse_fraction(args.epsilon)
     spec = load_json(args.infile)
-    if args.strategy == "interval":
-        window = window_from_spec(spec)
-        t = tile_interval(window, args.R, eps)
+    if args.strategy in ("interval", "stack"):
+        tiler = tile_interval if args.strategy == "interval" else tile_stacked_product
+        t = tiler(window_from_spec(spec), args.R, eps)
     elif args.strategy == "sparse":
         if not isinstance(spec, dict) or "A" not in spec:
             raise SchemaError("sparse tiling input needs an 'A' list")
         prefix = _expect(spec.get("prefix_of_unbounded", False), bool, "sparse 'prefix_of_unbounded'")
         t = tile_sparse_subset(integer_list(spec["A"], "subset 'A'"), args.R, eps, prefix)
-    elif args.strategy == "stack":
-        window = window_from_spec(spec)
-        t = tile_stacked_product(window, args.R, eps)
     else:
         box = spec.get("box", spec) if isinstance(spec, dict) else None
         if not isinstance(box, dict) or not box.get("moduli"):
@@ -330,11 +328,7 @@ def cmd_castle_validate(args, em: Emitter) -> int:
 def cmd_castle_refine(args, em: Emitter) -> int:
     c = _load_castle(args)
     targets = _expect(_require(load_json(args.targets), "targets", "targets file"), list, "'targets'")
-    for i, t in enumerate(targets):
-        for a in _expect(t, list, f"target {i}"):
-            if isinstance(a, (list, dict)):
-                raise SchemaError(f"target {i}: atom {a!r} is not a scalar")
-    r = refine(c, [set(t) for t in targets])
+    r = refine(c, [atom_list(t, f"target {i}") for i, t in enumerate(targets)])
     castle = _written(em, castle_to_dict(r), args.castle_out, "refined castle")
     em.say(f"{len(c.towers)} towers refined into {len(r.towers)}")
     return em.finish({"towers": len(r.towers), "castle": castle}, OK)
@@ -342,24 +336,22 @@ def cmd_castle_refine(args, em: Emitter) -> int:
 
 def cmd_castle_compare(args, em: Emitter) -> int:
     c = _load_castle(args)
+    names = [[k for k in map(str.strip, text.split(",")) if k] for text in (args.A, args.B)]
+    wanted = {k for ks in names for k in ks}
+    # keep only the named atoms: a castle may hold 10^6 of them
     atoms: dict = {}
     for a in c.atoms():
-        atoms.setdefault(str(a), []).append(a)
+        if str(a) in wanted:
+            atoms.setdefault(str(a), []).append(a)
 
-    def decode_set(text):
-        out = set()
-        for k in text.split(","):
-            k = k.strip()
-            if not k:
-                continue
-            if k not in atoms:
-                raise SchemaError(f"unknown atom {k!r}")
-            if len(atoms[k]) > 1:
-                raise SchemaError(f"ambiguous atom {k!r}: {len(atoms[k])} atoms have this name")
-            out.add(atoms[k][0])
-        return out
+    def decode(k):
+        if k not in atoms:
+            raise SchemaError(f"unknown atom {k!r}")
+        if len(atoms[k]) > 1:
+            raise SchemaError(f"ambiguous atom {k!r}: {len(atoms[k])} atoms have this name")
+        return atoms[k][0]
 
-    A, B = decode_set(args.A), decode_set(args.B)
+    A, B = [set(map(decode, ks)) for ks in names]
     res = compare(c, A, B)
     if res.ok:
         res.witness.replay(A, B)

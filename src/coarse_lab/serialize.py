@@ -128,6 +128,14 @@ def integer_list(values, context: str) -> list:
     return _list_of(values, int, context)
 
 
+def atom_list(values, context: str) -> list:
+    """values if it is a list of castle atoms: any JSON value but a list or an object."""
+    for a in _expect(values, list, context):
+        if isinstance(a, (list, dict)):
+            raise SchemaError(f"{context}: atom {a!r} is not a scalar")
+    return values
+
+
 # the most points a window generated from a few numbers (an interval, a
 # tree, a box or a stack) may have; a CLI ball on a 10^6-point interval
 # peaks near 0.3 GB resident, and so does one on the largest degree-3 tree
@@ -299,9 +307,7 @@ def castle_from_dict(data: dict, codec: PointCodec | None = None) -> Castle:
         cols = _expect(_require(td, "columns", context), list, f"{context} 'columns'")
         decoded = []
         for ci, col in enumerate(cols):
-            for a in _expect(col, list, f"{context} column {ci}"):
-                if isinstance(a, (list, dict)):
-                    raise SchemaError(f"{context} column {ci}: atom {a!r} is not a scalar")
+            atom_list(col, f"{context} column {ci}")
             decoded.append(tuple(map(codec.decode, col)) if codec else tuple(col))
         towers.append(Tower(height, tuple(decoded)))
     return Castle(towers)

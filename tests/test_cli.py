@@ -252,6 +252,20 @@ def test_malformed_targets_are_a_schema_error(tmp_path, capsys, targets, err):
     assert (code, out, stderr) == (2, "", err + "\n")
 
 
+def test_castle_refine_target_with_a_repeated_atom_refines_as_its_set(tmp_path, capsys):
+    castle = write(tmp_path / "castle.json", {"towers": TOWERS})
+    refined = []
+    for targets in ([["a0", "b1", "a0"], ["c0", "c0"]], [["a0", "b1"], ["c0"]]):
+        path = write(tmp_path / "targets.json", {"targets": targets})
+        out_path = tmp_path / f"refined{len(refined)}.json"
+        code, _, err = run(capsys, "castle", "refine", "--in", castle, "--targets", path, "--out", str(out_path))
+        assert (code, err) == (0, "")
+        refined.append(out_path.read_text())
+    assert refined[0] == refined[1]
+    # the targets split tower 0's two columns apart
+    assert len(json.loads(refined[0])["towers"]) == 3
+
+
 def test_castle_compare_refuses_an_ambiguous_atom_name(tmp_path, capsys):
     # atoms 1 and "1" are distinct, so the name 1 cannot pick one of them
     castle = write(tmp_path / "castle.json", {"towers": [{"height": 1, "columns": [[1], ["1"], ["x"]]}]})
@@ -273,6 +287,27 @@ def test_castle_compare_skips_empty_names_and_refuses_unknown_atoms(tmp_path, ca
     assert json.loads(out)["result"]["bisections"] == [{"x": "x"}]
     code, out, err = run(capsys, "castle", "compare", "--in", castle, "--A", ",nope", "--B", "x")
     assert (code, out, err) == (2, "", "error: unknown atom 'nope'\n")
+
+
+def test_castle_compare_refuses_the_first_bad_name_in_a_then_b_order(tmp_path, capsys):
+    castle = write(tmp_path / "castle.json", {"towers": [{"height": 1, "columns": [[1], ["1"], ["x"], ["y"]]}]})
+    ambiguous = "error: ambiguous atom '1': 2 atoms have this name\n"
+    unknown = "error: unknown atom 'nope'\n"
+    for A, B, err in (
+        ("x,1", "nope", ambiguous),
+        ("x,nope", "1", unknown),
+        ("nope,1", "x", unknown),
+        ("x", "1,nope", ambiguous),
+        ("x", "y,nope,1", unknown),
+        # a bad name in both lists is refused at its place in --A
+        ("1", "1,nope", ambiguous),
+        ("nope", "1,nope", unknown),
+    ):
+        assert run(capsys, "castle", "compare", "--in", castle, "--A", A, "--B", B) == (2, "", err)
+    # a good name in both lists, or twice in one, names one atom
+    code, out, _ = run(capsys, "--json", "castle", "compare", "--in", castle, "--A", "x,x", "--B", "y,x")
+    assert code == 0
+    assert json.loads(out)["result"]["bisections"] == [{"x": "x"}]
 
 
 def test_castle_validate_lists_every_violation(tmp_path, capsys):
