@@ -362,7 +362,16 @@ def criterion_8(ctx: dict, chk: CriterionResult) -> None:
     chk.expect(pinf.verdict.yes, "2a <= a not established in the idempotent monoid")
     canc = cancellative_equal(idem, (1,), (0,))
     chk.expect(canc.yes, "a != 0 in the cancellative hull of the idempotent monoid")
-    chk.note("free N^3 clean, <2,3> counterexample (a, b, 2), idempotent collapses")
+
+    # <2,3> is cancellative, and a, b have the images 2 != 3
+    apart = cancellative_equal(num23, (1, 0), (0, 1))
+    chk.expect(apart.no, f"a = b in the cancellative hull of <2,3>: {apart.kind}")
+    if apart.no:
+        chk.replays(
+            lambda: apart.certificate.replay(num23, (1, 0), (0, 1)),
+            "lattice refutation of a = b does not replay",
+        )
+    chk.note("free N^3 clean, <2,3> counterexample (a, b, 2) and a != b in its hull, idempotent collapses")
 
 
 @_criterion(9, "boundary-fill growth dichotomy: line vs tree", budget=30.0)

@@ -32,6 +32,7 @@ from .monoid import (
     DEFAULT_ENTRY_CAP,
     DEFAULT_N_MAX,
     DEFAULT_Z_CAP,
+    LatticeRefutation,
     Rewrite,
     cancellative_equal,
     check_almost_unperforated,
@@ -39,6 +40,7 @@ from .monoid import (
     leq,
     properly_infinite,
     refinement_instance,
+    vadd,
 )
 from .serialize import (
     PointCodec,
@@ -388,9 +390,15 @@ def cmd_castle_from_tiling(args, em: Emitter) -> int:
 
 
 def _verdict_result(v) -> dict:
-    """JSON form of a verdict: ``equal`` certifies by a rewrite path, the others by a :class:`Rewrite`."""
+    """JSON form of a verdict.
+
+    ``equal`` certifies by a rewrite path, a Yes of the others by a
+    :class:`Rewrite`, and a ``canc`` No by a :class:`LatticeRefutation`.
+    """
     out = {"verdict": v.kind, "detail": v.detail}
     path = v.certificate
+    if isinstance(path, LatticeRefutation):
+        return {**out, "y": list(path.y), "modulus": path.modulus}
     if isinstance(path, Rewrite):
         out["z"] = list(path.z)
         path = path.path
@@ -407,8 +415,13 @@ def cmd_monoid(args, em: Emitter) -> int:
         u, v = vector_from_arg(args.u), vector_from_arg(args.v)
         if op == "equal":
             got = equal(p, u, v, depth, cap)
+        elif op == "leq":
+            got = leq(p, u, v, depth, args.zcap, cap)
         else:
-            got = (leq if op == "leq" else cancellative_equal)(p, u, v, depth, args.zcap, cap)
+            got = cancellative_equal(p, u, v, depth, args.zcap, cap)
+            # canc answers Yes or No, and either replays before it is reported
+            cert = got.certificate
+            cert.replay(p, u, vadd(v, cert.z) if got.yes else v)
         em.say(f"{got.kind}: {got.detail}")
         return em.finish(_verdict_result(got), OK if got.yes else NEGATIVE)
     if op == "aup":

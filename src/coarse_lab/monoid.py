@@ -8,6 +8,14 @@ and a state cap.  Completeness is explicitly surrendered: every verdict is
 Yes with a replayable certificate, No with a statement of the exhausted
 search region, or Unknown when a bound cut the search off.  A No never
 claims more than the region it searched.
+
+Equality in the cancellative hull is the exception, decided exactly: u and
+v agree there iff u - v lies in the lattice L spanned by the relation
+differences lhs - rhs, since the hull's Grothendieck group is Z^k / L.
+A row echelon basis of L (the Hermite normal form without its reduction
+above the pivots; H. Cohen, *A Course in Computational Algebraic Number
+Theory*, 1993, section 2.4) decides membership, and either answer carries
+a certificate that replays.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product, repeat
+from math import gcd
 from operator import add, ge, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
@@ -24,8 +33,9 @@ DEFAULT_Z_CAP = 10
 DEFAULT_N_MAX = 4
 DEFAULT_STATE_CAP = 100_000
 # the most (x, y) pairs or (n, y) classes an almost-unperforation sweep, or z
-# vectors cancellative_equal, may visit; free rank 2 at x_cap 30 (923 521 pairs)
-# sweeps in about 0.15 s.  It also bounds a presentation's rank.
+# vectors, elimination steps or constructed rewrite steps cancellative_equal,
+# may visit; free rank 2 at x_cap 30 (923 521 pairs) sweeps in about 0.15 s.
+# It also bounds a presentation's rank.
 MAX_SEARCH = 1_000_000
 
 Vector = tuple
@@ -238,40 +248,36 @@ def leq(
     z_cap: int = DEFAULT_Z_CAP,
     entry_cap: int = DEFAULT_ENTRY_CAP,
 ) -> Verdict:
-    """Algebraic preorder: is there z with u + z = v, entries of z <= z_cap?
+    """Algebraic preorder: is there z with u + z = v?
 
-    Searches the bounded congruence class of v for a member dominating u.
+    Searches the bounded congruence class of v for a member dominating u and
+    returns the least z with entries at most z_cap.  When every z exceeds
+    z_cap but the class is complete, the least z of all is returned: the
+    question is decided, and z_cap does not turn that Yes into a No.
     """
     _check_bounds(depth=depth, z_cap=z_cap, entry_cap=entry_cap)
     u = _check_vector(p, u)
     v = _check_vector(p, v)
     parents, complete, _ = _saturate(p, v, depth, entry_cap)
-    candidates = []
-    dominating = 0
-    for w in parents:
-        if all(map(ge, w, u)):
-            dominating += 1
-            z = tuple(map(sub, w, u))
-            if max(z, default=0) <= z_cap:
-                candidates.append(z)
+    zs = [tuple(map(sub, w, u)) for w in parents if all(map(ge, w, u))]
+    capped = [z for z in zs if max(z, default=0) <= z_cap]
     region = f"depth {depth}, entry cap {entry_cap}, z_cap {z_cap}"
-    if candidates:
-        z = min(candidates)
+    # a complete class decides the question, so z_cap only picks among witnesses
+    if capped or (complete and zs):
+        z = min(capped or zs)
         # v's saturation tree reaches u + z from v; reversing it rewrites u + z into v
         path = tuple((ri, not fwd) for ri, fwd in reversed(_path(parents, vadd(u, z))))
-        return Verdict(YES, f"z = {z}", Rewrite(z, path))
+        detail = f"z = {z}" if capped else (
+            f"z = {z}; every z exceeds z_cap, but the class of {v} is complete "
+            f"({len(parents)} elements) within {region}"
+        )
+        return Verdict(YES, detail, Rewrite(z, path))
     if complete:
-        if dominating:
-            detail = (
-                f"class of {v} complete ({len(parents)} elements); dominating members "
-                f"exist but every z exceeds z_cap within {region}"
-            )
-        else:
-            detail = (
-                f"class of {v} complete ({len(parents)} elements); no member dominates "
-                f"{u} within {region}"
-            )
-        return Verdict(NO, detail)
+        return Verdict(
+            NO,
+            f"class of {v} complete ({len(parents)} elements); no member dominates "
+            f"{u} within {region}",
+        )
     return Verdict(UNKNOWN, f"class of {v} truncated within {region}")
 
 
@@ -476,6 +482,155 @@ def refinement_instance(
     )
 
 
+class LatticeRefutation(NamedTuple):
+    """Certificate that u - v lies outside the lattice of relation differences.
+
+    y . (lhs - rhs) = 0 for every relation, yet y . (u - v) != 0, both
+    modulo ``modulus`` (over Z when it is 0).  So y . (u - v) is nonzero
+    on the hull's Grothendieck group, and no z has u + z = v + z.
+    """
+
+    y: Vector
+    modulus: int
+
+    def replay(self, p: MonoidPresentation, u: Vector, v: Vector) -> None:
+        def dot(a, b) -> int:
+            d = sum(map(mul, self.y, map(sub, a, b)))
+            return d % self.modulus if self.modulus else d
+
+        assert len(self.y) == p.rank and dot(u, v) and not any(dot(l, r) for l, r in p.relations)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = s*a + t*b = gcd(a, b) > 0, for a and b not both 0."""
+    s, s1, t, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s, s1 = s1, s - q * s1
+        t, t1 = t1, t - q * t1
+    return (a, s, t) if a > 0 else (-a, -s, -t)
+
+
+def _echelon(p: MonoidPresentation) -> tuple[list, list]:
+    """Row echelon basis of the relation differences, and the moves that built it.
+
+    Slot i starts as lhs_i - rhs_i; the relations are inserted one at a
+    time.  A slot whose leading column is a pivot's is combined with the
+    pivot slot by a unimodular 2x2 move (i, j, a, b, c, e): slot i becomes
+    a*slot_i + b*slot_j and slot j becomes c*slot_i + e*slot_j, leaving the
+    gcd of the two leading entries in the pivot and 0 in the other.  A slot
+    that reaches 0 is dropped.  Returns (basis, moves), basis holding
+    (pivot column, row, slot) by increasing pivot column.
+    """
+    basis: list = []
+    moves: list = []
+    for i, (lhs, rhs) in enumerate(p.relations):
+        r = list(map(sub, lhs, rhs))
+        pos = 0
+        while any(r):
+            lead = next(c for c, x in enumerate(r) if x)
+            while pos < len(basis) and basis[pos][0] < lead:
+                pos += 1
+            if pos == len(basis) or basis[pos][0] > lead:
+                basis.insert(pos, (lead, r, i))
+                break
+            _, h, j = basis[pos]
+            a, x = h[lead], r[lead]
+            g, s, t = _xgcd(a, x)
+            c, e = x // g, -(a // g)  # s*e - t*c = -1
+            basis[pos] = (lead, [s * hc + t * rc for hc, rc in zip(h, r)], j)
+            r = [c * hc + e * rc for hc, rc in zip(h, r)]
+            moves.append((j, i, s, t, c, e))
+            pos += 1
+    return basis, moves
+
+
+def _coordinates(basis: list, t: Vector) -> tuple[list, int | None]:
+    """Reduce t by the basis rows in order: (mu, stop).
+
+    stop is None when t is in the lattice, t = sum of q * row over the
+    (slot, q) pairs of mu.  Otherwise stop is the index of the first row
+    whose pivot does not divide what is left of t, or len(basis) when a
+    nonzero rest is left.
+    """
+    r = list(t)
+    mu = []
+    for i, (col, h, j) in enumerate(basis):
+        q, rem = divmod(r[col], h[col])
+        if rem:
+            return mu, i
+        if q:
+            r = [rc - q * hc for rc, hc in zip(r, h)]
+            mu.append((j, q))
+    return mu, (len(basis) if any(r) else None)
+
+
+def _refutation(basis: list, t: Vector, stop: int) -> LatticeRefutation:
+    """The certificate for a t that ``_coordinates`` stopped at row ``stop``.
+
+    When t lies outside the rational span of the rows, some y in their null
+    space, one free column set to 1, has y . t != 0: a refutation over Z.
+    Otherwise t = sum of mu_l * row_l over Q, and mu_stop is not an
+    integer.  The rational y with row_l . y = [l == stop] then gives
+    y . t = mu_stop, while every relation difference, an integer
+    combination of the rows, has an integer product with y.  Scaled by its
+    common denominator m, y is a refutation modulo m.
+    """
+
+    def solve(y: list, scale: int, j: int | None) -> tuple[list, int]:
+        # pivot entries of y with row_l . y = scale * [l == j], multiplying
+        # y and scale through to keep every entry an integer
+        for l in reversed(range(len(basis))):
+            col, h, _ = basis[l]
+            num = (scale if l == j else 0) - sum(map(mul, h, y))
+            g = gcd(num, h[col])
+            a = h[col] // g
+            if a != 1:
+                y = [x * a for x in y]
+                scale *= a
+            y[col] = num // g
+        return y, scale
+
+    pivots = {col for col, _, _ in basis}
+    for f in range(len(t)):
+        if f not in pivots:
+            y, _ = solve([int(c == f) for c in range(len(t))], 1, None)
+            if sum(map(mul, y, t)):
+                g = gcd(*y) if y[f] > 0 else -gcd(*y)
+                return LatticeRefutation(tuple(x // g for x in y), 0)
+    y, scale = solve([0] * len(t), 1, stop)
+    # y / scale in lowest terms has denominator m
+    g = gcd(scale, *y) * (1 if scale > 0 else -1)
+    m = scale // g
+    return LatticeRefutation(tuple(x // g % m for x in y), m)
+
+
+def _lattice_rewrite(p: MonoidPresentation, moves: list, mu: list) -> Rewrite:
+    """The rewrite that the lattice coefficients of u - v give.
+
+    With u - v = sum of lambda_i (lhs_i - rhs_i), z = sum over lambda_i > 0
+    of lambda_i rhs_i plus sum over lambda_i < 0 of |lambda_i| lhs_i.  From
+    v + z, lambda_i backward steps of each relation with lambda_i > 0 and
+    |lambda_i| forward steps of the others reach u + z, each step taking a
+    part z supplies; the path runs that walk backwards.  lambda is mu, the
+    coordinates over the basis slots, carried back through the moves.
+    """
+    lam = [0] * len(p.relations)
+    for j, q in mu:
+        lam[j] = q
+    for i, j, a, b, c, e in reversed(moves):
+        lam[i], lam[j] = lam[i] * a + lam[j] * c, lam[i] * b + lam[j] * e
+    _check_search("rewrite steps", sum(map(abs, lam)))
+    z = [0] * p.rank
+    path = []
+    for ri in reversed(range(len(p.relations))):
+        n = lam[ri]
+        z = vadd(z, vscale(abs(n), p.relations[ri][n > 0]))
+        path += [(ri, n > 0)] * abs(n)
+    return Rewrite(tuple(z), tuple(path))
+
+
 def cancellative_equal(
     p: MonoidPresentation,
     u: Sequence[int],
@@ -486,22 +641,42 @@ def cancellative_equal(
 ) -> Verdict:
     """Equality in the cancellative hull: is there z with u + z = v + z?
 
-    Yes means u and v become identified after adding some z with entries at
-    most z_cap, i.e. they agree in the universal cancellative quotient.
+    Decided exactly by whether u - v lies in the lattice of relation
+    differences.  Outside it the answer is No, with a
+    :class:`LatticeRefutation`.  Inside it the answer is Yes: the bounded
+    searches for u + z = v + z over z with entries at most z_cap run first,
+    and the first z they identify is returned; when none does, the z that
+    the lattice coefficients of u - v build, whose rewrite takes one step
+    per unit of coefficient.
     """
     _check_bounds(depth=depth, z_cap=z_cap, entry_cap=entry_cap)
     _check_search("z vectors", (z_cap + 1) ** min(p.rank, 64))
     u = _check_vector(p, u)
     v = _check_vector(p, v)
-    any_unknown = False
+    m = len(p.relations)
+    _check_search("elimination steps", m * p.rank * min(m, p.rank))
+    basis, moves = _echelon(p)
+    diff = tuple(map(sub, u, v))
+    mu, stop = _coordinates(basis, diff)
+    if stop is not None:
+        cert = _refutation(basis, diff, stop)
+        modulo = f" modulo {cert.modulus}" if cert.modulus else ""
+        return Verdict(
+            NO,
+            f"u - v = {diff} is outside the lattice of relation differences: "
+            f"y = {cert.y} is orthogonal to every difference{modulo} but not to u - v",
+            cert,
+        )
     for z in product(range(z_cap + 1), repeat=p.rank):
         # the bounded word problem u + z = v + z, as ``equal`` decides it
         target = vadd(v, z)
-        parents, complete, found = _saturate(p, vadd(u, z), depth, entry_cap, target=target)
+        parents, _, found = _saturate(p, vadd(u, z), depth, entry_cap, target=target)
         if found:
             return Verdict(YES, f"z = {z}", Rewrite(z, _path(parents, target)))
-        any_unknown = any_unknown or not complete
-    region = f"z entries <= {z_cap}, depth {depth}, entry cap {entry_cap}"
-    if any_unknown:
-        return Verdict(UNKNOWN, f"some equality searches truncated within {region}")
-    return Verdict(NO, f"no identifying z within {region}")
+    cert = _lattice_rewrite(p, moves, mu)
+    return Verdict(
+        YES,
+        f"z = {cert.z}, built from the lattice coefficients of u - v in {len(cert.path)} steps; "
+        f"no z with entries <= {z_cap} is found within depth {depth}, entry cap {entry_cap}",
+        cert,
+    )

@@ -135,6 +135,7 @@ CALLS = [
     ["tile", "--strategy", "sparse", "--R", "1", "--epsilon", "1/2", "--in", "subset-prefix.json"],
     ["castle", "defect", "--in", "castle-defect-halo-castle.json", "--space", "castle-defect-halo-window.json",
      "--R", "1"],
+    ["monoid", "canc", "--in", "num23.json", "--u", "1,0", "--v", "0,1"],
 ]
 
 

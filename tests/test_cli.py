@@ -10,7 +10,7 @@ import pytest
 
 from coarse_lab import acceptance, castle, cli, monoid, serialize, space, tiling
 from coarse_lab.cli import main
-from coarse_lab.monoid import presentation, replay_path
+from coarse_lab.monoid import LatticeRefutation, Rewrite, presentation, replay_path
 
 import cli_corpus
 
@@ -546,6 +546,44 @@ def test_monoid_aup_with_class_members_above_entry_cap(tmp_path, capsys):
     assert code == 1
     assert "counterexample" in out
     assert "Traceback" not in err
+
+
+def test_monoid_leq_beyond_the_zcap_on_a_complete_class_exits_0(tmp_path, capsys):
+    # the class of 5a in the free monoid is {5a}: 0 <= 5a is decided, by z = 5a above --zcap 2
+    pres = write(tmp_path / "free1.json", {"rank": 1, "relations": []})
+    code, out, err = run(capsys, "--json", "monoid", "leq", "--in", pres, "--u", "0", "--v", "5", "--zcap", "2")
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert (result["verdict"], result["z"], result["path"]) == ("yes", [5], [])
+
+
+def test_monoid_canc_no_reports_its_lattice_refutation(tmp_path, capsys):
+    # 2a = 0: a has order 2 in the hull, refuted modulo 2 by y = (1,)
+    pres = write(tmp_path / "torsion.json", {"rank": 1, "relations": [[[2], [0]]]})
+    code, out, err = run(capsys, "--json", "monoid", "canc", "--in", pres, "--u", "1", "--v", "0")
+    assert (code, err) == (1, "")
+    result = json.loads(out)["result"]
+    assert (result["verdict"], result["y"], result["modulus"]) == ("no", [1], 2)
+    assert "path" not in result and "z" not in result
+
+
+@pytest.mark.parametrize(
+    "relations, argv, name, bad",
+    [
+        ([[[3, 0], [0, 2]]], ["--u", "1,0", "--v", "0,1"], "_refutation", LatticeRefutation((1, 0), 0)),
+        ([[[1], [2]]], ["--u", "0", "--v", "5", "--depth", "1", "--zcap", "0"], "_lattice_rewrite",
+         Rewrite((10,), ())),
+    ],
+)
+def test_monoid_canc_certificate_that_fails_to_replay_exits_3(tmp_path, capsys, monkeypatch, relations, argv, name,
+                                                             bad):
+    # canc replays its No and its Yes before it reports: a wrong one is a crash, not an answer
+    monkeypatch.setattr(monoid, name, lambda *args: bad)
+    rank = len(relations[0][0])
+    pres = write(tmp_path / "pres.json", {"rank": rank, "relations": relations})
+    code, out, err = run(capsys, "monoid", "canc", "--in", pres, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: AssertionError")
 
 
 def test_monoid_unknown_exits_1(tmp_path, capsys):

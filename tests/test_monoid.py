@@ -9,6 +9,8 @@ from coarse_lab import monoid
 from coarse_lab.monoid import (
     AupCounterexample,
     AupResult,
+    LatticeRefutation,
+    Rewrite,
     _saturate,
     cancellative_equal,
     check_almost_unperforated,
@@ -30,6 +32,7 @@ IDEM = presentation(1, [[(2,), (1,)]])  # 2a = a
 SHRINK = presentation(1, [[(3,), (2,)]])  # 3a = 2a
 RANK3_A = presentation(3, [[(1, 1, 0), (0, 0, 1)]])  # c = a + b
 RANK3_B = presentation(3, [[(2, 0, 0), (0, 1, 0)], [(0, 2, 0), (0, 0, 1)]])  # b = 2a, c = 2b
+RANK3_C = presentation(3, [[(2, 0, 0), (0, 1, 1)], [(0, 3, 0), (1, 0, 1)]])  # 2a = b + c, 3b = a + c
 
 
 def image23(v):
@@ -201,16 +204,36 @@ def test_leq_generator_gap():
     assert got.no  # needs image 1, which <2,3> lacks
 
 
-def test_leq_no_names_dominating_members_whose_z_exceeds_the_cap():
-    # the class of (5,) in free rank 1 is {(5,)}, which dominates (0,) by z = (5,)
+def test_leq_yes_beyond_the_cap_when_the_class_is_complete():
+    # the class of (5,) in free rank 1 is {(5,)}, which dominates (0,) by z = (5,);
+    # the class is complete, so u <= v is decided and z_cap does not turn it into a No
     got = leq(FREE1, (0,), (5,), depth=3, z_cap=2, entry_cap=9)
-    assert got.no
+    assert got.yes
+    assert got.certificate == ((5,), ())
     assert got.detail == (
-        "class of (5,) complete (1 elements); dominating members exist but every z "
-        "exceeds z_cap within depth 3, entry cap 9, z_cap 2"
+        "z = (5,); every z exceeds z_cap, but the class of (5,) is complete "
+        "(1 elements) within depth 3, entry cap 9, z_cap 2"
     )
-    # without the cap that member is the witness
-    assert leq(FREE1, (0,), (5,), z_cap=5).certificate.z == (5,)
+    got.certificate.replay(FREE1, (0,), (5,))
+    assert leq(FREE1, (0,), (5,), z_cap=5).certificate == got.certificate
+
+
+def test_leq_beyond_the_cap_takes_the_least_z_of_all():
+    # the class of (3, 0) under 3a = 2b is {(3, 0), (0, 2)}: both dominate 0, by z above z_cap 1
+    got = leq(NUM23, (0, 0), (3, 0), z_cap=1)
+    assert got.yes and got.certificate.z == (0, 2)
+    got.certificate.replay(NUM23, (0, 0), (3, 0))
+    # under 2a = 3b the class of (2, 0) is {(2, 0), (0, 3)}: a z within the cap
+    # is still preferred to a smaller one above it
+    p = presentation(2, [[(2, 0), (0, 3)]])
+    assert leq(p, (0, 0), (2, 0), z_cap=2).certificate.z == (2, 0)
+    assert leq(p, (0, 0), (2, 0), z_cap=1).certificate.z == (0, 3)
+
+
+def test_leq_stays_unknown_beyond_the_cap_when_the_class_is_truncated():
+    # the class of (1,) under 2a = a is every positive multiple, cut off at entry cap 4
+    got = leq(IDEM, (0,), (1,), z_cap=0, entry_cap=4)
+    assert got.kind == "unknown"
 
 
 def test_leq_certificates_replay():
@@ -645,6 +668,140 @@ def test_cancellative_shrink_identifies_multiples():
     assert cancellative_equal(SHRINK, (3,), (2,)).yes
     got = cancellative_equal(SHRINK, (1,), (2,))
     assert got.yes
+
+
+def test_cancellative_rank3_example_is_an_exact_no_over_z():
+    # u - v = (1, 0, -1) is off the plane of (2, -1, -1) and (-1, 3, -1), whose
+    # normal is (4, 3, 5); the bounded z searches alone answered Unknown here
+    u, v = (1, 0, 0), (0, 0, 1)
+    got = cancellative_equal(RANK3_C, u, v)
+    assert got.no
+    assert got.certificate == LatticeRefutation((4, 3, 5), 0)
+    assert got.detail == (
+        "u - v = (1, 0, -1) is outside the lattice of relation differences: "
+        "y = (4, 3, 5) is orthogonal to every difference but not to u - v"
+    )
+    got.certificate.replay(RANK3_C, u, v)
+
+
+def test_cancellative_torsion_needs_a_modulus():
+    # 2a = 0 makes a an element of order 2 in the hull: no y works over Z
+    p = presentation(1, [[(2,), (0,)]])
+    got = cancellative_equal(p, (1,), (0,))
+    assert got.no
+    assert got.certificate == LatticeRefutation((1,), 2)
+    assert "modulo 2" in got.detail
+    got.certificate.replay(p, (1,), (0,))
+    with pytest.raises(AssertionError):
+        LatticeRefutation((1,), 0).replay(p, (1,), (0,))
+    assert cancellative_equal(p, (2,), (0,)).yes
+
+
+def test_lattice_refutation_replay_checks_each_part():
+    LatticeRefutation((2, 3), 0).replay(NUM23, (1, 0), (0, 1))
+    for cert, u, v in [
+        (LatticeRefutation((1, 0), 0), (1, 0), (0, 1)),  # 3 != 0 on 3a - 2b
+        (LatticeRefutation((2, 3), 0), (3, 0), (0, 2)),  # 0 on u - v
+        (LatticeRefutation((1, 1), 5), (1, 0), (0, 0)),  # 1 on 3a - 2b, modulo 5
+        (LatticeRefutation((2, 3), 2), (1, 0), (0, 0)),  # 2 = 0 on u - v, modulo 2
+        (LatticeRefutation((2,), 0), (1, 0), (0, 1)),  # too short for rank 2
+    ]:
+        with pytest.raises(AssertionError):
+            cert.replay(NUM23, u, v)
+
+
+@pytest.mark.parametrize("relation, steps", [(((1,), (2,)), ((0, True),) * 5), (((2,), (1,)), ((0, False),) * 5)])
+def test_cancellative_lattice_yes_the_small_z_search_misses(relation, steps):
+    # a = 2a, written either way round: z = 0 searched at depth 1 finds nothing, so
+    # the lattice coefficient (5 or -5) builds z = 5 * 2a and five steps
+    p = presentation(1, [relation])
+    got = cancellative_equal(p, (0,), (5,), depth=1, z_cap=0)
+    assert got.yes
+    assert got.certificate == Rewrite((10,), steps)
+    got.certificate.replay(p, (0,), (15,))
+
+
+def test_cancellative_constructive_z_mixes_signs():
+    # u - v = (1, -1) = 1 * (a - c) - 1 * (b - c): z = c + b, then one step each way
+    p = presentation(3, [[(1, 0, 0), (0, 0, 1)], [(0, 1, 0), (0, 0, 1)]])
+    got = cancellative_equal(p, (1, 0, 0), (0, 1, 0), depth=0, z_cap=0)
+    assert got.yes
+    assert got.certificate == Rewrite((0, 1, 1), ((1, False), (0, True)))
+    got.certificate.replay(p, (1, 0, 0), (0, 2, 1))
+
+
+def test_cancellative_no_saturates_nothing(monkeypatch):
+    # the rank-3 example at z_cap 99 is 10^6 z vectors, each a bounded search before
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("_saturate called")
+
+    monkeypatch.setattr(monoid, "_saturate", unbuilt)
+    got = cancellative_equal(RANK3_C, (1, 0, 0), (0, 0, 1), z_cap=99)
+    assert got.no and got.certificate.modulus == 0
+
+
+def test_cancellative_elimination_above_the_limit_is_refused(monkeypatch):
+    # 100 relations at rank 101: 100 * 101 * 100 elimination steps
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("elimination or search called")
+
+    monkeypatch.setattr(monoid, "_echelon", unbuilt)
+    monkeypatch.setattr(monoid, "_saturate", unbuilt)
+    e = tuple(int(c == 0) for c in range(101))
+    p = presentation(101, [(e, e)] * 100)
+    with pytest.raises(ValueError) as info:
+        cancellative_equal(p, e, e, z_cap=0)
+    assert str(info.value) == "1010000 elimination steps or more, above the limit of 1000000"
+    monkeypatch.undo()
+    assert cancellative_equal(presentation(101, [(e, e)] * 99), e, e, z_cap=0).kind == "yes"
+
+
+def test_cancellative_constructive_path_above_the_limit_is_refused():
+    # u - v = -(10^6 + 1) * (a - 2a): a rewrite of 10^6 + 1 steps
+    p = presentation(1, [[(1,), (2,)]])
+    n = monoid.MAX_SEARCH + 1
+    with pytest.raises(ValueError) as info:
+        cancellative_equal(p, (0,), (n,), depth=0, z_cap=0)
+    assert str(info.value) == "1000001 rewrite steps or more, above the limit of 1000000"
+    got = cancellative_equal(p, (0,), (n - 1,), depth=0, z_cap=0)
+    assert got.yes and len(got.certificate.path) == monoid.MAX_SEARCH
+
+
+def _random_presentation(rng):
+    rank = rng.randint(1, 3)
+    vec = lambda: tuple(rng.randint(0, 3) for _ in range(rank))
+    return presentation(rank, [(vec(), vec()) for _ in range(rng.randint(0, 3))]), vec
+
+
+def test_cancellative_lattice_agrees_with_the_bounded_search():
+    # the bounded search is ``equal`` on u + z and v + z for each z in product
+    # order, as before the lattice test; its first Yes must be the answer,
+    # byte for byte, and every Yes and every No must replay
+    rng = random.Random(31)
+    kinds = {"bounded yes": 0, "lattice yes": 0, "no over Z": 0, "no modulo m": 0}
+    for _ in range(600):
+        p, vec = _random_presentation(rng)
+        u, v = vec(), vec()
+        depth, z_cap = rng.randint(0, 4), rng.randint(0, 2)
+        got = cancellative_equal(p, u, v, depth=depth, z_cap=z_cap, entry_cap=8)
+        bounded = next(
+            (
+                Rewrite(z, e.certificate)
+                for z in product(range(z_cap + 1), repeat=p.rank)
+                if (e := equal(p, vadd(u, z), vadd(v, z), depth, 8)).yes
+            ),
+            None,
+        )
+        if bounded is not None:
+            assert got.yes and got.certificate == bounded
+        if got.yes:
+            got.certificate.replay(p, u, vadd(v, got.certificate.z))
+            kinds["bounded yes" if bounded else "lattice yes"] += 1
+        else:
+            assert got.no
+            got.certificate.replay(p, u, v)
+            kinds["no modulo m" if got.certificate.modulus else "no over Z"] += 1
+    assert min(kinds.values()) >= 30, kinds
 
 
 # -- verdicts are honest ------------------------------------------------------
