@@ -569,8 +569,11 @@ def _coordinates(basis: list, t: Vector) -> tuple[list, int | None]:
 def _refutation(basis: list, t: Vector, stop: int) -> LatticeRefutation:
     """The certificate for a t that ``_coordinates`` stopped at row ``stop``.
 
-    When t lies outside the rational span of the rows, some y in their null
-    space, one free column set to 1, has y . t != 0: a refutation over Z.
+    Reducing t by every row over Q, kept integral by scaling what is left,
+    leaves a rest that is 0 on each pivot column.  When the rest is not 0,
+    t lies outside the rational span of the rows: the y in their null space
+    with 1 on the rest's first nonzero column, 0 on the other free columns,
+    has y . t a nonzero multiple of that entry, a refutation over Z.
     Otherwise t = sum of mu_l * row_l over Q, and mu_stop is not an
     integer.  The rational y with row_l . y = [l == stop] then gives
     y . t = mu_stop, while every relation difference, an integer
@@ -592,13 +595,17 @@ def _refutation(basis: list, t: Vector, stop: int) -> LatticeRefutation:
             y[col] = num // g
         return y, scale
 
-    pivots = {col for col, _, _ in basis}
-    for f in range(len(t)):
-        if f not in pivots:
-            y, _ = solve([int(c == f) for c in range(len(t))], 1, None)
-            if sum(map(mul, y, t)):
-                g = gcd(*y) if y[f] > 0 else -gcd(*y)
-                return LatticeRefutation(tuple(x // g for x in y), 0)
+    r = list(t)
+    for col, h, _ in basis:
+        if r[col]:
+            g = gcd(r[col], h[col])
+            a, b = h[col] // g, r[col] // g
+            r = [a * rc - b * hc for rc, hc in zip(r, h)]
+    f = next((c for c, x in enumerate(r) if x), None)
+    if f is not None:
+        y, _ = solve([int(c == f) for c in range(len(t))], 1, None)
+        g = gcd(*y) if y[f] > 0 else -gcd(*y)
+        return LatticeRefutation(tuple(x // g for x in y), 0)
     y, scale = solve([0] * len(t), 1, stop)
     # y / scale in lowest terms has denominator m
     g = gcd(scale, *y) * (1 if scale > 0 else -1)

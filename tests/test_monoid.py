@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 import tracemalloc
 from itertools import product
 
@@ -738,6 +739,21 @@ def test_cancellative_no_saturates_nothing(monkeypatch):
     monkeypatch.setattr(monoid, "_saturate", unbuilt)
     got = cancellative_equal(RANK3_C, (1, 0, 0), (0, 0, 1), z_cap=99)
     assert got.no and got.certificate.modulus == 0
+
+
+@pytest.mark.parametrize("relations", [0, 1])
+def test_cancellative_no_certificate_is_linear_in_rank(relations):
+    # u - v is nonzero on the last of 20000 columns alone, with no relation or
+    # with 2a = 0 (stopping at row 0): the certificate's column is read off the
+    # reduced rest, not found by one back-substitution per free column, which
+    # took rank^2 steps, about a minute here
+    n = 20_000
+    p = presentation(n, [((2,) + (0,) * (n - 1), (0,) * n)] * relations)
+    u = (relations,) + (0,) * (n - 2) + (1,)
+    start = time.perf_counter()
+    got = cancellative_equal(p, u, (0,) * n, z_cap=0)
+    assert time.perf_counter() - start < 1.0
+    assert got.certificate == LatticeRefutation((0,) * (n - 1) + (1,), 0)
 
 
 def test_cancellative_elimination_above_the_limit_is_refused(monkeypatch):
