@@ -113,9 +113,11 @@ class Emitter:
         if stats is not None:
             self.report["stats"] = stats
         self.report["exit_code"] = code
-        text = dump_json(self.report, self.out)
-        if self.json_only:
-            print(text)
+        # the report text is built only for a reader: --json prints it, --out writes it
+        if self.json_only or self.out is not None:
+            text = dump_json(self.report, self.out)
+            if self.json_only:
+                print(text)
         return code
 
 

@@ -20,7 +20,6 @@ from .homology import OneChain, ZeroChain
 from .monoid import MonoidPresentation, presentation
 from .space import (
     FiniteMetricSpace,
-    MatrixSpace,
     WindowedSpace,
     box_window,
     build_graph_metric,
@@ -77,7 +76,7 @@ class PointCodec:
 
 _JSON_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string", bool: "a boolean"}
 
-# point identifiers: the JSON values a graph or matrix space may name a point by
+# point identifiers: the JSON values a graph may name a vertex by
 _POINT_KINDS = (int, str)
 
 
@@ -159,23 +158,18 @@ def _check_size(kind: str, points: int) -> None:
 
 
 def space_from_spec(spec: dict) -> FiniteMetricSpace:
-    """Bare space forms: a graph or an explicit matrix; points are JSON integers or strings."""
-    if "vertices" in spec:
-        edges = _expect(spec.get("edges", []), list, "graph 'edges'")
-        for e in edges:
-            if len(_list_of(e, _POINT_KINDS, "graph 'edges' pair")) != 2:
-                raise SchemaError(f"graph 'edges' pair: expected 2 vertices, got {e!r}")
-        return build_graph_metric(_list_of(spec["vertices"], _POINT_KINDS, "graph 'vertices'"), edges)
-    if "points" in spec:
-        rows = _expect(_require(spec, "matrix", "matrix space"), list, "matrix space 'matrix'")
-        for i, row in enumerate(rows):
-            integer_list(row, f"matrix space row {i}")
-        return MatrixSpace(_list_of(spec["points"], _POINT_KINDS, "matrix space 'points'"), rows)
-    raise SchemaError("space: expected 'vertices' or 'points'")
+    """The bare space form, a graph; its vertices are JSON integers or strings."""
+    if "vertices" not in spec:
+        raise SchemaError("space: expected 'vertices'")
+    edges = _expect(spec.get("edges", []), list, "graph 'edges'")
+    for e in edges:
+        if len(_list_of(e, _POINT_KINDS, "graph 'edges' pair")) != 2:
+            raise SchemaError(f"graph 'edges' pair: expected 2 vertices, got {e!r}")
+    return build_graph_metric(_list_of(spec["vertices"], _POINT_KINDS, "graph 'vertices'"), edges)
 
 
 def window_from_spec(spec: dict) -> WindowedSpace:
-    """Window forms: graph/matrix plus core, or one of the shorthands.
+    """Window forms: a graph, with an optional core, or one of the shorthands.
 
     Shorthands: {"interval": {lo, hi, halo_depth}}, {"tree": {degree,
     core_depth, halo_depth}}, {"stack": {base, K, halo_depth}},

@@ -10,7 +10,6 @@ all invariance ratios are exact rationals, so strict inequalities such as
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress, cycle, islice, product, repeat
@@ -19,25 +18,19 @@ from typing import AbstractSet, Collection, Hashable, Iterable, Sequence
 
 Point = Hashable
 
-# Full cubic triangle-inequality validation is only affordable for small
-# user-supplied matrices; larger ones get a seeded random sample.
-TRIANGLE_CHECK_LIMIT = 128
-TRIANGLE_SAMPLE = 20000
-
 
 class FiniteMetricSpace:
     """Base class: a finite point set with a total symmetric integer metric.
 
-    Subclasses implement ``dist`` and may override the bulk operations
-    (``ball_of``, ``boundary_of``, ``boundary_counts``, ``diameter_of``,
-    ``pairs_within``) with structure-aware versions; the generic fallbacks
-    only rely on ``dist``, and a ball is its center with the center's
-    boundary.  ``boundary_counts`` gives |∂_R F| for each set of a batch;
-    its fallback is the size of ``boundary_of``, and integer subsets, lines
-    among them, count a set that is one run in closed form, building no set.
-    ``pairs_within`` lists the pairs of distinct points within a distance;
-    its fallback reads one ball per point, and graphs read their edges at
-    distance 1.
+    Each subclass provides ``dist``, ``boundary_of`` and ``diameter_of``
+    from its own structure; the base class holds the point index and the
+    bulk operations built on those kernels.  A ball is its center with the
+    center's boundary, unless the subclass builds it directly.
+    ``boundary_counts`` gives |∂_R F| for each set of a batch as the size of
+    ``boundary_of``; integer subsets, lines among them, count a set that is
+    one run in closed form, building no set.  ``pairs_within`` lists the
+    pairs of distinct points within a distance by reading one ball per
+    point; graphs read their edges at distance 1.
     """
 
     def __init__(self, points: Iterable[Point]):
@@ -69,23 +62,16 @@ class FiniteMetricSpace:
                     raise ValueError(message.format(p))
         return Fs
 
-    def dist(self, x: Point, y: Point) -> int:
-        raise NotImplementedError
-
     def _require_points(self, *ps: Point) -> None:
         """Raise ``KeyError(p)`` for the first p that is not a point of this space."""
         for p in ps:
             if p not in self._index:
                 raise KeyError(p)
 
-    # -- bulk operations, overridable ------------------------------------
+    # -- bulk operations over the subclass kernels, overridable -----------
 
     def ball_of(self, center: Point, R: int) -> set:
         return {center} | self.boundary_of({center}, R)
-
-    def boundary_of(self, F: set, R: int) -> set:
-        dist = self.dist
-        return {y for y in self.points if y not in F and any(dist(f, y) <= R for f in F)}
 
     def boundary_counts(self, sets: Iterable[Collection[Point]], R: int) -> list[int]:
         """|∂_R F| for each F, a nonempty collection of distinct points."""
@@ -101,57 +87,6 @@ class FiniteMetricSpace:
             for q in self.ball_of(p, P)
             if index[q] > i
         ]
-
-    def diameter_of(self, F: set) -> int:
-        pts = list(F)
-        best = 0
-        for i, x in enumerate(pts):
-            for y in pts[i + 1:]:
-                d = self.dist(x, y)
-                if d > best:
-                    best = d
-        return best
-
-
-class MatrixSpace(FiniteMetricSpace):
-    """Metric given by an explicit dense matrix of nonnegative integers."""
-
-    def __init__(self, points: Iterable[Point], matrix: Sequence[Sequence[int]]):
-        super().__init__(points)
-        n = len(self.points)
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise ValueError("distance matrix shape does not match point count")
-        self._matrix = [list(map(int, row)) for row in matrix]
-        self._validate()
-
-    def _validate(self) -> None:
-        n = len(self.points)
-        m = self._matrix
-        for i in range(n):
-            if m[i][i] != 0:
-                raise ValueError(f"nonzero self-distance at {self.points[i]!r}")
-            for j in range(i + 1, n):
-                if m[i][j] != m[j][i]:
-                    raise ValueError("distance matrix is not symmetric")
-                if m[i][j] <= 0:
-                    raise ValueError("zero distance between distinct points")
-        if n <= TRIANGLE_CHECK_LIMIT:
-            triples = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
-        else:
-            rng = random.Random(0)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(TRIANGLE_SAMPLE)
-            )
-        for i, j, k in triples:
-            if m[i][k] > m[i][j] + m[j][k]:
-                raise ValueError(
-                    "triangle inequality fails at "
-                    f"({self.points[i]!r}, {self.points[j]!r}, {self.points[k]!r})"
-                )
-
-    def dist(self, x: Point, y: Point) -> int:
-        return self._matrix[self._index[x]][self._index[y]]
 
 
 class GraphSpace(FiniteMetricSpace):

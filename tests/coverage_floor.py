@@ -41,8 +41,6 @@ PACKAGE = os.path.join(ROOT, "src", "coarse_lab")
 ALLOWLIST = [
     # the module run as a script
     ("cli.py", "sys.exit(main())"),
-    # the abstract metric
-    ("space.py", "raise NotImplementedError"),
 ]
 
 

@@ -735,7 +735,8 @@ def test_non_integer_presentation_is_a_schema_error(tmp_path, capsys, pres, err)
             {"stack": {"base": {"vertices": [3], "edges": []}, "K": 4, "halo_depth": "1"}},
             "stack 'halo_depth': expected an integer, got '1'",
         ),
-        ({"points": [3, 4], "matrix": [[0, 1.5], [1.5, 0]]}, "matrix space row 0 entry: expected an integer, got 1.5"),
+        # a distance matrix is no space form: only a graph names its points
+        ({"points": [3, 4], "matrix": [[0, 1], [1, 0]]}, "space: expected 'vertices'"),
         ({"vertices": [3, 4], "edges": [[3, 4]], "core": ["3"], "halo_depth": 1.0}, "window 'halo_depth': expected an integer"),
         ([3, 4], "window: expected an object, got [3, 4]"),
         ({"vertices": [1, 2], "edges": [5]}, "graph 'edges' pair: expected a list, got 5"),
@@ -747,13 +748,13 @@ def test_non_integer_presentation_is_a_schema_error(tmp_path, capsys, pres, err)
         ({"vertices": [1, 2.5], "edges": []}, "graph 'vertices' entry: expected an integer or a string, got 2.5"),
         ({"vertices": [1, True], "edges": []}, "graph 'vertices' entry: expected an integer or a string, got True"),
         ({"vertices": {"a": 1}, "edges": []}, "graph 'vertices': expected a list, got {'a': 1}"),
-        ({"points": None, "matrix": []}, "matrix space 'points': expected a list, got None"),
-        ({"points": [1, [2]], "matrix": [[0, 1], [1, 0]]}, "matrix space 'points' entry: expected an integer or a string, got [2]"),
+        ({"stack": {"base": {"points": [1], "matrix": [[0]]}, "K": 4}}, "space: expected 'vertices'"),
+        ({"points": [3, 4], "matrix": [[0, 1], [1, 0]], "core": ["3"]}, "space: expected 'vertices'"),
         ({"stack": {"base": 5, "K": 4}}, "stack 'base': expected an object, got 5"),
         ({"vertices": [1, 2, 3], "edges": [[1, 2]], "core": "12"}, "window 'core': expected a list, got '12'"),
         ({"vertices": [1, 2, 3], "edges": [[1, 2]], "core": [["1"]]}, "unknown point key ['1']"),
         ({"vertices": [1, "1"], "edges": []}, "error: point keys collide at '1'"),
-        ({"core": [3]}, "space: expected 'vertices' or 'points'"),
+        ({"core": [3]}, "space: expected 'vertices'"),
     ],
 )
 def test_malformed_window_is_a_schema_error(tmp_path, capsys, window, err):
@@ -983,6 +984,22 @@ def test_json_mode_emits_only_json(capsys, zwindow):
     data = json.loads(out)
     assert data["tool"] == "coarse-lab"
     assert data["result"]["size"] == 3
+
+
+def test_report_text_is_built_only_when_printed_or_written(tmp_path, capsys, monkeypatch, zwindow):
+    paths = []
+    dump_json = cli.dump_json
+    monkeypatch.setattr(cli, "dump_json", lambda data, path=None: paths.append(path) or dump_json(data, path))
+    argv = ("ball", "--in", zwindow, "--center", "0", "--R", "1")
+    code, plain, _ = run(capsys, *argv)
+    assert (code, paths) == (0, [])
+    code, printed, _ = run(capsys, "--json", *argv)
+    assert (code, paths) == (0, [None])
+    report = tmp_path / "report.json"
+    code, out, _ = run(capsys, "--out", str(report), *argv)
+    assert (code, out, paths) == (0, plain, [None, str(report)])
+    # print adds the newline that the written file ends with
+    assert report.read_bytes() == printed.encode()
 
 
 def test_folner_cli(capsys, zwindow):
@@ -1229,7 +1246,7 @@ def test_a_set_with_a_halo_point_is_contaminated(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: every orbit is halo-contaminated at this radius\n")
 
 
-def test_matrix_space_file(tmp_path, capsys):
+def test_matrix_window_is_refused(tmp_path, capsys):
     window = write(
         tmp_path / "matrix.json",
         {
@@ -1237,9 +1254,8 @@ def test_matrix_space_file(tmp_path, capsys):
             "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
         },
     )
-    code, out, _ = run(capsys, "ball", "--in", window, "--center", "x", "--R", "1")
-    assert code == 0
-    assert "2 points" in out
+    code, out, err = run(capsys, "ball", "--in", window, "--center", "x", "--R", "1")
+    assert (code, out, err) == (2, "", "error: space: expected 'vertices'\n")
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -10,9 +10,7 @@ from coarse_lab.space import (
     GraphSpace,
     IntegerLineSpace,
     IntegerSubsetSpace,
-    MatrixSpace,
     StackedSpace,
-    TRIANGLE_CHECK_LIMIT,
     WindowedSpace,
     ball,
     box_window,
@@ -37,6 +35,11 @@ def brute_boundary(space, F, R):
 
 def brute_ball(space, center, R):
     return {y for y in space.points if space.dist(center, y) <= R}
+
+
+def brute_diameter(space, F):
+    """Definition replay: the largest distance between two points of F."""
+    return max((space.dist(x, y) for x in F for y in F), default=0)
 
 
 # -- graph metric -----------------------------------------------------------
@@ -510,31 +513,26 @@ def test_box_space_boundary_matches_brute():
         assert s.diameter_of(F) == max(s.dist(p, q) for p in F for q in F)
 
 
-def with_fallbacks(cls):
-    """cls with the distance-only bulk operations of the base class."""
-    fallbacks = ("ball_of", "boundary_of", "diameter_of", "pairs_within")
-    return type(f"Generic{cls.__name__}", (cls,), {f: getattr(FiniteMetricSpace, f) for f in fallbacks})
-
-
 def test_box_space_boundary_matches_generic_fallback():
+    # the box kernel, and the base-class balls built on it, against the definition replays
     rng = random.Random(31)
     chains = ([2 ** k for k in range(1, 8)], [1, 3, 9, 27], [1, 1, 2, 1, 3, 8], [5, 1, 12, 2, 7], [6])
     for moduli in chains:
-        s, generic = BoxSpace(moduli), with_fallbacks(BoxSpace)(moduli)
+        s = BoxSpace(moduli)
         pts = sorted(s.points)
         for R in range(6):
             assert s.boundary_of(set(), R) == set()
             for _ in range(15):
                 F = set(rng.sample(pts, rng.randint(1, min(12, len(pts)))))
-                assert s.boundary_of(F, R) == generic.boundary_of(F, R), (moduli, R, F)
+                assert s.boundary_of(F, R) == brute_boundary(s, F, R), (moduli, R, F)
             for p in rng.sample(pts, min(5, len(pts))):
-                assert s.ball_of(p, R) == generic.ball_of(p, R), (moduli, R, p)
+                assert s.ball_of(p, R) == brute_ball(s, p, R), (moduli, R, p)
 
 
 # a path, a triangle and an isolated vertex, so the sentinel distance shows
 FOREST = (range(9), [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 4), (3, 7)])
 
-FALLBACK_SPACES = {
+KERNEL_SPACES = {
     "line": (IntegerLineSpace, (-3, 9)),
     "subset": (IntegerSubsetSpace, ([0, 1, 2, 5, 6, 9, 15, 16, 30],)),
     "graph": (GraphSpace, FOREST),
@@ -544,10 +542,11 @@ FALLBACK_SPACES = {
 }
 
 
-@pytest.mark.parametrize("name", FALLBACK_SPACES)
+@pytest.mark.parametrize("name", KERNEL_SPACES)
 def test_bulk_operations_match_generic_fallbacks(name):
-    cls, args = FALLBACK_SPACES[name]
-    s, generic = cls(*args), with_fallbacks(cls)(*args)
+    # every kernel against the definition replays, and the base class's pairs against the brute pairs
+    cls, args = KERNEL_SPACES[name]
+    s = cls(*args)
     rng = random.Random(name)
     pts = sorted(s.points, key=repr)
     sets = [set(rng.sample(pts, rng.randint(1, min(10, len(pts))))) for _ in range(20)]
@@ -556,11 +555,11 @@ def test_bulk_operations_match_generic_fallbacks(name):
     ordered = sorted(s.points)
     runs = [set(ordered)] + [set(ordered[i:i + k]) for i in range(len(ordered)) for k in (1, 3)]
     for F in sets:
-        assert s.diameter_of(F) == generic.diameter_of(F), F
+        assert s.diameter_of(F) == brute_diameter(s, F), F
     # the last radius is the forest's sentinel distance, which joins every pair
     for R in (*range(6), 10):
-        assert s.boundary_of(set(), R) == generic.boundary_of(set(), R) == set()
-        bds = [generic.boundary_of(F, R) for F in sets + runs]
+        assert s.boundary_of(set(), R) == brute_boundary(s, set(), R) == set()
+        bds = [brute_boundary(s, F, R) for F in sets + runs]
         for F, bd in zip(sets + runs, bds):
             assert s.boundary_of(F, R) == bd, (R, F)
         # the counts take any collection of distinct points
@@ -568,56 +567,20 @@ def test_bulk_operations_match_generic_fallbacks(name):
         assert s.boundary_counts(sets + runs, R) == counts, R
         assert s.boundary_counts([tuple(F) for F in sets + runs], R) == counts, R
         for p in pts:
-            assert s.ball_of(p, R) == generic.ball_of(p, R), (R, p)
+            assert s.ball_of(p, R) == brute_ball(s, p, R), (R, p)
     # one radius at or past the forest's sentinel distance, 10, joins every pair
     for P in (*range(6), 10):
         pairs = list(map(frozenset, s.pairs_within(P)))
         brute = {frozenset((p, q)) for p in pts for q in pts if p != q and s.dist(p, q) <= P}
         assert set(pairs) == brute, P
         assert len(pairs) == len(brute), P
-        assert set(map(frozenset, generic.pairs_within(P))) == brute, P
+        assert set(map(frozenset, FiniteMetricSpace.pairs_within(s, P))) == brute, P
 
 
 def test_box_window_has_no_halo():
     w = box_window([2, 4])
     assert w.halo == frozenset()
     assert w.core == frozenset(w.space.points)
-
-
-# -- matrix space -----------------------------------------------------------
-
-
-def test_matrix_space_valid():
-    m = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
-    s = MatrixSpace(["a", "b", "c"], m)
-    assert s.dist("a", "c") == 2
-
-
-def test_matrix_space_rejects_asymmetry():
-    with pytest.raises(ValueError):
-        MatrixSpace(["a", "b"], [[0, 1], [2, 0]])
-
-
-def test_matrix_space_rejects_triangle_violation():
-    with pytest.raises(ValueError):
-        MatrixSpace(["a", "b", "c"], [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
-
-
-def test_matrix_space_samples_the_triangle_check_above_its_limit():
-    # at n = 130 the check samples triples instead of trying all n^3
-    n = 130
-    assert n > TRIANGLE_CHECK_LIMIT
-    # a star: point 0 is 1 from every other point, two others are 3 apart, more than 2 via 0
-    star = [[0 if i == j else 1 if 0 in (i, j) else 3 for j in range(n)] for i in range(n)]
-    with pytest.raises(ValueError, match="triangle inequality fails"):
-        MatrixSpace(range(n), star)
-    path = MatrixSpace(range(n), [[abs(i - j) for j in range(n)] for i in range(n)])
-    assert path.dist(0, n - 1) == n - 1
-
-
-def test_matrix_space_rejects_zero_off_diagonal():
-    with pytest.raises(ValueError):
-        MatrixSpace(["a", "b"], [[0, 0], [0, 0]])
 
 
 # -- windows ----------------------------------------------------------------
@@ -648,8 +611,6 @@ def window_of(core, halo):
          "halo depth must be nonnegative"),
         (lambda: stacked_product_window(IntegerLineSpace(0, 2), 4, 4), "halo depth must satisfy 0 <= H < K"),
         (lambda: stacked_product_window(IntegerLineSpace(0, 2), 4, -1), "halo depth must satisfy 0 <= H < K"),
-        (lambda: MatrixSpace(["a", "b"], [[0, 1]]), "distance matrix shape does not match point count"),
-        (lambda: MatrixSpace([0, 1], [[1, 1], [1, 0]]), "nonzero self-distance at 0"),
         (lambda: integer_window(5, 4, 0), "empty core interval"),
         (lambda: integer_window(0, 4, -1), "halo depth must be nonnegative"),
         (lambda: regular_tree_window(1, 2, 0), "tree degree must be at least 2"),
@@ -669,7 +630,7 @@ def window_of(core, halo):
         (lambda: build_graph_metric(["a", "b", "b", "a"], []), "^duplicate point identifier: 'b'$"),
     ],
     ids=[
-        "window-cover", "window-depth", "stack-depth-high", "stack-depth-low", "matrix-shape", "matrix-diagonal",
+        "window-cover", "window-depth", "stack-depth-high", "stack-depth-low",
         "interval-empty", "interval-depth", "tree-degree", "tree-depth", "ball-radius",
         "window-overlap-and-foreign", "window-foreign-halo-point", "window-foreign-core-point", "window-one-too-many",
         "graph-self-loop-first", "graph-undeclared-first", "graph-undeclared-second-end",
@@ -684,7 +645,6 @@ def test_malformed_space_or_window_is_refused(build, err):
 @pytest.mark.parametrize(
     "space, known, unknown",
     [
-        (MatrixSpace(["a", "b"], [[0, 1], [1, 0]]), "a", "z"),
         (build_graph_metric(["a", "b"], [("a", "b")]), "a", "z"),
         (IntegerLineSpace(0, 5), 0, 99),
         (StackedSpace(IntegerLineSpace(0, 2), 4), (0, 0), (7, 0)),  # an unknown column
@@ -692,7 +652,7 @@ def test_malformed_space_or_window_is_refused(build, err):
         (BoxSpace([2, 4]), (0, 0), (5, 0)),  # an unknown block
         (BoxSpace([2, 4]), (0, 0), (0, 3)),  # a residue past the block's modulus
     ],
-    ids=["matrix", "graph", "line", "stacked-column", "stacked-level", "box-block", "box-residue"],
+    ids=["graph", "line", "stacked-column", "stacked-level", "box-block", "box-residue"],
 )
 def test_dist_refuses_a_point_outside_the_space(space, known, unknown):
     for x, y in ((known, unknown), (unknown, known)):
