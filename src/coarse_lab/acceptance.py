@@ -362,6 +362,8 @@ def criterion_8(ctx: dict, chk: CriterionResult) -> None:
     chk.expect(pinf.verdict.yes, "2a <= a not established in the idempotent monoid")
     canc = cancellative_equal(idem, (1,), (0,))
     chk.expect(canc.yes, "a != 0 in the cancellative hull of the idempotent monoid")
+    if canc.yes:  # v = 0, so the target v + z is z
+        chk.replays(lambda: canc.certificate.replay(idem, (1,), canc.certificate.z), "a = 0 does not replay")
 
     # <2,3> is cancellative, and a, b have the images 2 != 3
     apart = cancellative_equal(num23, (1, 0), (0, 1))

@@ -412,22 +412,21 @@ def _verdict_result(v) -> dict:
 def cmd_monoid(args, em: Emitter) -> int:
     p = presentation_from_dict(load_json(args.infile))
     op = args.monoid_op
-    depth, cap = args.depth, args.cap
     if op in ("equal", "leq", "canc"):
         u, v = vector_from_arg(args.u), vector_from_arg(args.v)
         if op == "equal":
-            got = equal(p, u, v, depth, cap)
+            got = equal(p, u, v, args.depth, args.cap)
         elif op == "leq":
-            got = leq(p, u, v, depth, args.zcap, cap)
+            got = leq(p, u, v, args.depth, args.zcap, args.cap)
         else:
-            got = cancellative_equal(p, u, v, depth, args.zcap, cap)
+            got = cancellative_equal(p, u, v)
             # canc answers Yes or No, and either replays before it is reported
             cert = got.certificate
             cert.replay(p, u, vadd(v, cert.z) if got.yes else v)
         em.say(f"{got.kind}: {got.detail}")
         return em.finish(_verdict_result(got), OK if got.yes else NEGATIVE)
     if op == "aup":
-        res = check_almost_unperforated(p, args.xcap, args.nmax, depth, args.zcap, cap)
+        res = check_almost_unperforated(p, args.xcap, args.nmax, args.depth, args.zcap, args.cap)
         if res.found:
             ce = res.counterexample
             em.say(
@@ -449,7 +448,7 @@ def cmd_monoid(args, em: Emitter) -> int:
         em.say(f"no counterexample within bounds ({res.region})")
         return em.finish({"found": False, "region": res.region}, OK)
     if op == "pinf":
-        res = properly_infinite(p, vector_from_arg(args.x), depth, args.zcap, cap)
+        res = properly_infinite(p, vector_from_arg(args.x), args.depth, args.zcap, args.cap)
         em.say(f"2x <= x: {res.verdict.kind}; least doubling multiple: {res.least_multiple}")
         return em.finish(
             {
@@ -459,7 +458,7 @@ def cmd_monoid(args, em: Emitter) -> int:
             OK if res.verdict.yes else NEGATIVE,
         )
     # refine, the last operation
-    res = refinement_instance(p, *map(vector_from_arg, (args.a, args.b, args.c, args.d)), depth, cap)
+    res = refinement_instance(p, *map(vector_from_arg, (args.a, args.b, args.c, args.d)), args.depth, args.cap)
     if res.found:
         w, x, y, z = res.quadruple
         em.say(f"refinement: w={list(w)} x={list(x)} y={list(y)} z={list(z)}")
@@ -595,9 +594,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = msub.add_parser(name)
         p.set_defaults(func=cmd_monoid)
         p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-        p.add_argument("--cap", type=int, default=DEFAULT_ENTRY_CAP)
-        if name in ("leq", "aup", "pinf", "canc"):  # the searches that add a z
+        if name != "canc":  # the bounded searches
+            p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+            p.add_argument("--cap", type=int, default=DEFAULT_ENTRY_CAP)
+        if name in ("leq", "aup", "pinf"):  # the searches that add a z
             p.add_argument("--zcap", type=int, default=DEFAULT_Z_CAP)
         if name in ("equal", "leq", "canc"):
             p.add_argument("--u", required=True)

@@ -15,14 +15,15 @@ differences lhs - rhs, since the hull's Grothendieck group is Z^k / L.
 A row echelon basis of L (the Hermite normal form without its reduction
 above the pivots; H. Cohen, *A Course in Computational Algebraic Number
 Theory*, 1993, section 2.4) decides membership, and either answer carries
-a certificate that replays.
+a certificate that replays; a Yes's rewrite is shortened by lattice reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
-from itertools import product, repeat
+from itertools import count, product, repeat
 from math import gcd
 from operator import add, ge, mul, sub
 from typing import Iterable, NamedTuple, Sequence
@@ -32,10 +33,10 @@ DEFAULT_ENTRY_CAP = 20
 DEFAULT_Z_CAP = 10
 DEFAULT_N_MAX = 4
 DEFAULT_STATE_CAP = 100_000
-# the most (x, y) pairs or (n, y) classes an almost-unperforation sweep, or z
-# vectors, elimination steps or constructed rewrite steps cancellative_equal,
-# may visit; free rank 2 at x_cap 30 (923 521 pairs) sweeps in about 0.15 s.
-# It also bounds a presentation's rank.
+# the most (x, y) pairs or (n, y) classes an almost-unperforation sweep, or
+# elimination, reduction or rewrite steps cancellative_equal, may take; free
+# rank 2 at x_cap 30 (923 521 pairs) sweeps in about 0.15 s.  It also bounds
+# a presentation's rank.
 MAX_SEARCH = 1_000_000
 
 Vector = tuple
@@ -613,51 +614,92 @@ def _refutation(basis: list, t: Vector, stop: int) -> LatticeRefutation:
     return LatticeRefutation(tuple(x // g % m for x in y), m)
 
 
-def _lattice_rewrite(p: MonoidPresentation, moves: list, mu: list) -> Rewrite:
-    """The rewrite that the lattice coefficients of u - v give.
+def _nearest(lam: list, kernel: list, charge) -> list:
+    """lam less a kernel vector near it, by Babai's nearest plane (Combinatorica 6, 1986).
 
-    With u - v = sum of lambda_i (lhs_i - rhs_i), z = sum over lambda_i > 0
-    of lambda_i rhs_i plus sum over lambda_i < 0 of |lambda_i| lhs_i.  From
-    v + z, lambda_i backward steps of each relation with lambda_i > 0 and
-    |lambda_i| forward steps of the others reach u + z, each step taking a
-    part z supplies; the path runs that walk backwards.  lambda is mu, the
-    coordinates over the basis slots, carried back through the moves.
+    The kernel rows are LLL-reduced (Lenstra, Lenstra and Lovász, Math. Ann. 261,
+    1982; delta = 3/4) in Fractions: mu[i][j] is row i's Gram-Schmidt coefficient
+    along orthogonalised row j, B[j] that row's squared length.  lam, the last row,
+    is size-reduced but never swapped.  ``charge`` runs once per row operation.
     """
-    lam = [0] * len(p.relations)
-    for j, q in mu:
-        lam[j] = q
-    for i, j, a, b, c, e in reversed(moves):
-        lam[i], lam[j] = lam[i] * a + lam[j] * c, lam[i] * b + lam[j] * e
+    b, n = [*kernel, lam], len(kernel)
+    mu, B = [], []
+    for i, r in enumerate(b):
+        mu.append([])
+        for j in range(i):
+            charge()
+            mu[i].append((sum(map(mul, r, b[j])) - sum(mu[j][l] * mu[i][l] * B[l] for l in range(j))) / B[j])
+        B.append(Fraction(sum(map(mul, r, r))) - sum(x * x * y for x, y in zip(mu[i], B)))
+    k = 1
+    while k <= n:
+        for l in reversed(range(k)):  # size-reduce row k
+            q = round(mu[k][l])
+            if q:
+                charge()
+                b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+                mu[k][: l + 1] = [x - q * y for x, y in zip(mu[k], mu[l] + [1])]
+        t = mu[k][k - 1]
+        if k < n and B[k] < (Fraction(3, 4) - t * t) * B[k - 1]:
+            # swap rows k - 1 and k (H. Cohen, 1993, algorithm 2.6.3)
+            charge()
+            s = B[k] + t * t * B[k - 1]
+            mu[k - 1], mu[k] = mu[k][: k - 1], mu[k - 1] + [t * B[k - 1] / s]
+            B[k - 1], B[k] = s, B[k - 1] * B[k] / s
+            b[k - 1], b[k] = b[k], b[k - 1]
+            for i in range(k + 1, n + 1):
+                mu[i][k - 1], mu[i][k] = mu[i][k], mu[i][k - 1] - t * mu[i][k]
+                mu[i][k - 1] += mu[k][k - 1] * mu[i][k]
+            k = max(k - 1, 1)
+        else:
+            k += 1
+    return b[n]
+
+
+def _lattice_rewrite(p: MonoidPresentation, u: Vector, basis: list, moves: list, mu: list) -> Rewrite:
+    """The rewrite of u + z into v + z along short coefficients lambda of u - v != 0.
+
+    Replaying the moves on unit rows carries mu, u - v over the basis slots,
+    to lambda and gives the kernel, the dropped slots' rows, whose nearest
+    plane lambda moves to; each row operation costs len(relations) reduction
+    steps.  The path runs |lambda_i| steps of each relation i by decreasing
+    i, forward when lambda_i > 0; z is the least that lets each take its side.
+    """
+    m = len(p.relations)
+    steps = count(m * m, m)  # the unit rows, then m per row operation
+
+    def charge() -> None:
+        _check_search("reduction steps", next(steps))
+
+    charge()
+    rows = [[int(k == s) for k in range(m)] for s in range(m)]
+    for j, i, a, b, c, e in moves:
+        charge()
+        rj, ri = rows[j], rows[i]
+        rows[j], rows[i] = [a * x + b * y for x, y in zip(rj, ri)], [c * x + e * y for x, y in zip(rj, ri)]
+    lam = [sum(q * rows[j][k] for j, q in mu) for k in range(m)]
+    kept = {slot for _, _, slot in basis}
+    if kernel := [r for s, r in enumerate(rows) if s not in kept]:
+        lam = _nearest(lam, kernel, charge)
     _check_search("rewrite steps", sum(map(abs, lam)))
-    z = [0] * p.rank
-    path = []
-    for ri in reversed(range(len(p.relations))):
-        n = lam[ri]
-        z = vadd(z, vscale(abs(n), p.relations[ri][n > 0]))
-        path += [(ri, n > 0)] * abs(n)
-    return Rewrite(tuple(z), tuple(path))
+    z, w, path = (0,) * p.rank, u, []
+    for ri in reversed(range(m)):
+        if n := abs(lam[ri]):
+            take, give = p.relations[ri] if lam[ri] > 0 else p.relations[ri][::-1]
+            delta = tuple(map(sub, give, take))
+            last = vadd(w, vscale(n - 1, delta))  # a run's walk moves by delta, so take - w peaks at an end
+            z = tuple(map(max, z, map(sub, take, w), map(sub, take, last)))
+            w = vadd(last, delta)
+            path += [(ri, lam[ri] > 0)] * n
+    return Rewrite(z, tuple(path))
 
 
-def cancellative_equal(
-    p: MonoidPresentation,
-    u: Sequence[int],
-    v: Sequence[int],
-    depth: int = DEFAULT_DEPTH,
-    z_cap: int = DEFAULT_Z_CAP,
-    entry_cap: int = DEFAULT_ENTRY_CAP,
-) -> Verdict:
+def cancellative_equal(p: MonoidPresentation, u: Sequence[int], v: Sequence[int]) -> Verdict:
     """Equality in the cancellative hull: is there z with u + z = v + z?
 
     Decided exactly by whether u - v lies in the lattice of relation
-    differences.  Outside it the answer is No, with a
-    :class:`LatticeRefutation`.  Inside it the answer is Yes: the bounded
-    searches for u + z = v + z over z with entries at most z_cap run first,
-    and the first z they identify is returned; when none does, the z that
-    the lattice coefficients of u - v build, whose rewrite takes one step
-    per unit of coefficient.
+    differences: outside it No, with a :class:`LatticeRefutation`; inside it
+    Yes, with the :class:`Rewrite` that ``_lattice_rewrite`` builds.
     """
-    _check_bounds(depth=depth, z_cap=z_cap, entry_cap=entry_cap)
-    _check_search("z vectors", (z_cap + 1) ** min(p.rank, 64))
     u = _check_vector(p, u)
     v = _check_vector(p, v)
     m = len(p.relations)
@@ -674,16 +716,5 @@ def cancellative_equal(
             f"y = {cert.y} is orthogonal to every difference{modulo} but not to u - v",
             cert,
         )
-    for z in product(range(z_cap + 1), repeat=p.rank):
-        # the bounded word problem u + z = v + z, as ``equal`` decides it
-        target = vadd(v, z)
-        parents, _, found = _saturate(p, vadd(u, z), depth, entry_cap, target=target)
-        if found:
-            return Verdict(YES, f"z = {z}", Rewrite(z, _path(parents, target)))
-    cert = _lattice_rewrite(p, moves, mu)
-    return Verdict(
-        YES,
-        f"z = {cert.z}, built from the lattice coefficients of u - v in {len(cert.path)} steps; "
-        f"no z with entries <= {z_cap} is found within depth {depth}, entry cap {entry_cap}",
-        cert,
-    )
+    cert = _lattice_rewrite(p, u, basis, moves, mu) if mu else Rewrite((0,) * p.rank, ())
+    return Verdict(YES, f"z = {cert.z}, built from the lattice coefficients of u - v in {len(cert.path)} steps", cert)

@@ -38,13 +38,20 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # bytes of address space each child may map: 2 000 000 KiB
 ADDRESS_LIMIT = 2_000_000 * 1024
 
+# the first unit vector of rank 101
+E101 = ",".join(["1"] + ["0"] * 100)
+
 # (CLI arguments, expected exit code, time cap in s, RSS cap in MB), in run order
 PROBES = [
     # search boxes far too large: refused, or walked lazily (refine)
     ("monoid aup --in free1.json --xcap 1099511627776", 2, 1.5, 40),
-    ("monoid canc --in num23.json --zcap 100000 --u 1,0 --v 0,1", 2, 1.5, 40),
-    # 10^6 z vectors, the most admitted: refuted by one lattice test, no search
-    ("monoid canc --in rank3.json --zcap 99 --u 1,0,0 --v 0,0,1", 1, 1.5, 40),
+    # the hull decided by the lattice alone: a refutation, a one-step rewrite
+    # of a = 30a, a six-step rewrite whose unreduced coefficients take about
+    # 10^21 steps, and an elimination above the limit
+    ("monoid canc --in rank3.json --u 1,0,0 --v 0,0,1", 1, 1.5, 40),
+    ("monoid canc --in a30.json --u 0,0,0 --v 29,0,0", 0, 1.5, 40),
+    ("monoid canc --in rank5.json --u 3,21,22,84,36 --v 53,1,1,1,2", 0, 1.5, 40),
+    (f"monoid canc --in elim.json --u {E101} --v {E101}", 2, 1.5, 40),
     ("monoid refine --in free2.json --a 20000,20000 --b 0,0 --c 20000,20000 --d 0,0 --cap 20000", 0, 1.5, 40),
     # a rank and an interval above the limit
     ("monoid aup --in rank1e9.json --xcap 0", 2, 1.5, 40),
@@ -82,6 +89,20 @@ def write_inputs(directory: str) -> None:
         "free2.json": {"rank": 2, "relations": []},
         "num23.json": {"rank": 2, "relations": [[[3, 0], [0, 2]]]},
         "rank3.json": {"rank": 3, "relations": [[[2, 0, 0], [0, 1, 1]], [[0, 3, 0], [1, 0, 1]]]},
+        "a30.json": {"rank": 3, "relations": [[[1, 0, 0], [30, 0, 0]]]},
+        "rank5.json": {
+            "rank": 5,
+            "relations": [
+                [[18, 9, 16, 14, 6], [9, 2, 6, 7, 3]],
+                [[5, 8, 17, 4, 11], [0, 10, 1, 8, 2]],
+                [[4, 1, 11, 0, 8], [5, 13, 19, 18, 19]],
+                [[2, 6, 7, 11, 17], [18, 13, 13, 9, 18]],
+                [[12, 6, 7, 0, 11], [1, 11, 18, 17, 18]],
+                [[16, 15, 13, 3, 19], [2, 8, 2, 14, 18]],
+            ],
+        },
+        # 100 relations at rank 101: 100 * 101 * 100 elimination steps
+        "elim.json": {"rank": 101, "relations": [[[1] + [0] * 100] * 2] * 100},
         "rank1e9.json": {"rank": 1000000000, "relations": []},
         "huge.json": {"interval": {"lo": 0, "hi": 999999999999}},
         "big.json": {"interval": {"lo": 0, "hi": 999999}},

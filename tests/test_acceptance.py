@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from coarse_lab import acceptance
+from coarse_lab import acceptance, monoid
 from coarse_lab.acceptance import CRITERIA
 from coarse_lab.tiling import tile_sparse_subset
 
@@ -64,3 +64,16 @@ def test_criterion_7_fails_when_criteria_1_to_4_build_no_tiling(monkeypatch):
     for n in (1, 2, 3, 4):
         monkeypatch.setattr(acceptance, f"criterion_{n}", lambda ctx: None)
     assert acceptance.criterion_7({}).failures == ["no tilings to tie back"]
+
+
+def test_criterion_8_replays_the_cancellative_yes(monkeypatch):
+    # a Yes for a = 0 in the idempotent monoid's hull whose certificate does not replay
+    real = acceptance.cancellative_equal
+
+    def wrong(p, u, v):
+        got = real(p, u, v)
+        return monoid.Verdict(monoid.YES, got.detail, monoid.Rewrite((0,), ())) if u == (1,) else got
+
+    monkeypatch.setattr(acceptance, "cancellative_equal", wrong)
+    failures = acceptance.criterion_8({}).failures
+    assert [f.partition(":")[0] for f in failures] == ["a = 0 does not replay"]

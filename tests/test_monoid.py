@@ -713,32 +713,41 @@ def test_lattice_refutation_replay_checks_each_part():
 
 @pytest.mark.parametrize("relation, steps", [(((1,), (2,)), ((0, True),) * 5), (((2,), (1,)), ((0, False),) * 5)])
 def test_cancellative_lattice_yes_the_small_z_search_misses(relation, steps):
-    # a = 2a, written either way round: z = 0 searched at depth 1 finds nothing, so
-    # the lattice coefficient (5 or -5) builds z = 5 * 2a and five steps
+    # a = 2a, written either way round: a bounded search from z = 0 at depth 1
+    # finds nothing; the lattice coefficient (5 or -5) gives five steps, and
+    # the least z that lets them run from u + z is a
     p = presentation(1, [relation])
-    got = cancellative_equal(p, (0,), (5,), depth=1, z_cap=0)
+    got = cancellative_equal(p, (0,), (5,))
     assert got.yes
-    assert got.certificate == Rewrite((10,), steps)
-    got.certificate.replay(p, (0,), (15,))
+    assert got.certificate == Rewrite((1,), steps)
+    got.certificate.replay(p, (0,), (6,))
 
 
 def test_cancellative_constructive_z_mixes_signs():
-    # u - v = (1, -1) = 1 * (a - c) - 1 * (b - c): z = c + b, then one step each way
+    # u - v = (1, -1) = 1 * (a - c) - 1 * (b - c): backward from a + c to a + b
+    # needs c, then forward to b + c
     p = presentation(3, [[(1, 0, 0), (0, 0, 1)], [(0, 1, 0), (0, 0, 1)]])
-    got = cancellative_equal(p, (1, 0, 0), (0, 1, 0), depth=0, z_cap=0)
+    got = cancellative_equal(p, (1, 0, 0), (0, 1, 0))
     assert got.yes
-    assert got.certificate == Rewrite((0, 1, 1), ((1, False), (0, True)))
-    got.certificate.replay(p, (1, 0, 0), (0, 2, 1))
+    assert got.certificate == Rewrite((0, 0, 1), ((1, False), (0, True)))
+    got.certificate.replay(p, (1, 0, 0), (0, 1, 1))
 
 
 def test_cancellative_no_saturates_nothing(monkeypatch):
-    # the rank-3 example at z_cap 99 is 10^6 z vectors, each a bounded search before
+    # the lattice decides Yes and No alike; there is no bounded search
     def unbuilt(*args, **kwargs):
         raise AssertionError("_saturate called")
 
     monkeypatch.setattr(monoid, "_saturate", unbuilt)
-    got = cancellative_equal(RANK3_C, (1, 0, 0), (0, 0, 1), z_cap=99)
-    assert got.no and got.certificate.modulus == 0
+    for p, u, v, kind in [
+        (RANK3_C, (1, 0, 0), (0, 0, 1), "no"),
+        (RANK3_C, (3, 1, 0), (1, 2, 1), "yes"),  # u - v = (2, -1, -1), the first difference
+        (IDEM, (1,), (0,), "yes"),
+        (NUM23, (3, 0), (0, 2), "yes"),
+    ]:
+        got = cancellative_equal(p, u, v)
+        assert got.kind == kind
+        got.certificate.replay(p, u, vadd(v, got.certificate.z) if got.yes else v)
 
 
 @pytest.mark.parametrize("relations", [0, 1])
@@ -751,7 +760,7 @@ def test_cancellative_no_certificate_is_linear_in_rank(relations):
     p = presentation(n, [((2,) + (0,) * (n - 1), (0,) * n)] * relations)
     u = (relations,) + (0,) * (n - 2) + (1,)
     start = time.perf_counter()
-    got = cancellative_equal(p, u, (0,) * n, z_cap=0)
+    got = cancellative_equal(p, u, (0,) * n)
     assert time.perf_counter() - start < 1.0
     assert got.certificate == LatticeRefutation((0,) * (n - 1) + (1,), 0)
 
@@ -766,10 +775,10 @@ def test_cancellative_elimination_above_the_limit_is_refused(monkeypatch):
     e = tuple(int(c == 0) for c in range(101))
     p = presentation(101, [(e, e)] * 100)
     with pytest.raises(ValueError) as info:
-        cancellative_equal(p, e, e, z_cap=0)
+        cancellative_equal(p, e, e)
     assert str(info.value) == "1010000 elimination steps or more, above the limit of 1000000"
     monkeypatch.undo()
-    assert cancellative_equal(presentation(101, [(e, e)] * 99), e, e, z_cap=0).kind == "yes"
+    assert cancellative_equal(presentation(101, [(e, e)] * 99), e, e).kind == "yes"
 
 
 def test_cancellative_constructive_path_above_the_limit_is_refused():
@@ -777,10 +786,22 @@ def test_cancellative_constructive_path_above_the_limit_is_refused():
     p = presentation(1, [[(1,), (2,)]])
     n = monoid.MAX_SEARCH + 1
     with pytest.raises(ValueError) as info:
-        cancellative_equal(p, (0,), (n,), depth=0, z_cap=0)
+        cancellative_equal(p, (0,), (n,))
     assert str(info.value) == "1000001 rewrite steps or more, above the limit of 1000000"
-    got = cancellative_equal(p, (0,), (n - 1,), depth=0, z_cap=0)
+    got = cancellative_equal(p, (0,), (n - 1,))
     assert got.yes and len(got.certificate.path) == monoid.MAX_SEARCH
+
+
+def test_cancellative_reduction_above_the_limit_is_refused():
+    # 1001 copies of a = 2a: the unit coefficient rows alone are 1001^2 entries,
+    # refused before they are built; 1000 copies pass that charge and are
+    # refused at the first move, when u != v
+    for m, steps in ((1001, 1001 ** 2), (1000, 1000 ** 2 + 1000)):
+        p = presentation(1, [[(1,), (2,)]] * m)
+        with pytest.raises(ValueError) as info:
+            cancellative_equal(p, (0,), (1,))
+        assert str(info.value) == f"{steps} reduction steps or more, above the limit of 1000000"
+        assert cancellative_equal(p, (1,), (1,)).certificate == Rewrite((0,), ())
 
 
 def _random_presentation(rng):
@@ -789,35 +810,89 @@ def _random_presentation(rng):
     return presentation(rank, [(vec(), vec()) for _ in range(rng.randint(0, 3))]), vec
 
 
+def _assert_least_z(p, u, v, cert):
+    # the certificate replays, and with any positive entry of z lowered by 1 its path does not run
+    cert.replay(p, u, vadd(v, cert.z))
+    for i, zi in enumerate(cert.z):
+        if zi:
+            with pytest.raises(ValueError):
+                replay_path(p, vadd(u, cert.z[:i] + (zi - 1,) + cert.z[i + 1 :]), cert.path)
+
+
 def test_cancellative_lattice_agrees_with_the_bounded_search():
-    # the bounded search is ``equal`` on u + z and v + z for each z in product
-    # order, as before the lattice test; its first Yes must be the answer,
-    # byte for byte, and every Yes and every No must replay
+    # the bounded search is ``equal`` on u + z and v + z for each z with entries
+    # at most z_cap: a Yes of it must be a Yes of the lattice, every Yes must
+    # replay with the least z for its path, and every No must replay
     rng = random.Random(31)
     kinds = {"bounded yes": 0, "lattice yes": 0, "no over Z": 0, "no modulo m": 0}
     for _ in range(600):
         p, vec = _random_presentation(rng)
         u, v = vec(), vec()
         depth, z_cap = rng.randint(0, 4), rng.randint(0, 2)
-        got = cancellative_equal(p, u, v, depth=depth, z_cap=z_cap, entry_cap=8)
-        bounded = next(
-            (
-                Rewrite(z, e.certificate)
-                for z in product(range(z_cap + 1), repeat=p.rank)
-                if (e := equal(p, vadd(u, z), vadd(v, z), depth, 8)).yes
-            ),
-            None,
-        )
-        if bounded is not None:
-            assert got.yes and got.certificate == bounded
+        got = cancellative_equal(p, u, v)
+        bounded = any(equal(p, vadd(u, z), vadd(v, z), depth, 8).yes for z in product(range(z_cap + 1), repeat=p.rank))
+        assert got.yes or not bounded
         if got.yes:
-            got.certificate.replay(p, u, vadd(v, got.certificate.z))
+            _assert_least_z(p, u, v, got.certificate)
             kinds["bounded yes" if bounded else "lattice yes"] += 1
         else:
             assert got.no
             got.certificate.replay(p, u, v)
             kinds["no modulo m" if got.certificate.modulus else "no over Z"] += 1
     assert min(kinds.values()) >= 30, kinds
+
+
+def _planted_rank5(rng):
+    # 3 to 8 relations with entries at most 20, and u - v = sum of lambda_i
+    # (lhs_i - rhs_i) for a planted lambda with entries in -2..2
+    vec = lambda: tuple(rng.randint(0, 20) for _ in range(5))
+    relations = [(vec(), vec()) for _ in range(rng.randint(3, 8))]
+    lam = [rng.randint(-2, 2) for _ in relations]
+    diff = [sum(n * (l[c] - r[c]) for n, (l, r) in zip(lam, relations)) for c in range(5)]
+    u = tuple(max(d, 0) + rng.randint(0, 3) for d in diff)
+    return presentation(5, relations), u, tuple(a - d for a, d in zip(u, diff)), sum(map(abs, lam))
+
+
+def test_cancellative_rewrite_is_no_longer_than_a_planted_one():
+    # unreduced, the lattice coefficients of these take a median of about
+    # 2 * 10^10 steps, and 151 of the 300 are above the limit of 10^6
+    rng = random.Random(5)
+    for _ in range(300):
+        p, u, v, planted = _planted_rank5(rng)
+        got = cancellative_equal(p, u, v)
+        assert got.yes and len(got.certificate.path) <= planted
+        _assert_least_z(p, u, v, got.certificate)
+
+
+@pytest.mark.parametrize(
+    "p, u, v, steps",
+    [
+        # the unreduced coefficients here take 1460035261803939141800 steps
+        (
+            presentation(5, [
+                [(18, 9, 16, 14, 6), (9, 2, 6, 7, 3)],
+                [(5, 8, 17, 4, 11), (0, 10, 1, 8, 2)],
+                [(4, 1, 11, 0, 8), (5, 13, 19, 18, 19)],
+                [(2, 6, 7, 11, 17), (18, 13, 13, 9, 18)],
+                [(12, 6, 7, 0, 11), (1, 11, 18, 17, 18)],
+                [(16, 15, 13, 3, 19), (2, 8, 2, 14, 18)],
+            ]),
+            (3, 21, 22, 84, 36),
+            (53, 1, 1, 1, 2),
+            6,
+        ),
+        # a = 30a: one step from u + a, where a small-z search needed z = 30a
+        (presentation(3, [[(1, 0, 0), (30, 0, 0)]]), (0, 0, 0), (29, 0, 0), 1),
+    ],
+)
+def test_cancellative_short_rewrite_is_found(p, u, v, steps):
+    start = time.perf_counter()
+    got = cancellative_equal(p, u, v)
+    assert time.perf_counter() - start < 0.1
+    assert got.yes and len(got.certificate.path) == steps
+    _assert_least_z(p, u, v, got.certificate)
+    if p.rank == 3:
+        assert got.certificate == Rewrite((1, 0, 0), ((0, True),))
 
 
 # -- verdicts are honest ------------------------------------------------------
