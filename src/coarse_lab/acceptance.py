@@ -339,11 +339,11 @@ def criterion_7(ctx: dict, chk: CriterionResult) -> None:
 @_criterion(8, "monoid decision suite", budget=10.0)
 def criterion_8(ctx: dict, chk: CriterionResult) -> None:
     free3 = presentation(3)
-    res = check_almost_unperforated(free3, x_cap=8, n_max=4, depth=12, z_cap=10)
+    res = check_almost_unperforated(free3, x_cap=8, n_max=4, depth=12)
     chk.expect(not res.found, f"free monoid produced a counterexample: {res.counterexample}")
 
     num23 = presentation(2, [[(3, 0), (0, 2)]])
-    res2 = check_almost_unperforated(num23, x_cap=8, n_max=4, depth=12, z_cap=10)
+    res2 = check_almost_unperforated(num23, x_cap=8, n_max=4, depth=12)
     chk.expect(res2.found, "numerical monoid counterexample not found")
     if res2.found:
         ce = res2.counterexample

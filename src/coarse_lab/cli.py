@@ -31,7 +31,6 @@ from .monoid import (
     DEFAULT_DEPTH,
     DEFAULT_ENTRY_CAP,
     DEFAULT_N_MAX,
-    DEFAULT_Z_CAP,
     LatticeRefutation,
     Rewrite,
     cancellative_equal,
@@ -417,7 +416,7 @@ def cmd_monoid(args, em: Emitter) -> int:
         if op == "equal":
             got = equal(p, u, v, args.depth, args.cap)
         elif op == "leq":
-            got = leq(p, u, v, args.depth, args.zcap, args.cap)
+            got = leq(p, u, v, args.depth, args.cap)
         else:
             got = cancellative_equal(p, u, v)
             # canc answers Yes or No, and either replays before it is reported
@@ -426,7 +425,7 @@ def cmd_monoid(args, em: Emitter) -> int:
         em.say(f"{got.kind}: {got.detail}")
         return em.finish(_verdict_result(got), OK if got.yes else NEGATIVE)
     if op == "aup":
-        res = check_almost_unperforated(p, args.xcap, args.nmax, args.depth, args.zcap, args.cap)
+        res = check_almost_unperforated(p, args.xcap, args.nmax, args.depth, args.cap)
         if res.found:
             ce = res.counterexample
             em.say(
@@ -448,7 +447,7 @@ def cmd_monoid(args, em: Emitter) -> int:
         em.say(f"no counterexample within bounds ({res.region})")
         return em.finish({"found": False, "region": res.region}, OK)
     if op == "pinf":
-        res = properly_infinite(p, vector_from_arg(args.x), args.depth, args.zcap, args.cap)
+        res = properly_infinite(p, vector_from_arg(args.x), args.depth, args.cap)
         em.say(f"2x <= x: {res.verdict.kind}; least doubling multiple: {res.least_multiple}")
         return em.finish(
             {
@@ -597,8 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "canc":  # the bounded searches
             p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
             p.add_argument("--cap", type=int, default=DEFAULT_ENTRY_CAP)
-        if name in ("leq", "aup", "pinf"):  # the searches that add a z
-            p.add_argument("--zcap", type=int, default=DEFAULT_Z_CAP)
         if name in ("equal", "leq", "canc"):
             p.add_argument("--u", required=True)
             p.add_argument("--v", required=True)

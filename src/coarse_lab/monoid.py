@@ -23,14 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import count, product, repeat
+from itertools import accumulate, count, groupby, product, repeat
 from math import gcd
 from operator import add, ge, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 DEFAULT_DEPTH = 12
 DEFAULT_ENTRY_CAP = 20
-DEFAULT_Z_CAP = 10
 DEFAULT_N_MAX = 4
 DEFAULT_STATE_CAP = 100_000
 # the most (x, y) pairs or (n, y) classes an almost-unperforation sweep, or
@@ -186,14 +185,23 @@ def _path(parents: dict, end: Vector) -> tuple:
 
 
 def replay_path(p: MonoidPresentation, start: Vector, steps) -> Vector:
-    """Apply certificate steps from ``start``; raises if any step is illegal."""
+    """Apply certificate steps from ``start``; raises at the first illegal step.
+
+    Along a run of equal steps the walk moves by one delta, so what it holds
+    less what a step takes is least at an end of the run: each run is
+    checked at its two ends and applied at once.
+    """
     cur = tuple(start)
-    for ri, forward in steps:
+    for (ri, forward), run in groupby(steps):
+        n = sum(1 for _ in run)
         lhs, rhs = p.relations[ri]
         take, give = (lhs, rhs) if forward else (rhs, lhs)
-        if not all(map(ge, cur, take)):
-            raise ValueError(f"step ({ri}, {forward}) does not apply to {cur}")
-        cur = tuple(map(add, map(sub, cur, take), give))
+        delta = tuple(map(sub, give, take))
+        last = vadd(cur, vscale(n - 1, delta))
+        if not (all(map(ge, cur, take)) and all(map(ge, last, take))):
+            bad = next(w for w in accumulate(repeat(delta, n - 1), vadd, initial=cur) if not all(map(ge, w, take)))
+            raise ValueError(f"step ({ri}, {forward}) does not apply to {bad}")
+        cur = vadd(last, delta)
     return cur
 
 
@@ -246,33 +254,26 @@ def leq(
     u: Sequence[int],
     v: Sequence[int],
     depth: int = DEFAULT_DEPTH,
-    z_cap: int = DEFAULT_Z_CAP,
     entry_cap: int = DEFAULT_ENTRY_CAP,
 ) -> Verdict:
     """Algebraic preorder: is there z with u + z = v?
 
-    Searches the bounded congruence class of v for a member dominating u and
-    returns the least z with entries at most z_cap.  When every z exceeds
-    z_cap but the class is complete, the least z of all is returned: the
-    question is decided, and z_cap does not turn that Yes into a No.
+    Searches the bounded congruence class of v for a member dominating u.
+    Any such member decides Yes, with the least z among them, whatever its
+    size; No needs the whole class, and Unknown means a bound cut the class
+    off before any member dominated u.
     """
-    _check_bounds(depth=depth, z_cap=z_cap, entry_cap=entry_cap)
+    _check_bounds(depth=depth, entry_cap=entry_cap)
     u = _check_vector(p, u)
     v = _check_vector(p, v)
     parents, complete, _ = _saturate(p, v, depth, entry_cap)
     zs = [tuple(map(sub, w, u)) for w in parents if all(map(ge, w, u))]
-    capped = [z for z in zs if max(z, default=0) <= z_cap]
-    region = f"depth {depth}, entry cap {entry_cap}, z_cap {z_cap}"
-    # a complete class decides the question, so z_cap only picks among witnesses
-    if capped or (complete and zs):
-        z = min(capped or zs)
+    region = f"depth {depth}, entry cap {entry_cap}"
+    if zs:
+        z = min(zs)
         # v's saturation tree reaches u + z from v; reversing it rewrites u + z into v
         path = tuple((ri, not fwd) for ri, fwd in reversed(_path(parents, vadd(u, z))))
-        detail = f"z = {z}" if capped else (
-            f"z = {z}; every z exceeds z_cap, but the class of {v} is complete "
-            f"({len(parents)} elements) within {region}"
-        )
-        return Verdict(YES, detail, Rewrite(z, path))
+        return Verdict(YES, f"z = {z}", Rewrite(z, path))
     if complete:
         return Verdict(
             NO,
@@ -306,7 +307,6 @@ def check_almost_unperforated(
     x_cap: int = 8,
     n_max: int = DEFAULT_N_MAX,
     depth: int = DEFAULT_DEPTH,
-    z_cap: int = DEFAULT_Z_CAP,
     entry_cap: int = DEFAULT_ENTRY_CAP,
 ) -> AupResult:
     """Sweep for (x, y, n) with (n+1)x <= ny yet x not <= y within bounds.
@@ -314,29 +314,24 @@ def check_almost_unperforated(
     Reports the first counterexample in (n, x, y) lexicographic order, whose
     Yes and No verdicts both carry their evidence.  A counterexample
     requires the plain leq to fail strongly: the congruence class of y is
-    completely enumerated and no member dominates x at all.  Refusals that
-    only happen because the witness z would exceed z_cap are skipped, as
-    are truncated searches; neither is a refutation.  So a y whose class is
+    completely enumerated and no member dominates x at all.  A truncated
+    search is skipped; it is not a refutation.  So a y whose class is
     incomplete, or dominates every x of the box [0, x_cap]^rank, is dropped
     before any class of ny is saturated; for each remaining y the set of
     box points its class dominates is built once and kept for every n.
 
     The scaled leq holds within bounds when some member w of the bounded
-    class of ny has (n+1)x <= w <= (n+1)x + z_cap entrywise, that is when x
-    lies in the box ceil((w - z_cap)/(n+1)) <= x <= floor(w/(n+1)).  For
-    each n and y the bad x are the union of those boxes over the class of
-    ny, less the dominated set.  The least (least bad x, y) over all y is
-    the first pair the full (x, y) sweep would reach, so no pairs are
-    listed or sorted.
+    class of ny has (n+1)x <= w entrywise, that is when x lies in the box
+    0 <= x <= floor(w/(n+1)).  For each n and y the bad x are the union of
+    those boxes over the class of ny, less the dominated set.  The least
+    (least bad x, y) over all y is the first pair the full (x, y) sweep
+    would reach, so no pairs are listed or sorted.
     """
-    _check_bounds(n_max, x_cap=x_cap, depth=depth, z_cap=z_cap, entry_cap=entry_cap)
+    _check_bounds(n_max, x_cap=x_cap, depth=depth, entry_cap=entry_cap)
     _check_search("(x, y) pairs", (x_cap + 1) ** min(2 * p.rank, 64))
     # each class of ny is saturated once, when the sweep reads it
     _check_search("(n, y) classes", n_max * (x_cap + 1) ** min(p.rank, 64))
-    region = (
-        f"x,y entries <= {x_cap}, 1 <= n <= {n_max}, depth {depth}, "
-        f"z_cap {z_cap}, entry cap {entry_cap}"
-    )
+    region = f"x,y entries <= {x_cap}, 1 <= n <= {n_max}, depth {depth}, entry cap {entry_cap}"
 
     # (y, the box points below some member of y's class) for each y whose
     # class is complete and leaves a point of the box undominated; only
@@ -360,7 +355,7 @@ def check_almost_unperforated(
         # the start vector ny may exceed the entry cap
         @cache
         def side(a: int, n1: int = n + 1) -> range:
-            return range(max(0, -((z_cap - a) // n1)), min(x_cap, a // n1) + 1)
+            return range(min(x_cap, a // n1) + 1)
 
         firsts = []  # (least bad x, y) for each y with a bad x
         for y, dominated in open_ys:
@@ -376,8 +371,8 @@ def check_almost_unperforated(
             return AupResult(
                 AupCounterexample(
                     x, y, n,
-                    leq(p, vscale(n + 1, x), vscale(n, y), depth, z_cap, entry_cap),
-                    leq(p, x, y, depth, z_cap, entry_cap),
+                    leq(p, vscale(n + 1, x), vscale(n, y), depth, entry_cap),
+                    leq(p, x, y, depth, entry_cap),
                 ),
                 region,
             )
@@ -395,19 +390,18 @@ def properly_infinite(
     p: MonoidPresentation,
     x: Sequence[int],
     depth: int = DEFAULT_DEPTH,
-    z_cap: int = DEFAULT_Z_CAP,
     entry_cap: int = DEFAULT_ENTRY_CAP,
     m_cap: int = 8,
 ) -> ProperInfinityResult:
     """Verdict of 2x <= x, plus the least multiple m with 2(mx) <= mx."""
-    _check_bounds(depth=depth, z_cap=z_cap, entry_cap=entry_cap)
+    _check_bounds(depth=depth, entry_cap=entry_cap)
     x = _check_vector(p, x)
-    verdict = leq(p, vscale(2, x), x, depth, z_cap, entry_cap)
+    verdict = leq(p, vscale(2, x), x, depth, entry_cap)
     least = None
     mv = None
     for m in range(1, m_cap + 1):
         mx = vscale(m, x)
-        got = verdict if m == 1 else leq(p, vscale(2, mx), mx, depth, z_cap, entry_cap)
+        got = verdict if m == 1 else leq(p, vscale(2, mx), mx, depth, entry_cap)
         if got.yes:
             least, mv = m, got
             break

@@ -40,6 +40,9 @@ ADDRESS_LIMIT = 2_000_000 * 1024
 
 # the first unit vector of rank 101
 E101 = ",".join(["1"] + ["0"] * 100)
+# 0 and 10^5 times the first unit vector of rank 2 000
+ZERO2000 = ",".join(["0"] * 2000)
+V2000 = ",".join(["100000"] + ["0"] * 1999)
 
 # (CLI arguments, expected exit code, time cap in s, RSS cap in MB), in run order
 PROBES = [
@@ -47,10 +50,12 @@ PROBES = [
     ("monoid aup --in free1.json --xcap 1099511627776", 2, 1.5, 40),
     # the hull decided by the lattice alone: a refutation, a one-step rewrite
     # of a = 30a, a six-step rewrite whose unreduced coefficients take about
-    # 10^21 steps, and an elimination above the limit
+    # 10^21 steps, a 10^5-step rewrite at rank 2 000, replayed before it is
+    # reported, and an elimination above the limit
     ("monoid canc --in rank3.json --u 1,0,0 --v 0,0,1", 1, 1.5, 40),
     ("monoid canc --in a30.json --u 0,0,0 --v 29,0,0", 0, 1.5, 40),
     ("monoid canc --in rank5.json --u 3,21,22,84,36 --v 53,1,1,1,2", 0, 1.5, 40),
+    (f"monoid canc --in rank2000.json --u {ZERO2000} --v {V2000}", 0, 1.5, 40),
     (f"monoid canc --in elim.json --u {E101} --v {E101}", 2, 1.5, 40),
     ("monoid refine --in free2.json --a 20000,20000 --b 0,0 --c 20000,20000 --d 0,0 --cap 20000", 0, 1.5, 40),
     # a rank and an interval above the limit
@@ -101,6 +106,7 @@ def write_inputs(directory: str) -> None:
                 [[16, 15, 13, 3, 19], [2, 8, 2, 14, 18]],
             ],
         },
+        "rank2000.json": {"rank": 2000, "relations": [[[1] + [0] * 1999, [2] + [0] * 1999]]},
         # 100 relations at rank 101: 100 * 101 * 100 elimination steps
         "elim.json": {"rank": 101, "relations": [[[1] + [0] * 100] * 2] * 100},
         "rank1e9.json": {"rank": 1000000000, "relations": []},

@@ -527,7 +527,7 @@ def test_monoid_leq_above_entry_cap(tmp_path, capsys):
     pres = write(tmp_path / "a32.json", {"rank": 1, "relations": [[[3], [2]]]})
     code, out, err = run(
         capsys, "--json", "monoid", "leq", "--in", pres,
-        "--u", "1", "--v", "5", "--cap", "4", "--zcap", "7",
+        "--u", "1", "--v", "5", "--cap", "4",
     )
     assert code == 0, err
     result = json.loads(out)["result"]
@@ -541,20 +541,11 @@ def test_monoid_aup_with_class_members_above_entry_cap(tmp_path, capsys):
     pres = write(tmp_path / "n35.json", {"rank": 2, "relations": [[[5, 0], [0, 3]]]})
     code, out, err = run(
         capsys, "monoid", "aup", "--in", pres, "--xcap", "3", "--nmax", "2",
-        "--depth", "2", "--zcap", "3", "--cap", "4",
+        "--depth", "2", "--cap", "4",
     )
     assert code == 1
     assert "counterexample" in out
     assert "Traceback" not in err
-
-
-def test_monoid_leq_beyond_the_zcap_on_a_complete_class_exits_0(tmp_path, capsys):
-    # the class of 5a in the free monoid is {5a}: 0 <= 5a is decided, by z = 5a above --zcap 2
-    pres = write(tmp_path / "free1.json", {"rank": 1, "relations": []})
-    code, out, err = run(capsys, "--json", "monoid", "leq", "--in", pres, "--u", "0", "--v", "5", "--zcap", "2")
-    assert (code, err) == (0, "")
-    result = json.loads(out)["result"]
-    assert (result["verdict"], result["z"], result["path"]) == ("yes", [5], [])
 
 
 def test_monoid_canc_no_reports_its_lattice_refutation(tmp_path, capsys):
@@ -600,12 +591,12 @@ def test_monoid_unknown_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, err",
     [
-        (["leq", "--u", "1,0", "--v", "1,0", "--zcap", "-1"], "z_cap must be nonnegative, got -1"),
+        (["leq", "--u", "1,0", "--v", "1,0", "--cap", "-1"], "entry_cap must be nonnegative, got -1"),
         (["aup", "--xcap", "-1"], "x_cap must be nonnegative, got -1"),
         (["aup", "--nmax", "0"], "n_max must be at least 1, got 0"),
         (["equal", "--u", "1,0", "--v", "1,0", "--cap", "-1"], "entry_cap must be nonnegative, got -1"),
         (["leq", "--u", "1,0", "--v", "1,0", "--depth", "-2"], "depth must be nonnegative, got -2"),
-        (["pinf", "--x", "1,0", "--zcap", "-3"], "z_cap must be nonnegative, got -3"),
+        (["pinf", "--x", "1,0", "--depth", "-3"], "depth must be nonnegative, got -3"),
         (["refine", "--a", "3,0", "--b", "0,2", "--c", "0,2", "--d", "3,0", "--cap", "-1"],
          "entry_cap must be nonnegative, got -1"),
     ],
@@ -1280,7 +1271,10 @@ def test_unknown_subcommand_exits_2(capsys):
          "coarse-lab: error: argument subcommand: invalid choice: '1' (choose from 'boundary', 'ball', 'tile', "
          "'verify-tiling', 'folner', 'paradox', 'homology-fill', 'castle', 'monoid', 'selftest')"),
         # canc decides exactly and takes no search bound
-        (["monoid", "canc", "--in", "p.json", "--u", "1", "--v", "0", "--zcap", "1"],
+        (["monoid", "canc", "--in", "p.json", "--u", "1", "--v", "0", "--depth", "1"],
+         "coarse-lab: error: unrecognized arguments: --depth 1"),
+        # leq keeps every witness its search holds, so no bound caps z
+        (["monoid", "leq", "--in", "p.json", "--u", "1", "--v", "0", "--zcap", "1"],
          "coarse-lab: error: unrecognized arguments: --zcap 1"),
     ],
 )

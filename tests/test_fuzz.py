@@ -48,7 +48,6 @@ FILES = {
 }
 # every monoid bound given, so that each one is changed too
 BOUNDS = ["--depth", "12", "--cap", "20"]
-Z_BOUND = ["--zcap", "10"]
 CALLS_TO_CHANGE = cli_corpus.CALLS + [
     ["tile", "--strategy", "interval", "--R", "1", "--epsilon", "1/2", "--in", "line.json"],
     ["tile", "--strategy", "box", "--R", "1", "--epsilon", "1/3", "--in", "box.json"],
@@ -57,9 +56,9 @@ CALLS_TO_CHANGE = cli_corpus.CALLS + [
     ["paradox", "--in", "tree.json", "--set", "set.json", "--R", "1"],
     ["homology-fill", "--in", "line-bare.json", "--chain", "line-bare-chain.json", "--P", "2"],
     ["monoid", "equal", "--in", "num23.json", "--u", "6,0", "--v", "0,4", *BOUNDS],
-    ["monoid", "leq", "--in", "num23.json", "--u", "1,0", "--v", "0,2", *BOUNDS, *Z_BOUND],
-    ["monoid", "aup", "--in", "num23.json", "--xcap", "3", "--nmax", "2", *BOUNDS, *Z_BOUND],
-    ["monoid", "pinf", "--in", "idem.json", "--x", "1", *BOUNDS, *Z_BOUND],
+    ["monoid", "leq", "--in", "num23.json", "--u", "1,0", "--v", "0,2", *BOUNDS],
+    ["monoid", "aup", "--in", "num23.json", "--xcap", "3", "--nmax", "2", *BOUNDS],
+    ["monoid", "pinf", "--in", "idem.json", "--x", "1", *BOUNDS],
     ["monoid", "refine", "--in", "num23.json", "--a", "3,0", "--b", "0,2", "--c", "0,2", "--d", "3,0", *BOUNDS],
     ["monoid", "canc", "--in", "num23.json", "--u", "3,0", "--v", "0,2"],
 ]
@@ -69,7 +68,7 @@ DELETE = object()
 
 # flag values: integers argparse accepts, point and vector lists, paths,
 # and strategies, each command's own, another command's and none
-INT_FLAGS = {"--R", "--P", "--budget", "--depth", "--cap", "--zcap", "--xcap", "--nmax"}
+INT_FLAGS = {"--R", "--P", "--budget", "--depth", "--cap", "--xcap", "--nmax"}
 INT_VALUES = ["-1", "0", str(2 ** 40)]
 PATH_FLAGS = {"--in", "--chain", "--targets", "--space", "--set", "--out"}
 PATH_VALUES = ["missing.json", ".", ""]

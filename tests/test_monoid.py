@@ -140,6 +140,25 @@ def test_replay_path_refuses_an_illegal_step():
     assert replay_path(NUM23, (1, 2), [(0, False)]) == (4, 0)
 
 
+def test_replay_path_names_the_failing_step_inside_a_run():
+    # a -> 0 applies twice to 2a; the third step of the run finds nothing to take
+    p = presentation(1, [[(1,), (0,)]])
+    assert replay_path(p, (3,), [(0, True)] * 3) == (0,)
+    with pytest.raises(ValueError) as e:
+        replay_path(p, (2,), [(0, True)] * 3)
+    assert str(e.value) == "step (0, True) does not apply to (0,)"
+
+
+def test_replay_path_applies_a_long_run_at_once():
+    # 10^5 steps of a -> 2a at rank 2 000: a step-by-step walk copies 2 * 10^8 entries
+    p = presentation(2000, [[(1,) + (0,) * 1999, (2,) + (0,) * 1999]])
+    start = time.perf_counter()
+    got = cancellative_equal(p, (0,) * 2000, (100_000,) + (0,) * 1999)
+    assert got.yes and len(got.certificate.path) == 100_000
+    got.certificate.replay(p, (0,) * 2000, vadd((100_000,) + (0,) * 1999, got.certificate.z))
+    assert time.perf_counter() - start < 1
+
+
 def test_equal_generators_distinct():
     got = equal(NUM23, (1, 0), (0, 1))
     assert got.no
@@ -205,36 +224,37 @@ def test_leq_generator_gap():
     assert got.no  # needs image 1, which <2,3> lacks
 
 
-def test_leq_yes_beyond_the_cap_when_the_class_is_complete():
-    # the class of (5,) in free rank 1 is {(5,)}, which dominates (0,) by z = (5,);
-    # the class is complete, so u <= v is decided and z_cap does not turn it into a No
-    got = leq(FREE1, (0,), (5,), depth=3, z_cap=2, entry_cap=9)
-    assert got.yes
-    assert got.certificate == ((5,), ())
-    assert got.detail == (
-        "z = (5,); every z exceeds z_cap, but the class of (5,) is complete "
-        "(1 elements) within depth 3, entry cap 9, z_cap 2"
-    )
-    got.certificate.replay(FREE1, (0,), (5,))
-    assert leq(FREE1, (0,), (5,), z_cap=5).certificate == got.certificate
+@pytest.mark.parametrize(
+    "p, v, z",
+    [
+        # the class of (5,) in free rank 1 is {(5,)}
+        (FREE1, (5,), (5,)),
+        # under 3a = 2b the class of (3, 0) is {(3, 0), (0, 2)}
+        (NUM23, (3, 0), (0, 2)),
+        # under 2a = 3b the class of (2, 0) is {(2, 0), (0, 3)}
+        (presentation(2, [[(2, 0), (0, 3)]]), (2, 0), (0, 3)),
+    ],
+    ids=["free", "num23", "2a-3b"],
+)
+def test_leq_takes_the_least_z_of_all(p, v, z):
+    # every member of v's class dominates 0, so the least member is the least z
+    u = (0,) * p.rank
+    got = leq(p, u, v, depth=3, entry_cap=9)
+    assert got.yes and got.certificate.z == z
+    assert got.detail == f"z = {z}"
+    got.certificate.replay(p, u, v)
 
 
-def test_leq_beyond_the_cap_takes_the_least_z_of_all():
-    # the class of (3, 0) under 3a = 2b is {(3, 0), (0, 2)}: both dominate 0, by z above z_cap 1
-    got = leq(NUM23, (0, 0), (3, 0), z_cap=1)
-    assert got.yes and got.certificate.z == (0, 2)
-    got.certificate.replay(NUM23, (0, 0), (3, 0))
-    # under 2a = 3b the class of (2, 0) is {(2, 0), (0, 3)}: a z within the cap
-    # is still preferred to a smaller one above it
-    p = presentation(2, [[(2, 0), (0, 3)]])
-    assert leq(p, (0, 0), (2, 0), z_cap=2).certificate.z == (2, 0)
-    assert leq(p, (0, 0), (2, 0), z_cap=1).certificate.z == (0, 3)
-
-
-def test_leq_stays_unknown_beyond_the_cap_when_the_class_is_truncated():
-    # the class of (1,) under 2a = a is every positive multiple, cut off at entry cap 4
-    got = leq(IDEM, (0,), (1,), z_cap=0, entry_cap=4)
+def test_leq_is_unknown_only_without_a_witness():
+    # the class of (1,) under 2a = a is every positive multiple, cut off at
+    # entry cap 4; (1,) itself dominates (0,), so the truncation decides nothing
+    got = leq(IDEM, (0,), (1,), entry_cap=4)
+    assert got.yes and got.certificate == Rewrite((1,), ())
+    got.certificate.replay(IDEM, (0,), (1,))
+    # no member up to the cap dominates (5,)
+    got = leq(IDEM, (5,), (1,), entry_cap=4)
     assert got.kind == "unknown"
+    assert got.detail == "class of (1,) truncated within depth 12, entry cap 4"
 
 
 def test_leq_certificates_replay():
@@ -250,8 +270,8 @@ def test_leq_certificates_replay():
 def test_leq_monotone_in_bounds():
     pairs = [((a, b), (c, d)) for a, b, c, d in product(range(3), repeat=4)]
     for u, v in pairs:
-        low = leq(NUM23, u, v, depth=2, z_cap=2)
-        high = leq(NUM23, u, v, depth=12, z_cap=10)
+        low = leq(NUM23, u, v, depth=2)
+        high = leq(NUM23, u, v, depth=12)
         if low.yes:
             assert high.yes
 
@@ -280,8 +300,8 @@ def test_aup_idempotent_none():
 
 
 def test_aup_counterexample_found_at_small_bounds():
-    for depth, zcap in ((2, 3), (5, 6)):
-        res = check_almost_unperforated(NUM23, x_cap=8, n_max=4, depth=depth, z_cap=zcap)
+    for depth in (2, 5):
+        res = check_almost_unperforated(NUM23, x_cap=8, n_max=4, depth=depth)
         assert res.found
         ce = res.counterexample
         assert (ce.x, ce.y, ce.n) == ((1, 0), (0, 1), 2)
@@ -295,13 +315,13 @@ def test_aup_free_and_trivially_related_agree():
     assert free.found == related.found == False  # noqa: E712
 
 
-def _first_aup_triple(p, x_cap, n_max, depth, z_cap, entry_cap):
+def _first_aup_triple(p, x_cap, n_max, depth, entry_cap):
     # every (n, x, y) in lexicographic order, each leq decided afresh
     vectors = list(product(range(x_cap + 1), repeat=p.rank))
     for n in range(1, n_max + 1):
         for x in vectors:
             for y in vectors:
-                if not leq(p, vscale(n + 1, x), vscale(n, y), depth, z_cap, entry_cap).yes:
+                if not leq(p, vscale(n + 1, x), vscale(n, y), depth, entry_cap).yes:
                     continue
                 parents, complete, _ = reference_saturate(p, y, depth, entry_cap)
                 if complete and not any(all(a >= b for a, b in zip(w, x)) for w in parents):
@@ -322,10 +342,9 @@ def test_aup_sweep_agrees_with_triple_loop():
         x_cap = rng.randint(1, {1: 4, 2: 3, 3: 2}[rank])
         n_max = rng.randint(1, 3)
         depth = rng.randint(1, 12)
-        z_cap = rng.randint(0, 6)
         entry_cap = rng.randint(3, 12)
-        res = check_almost_unperforated(p, x_cap, n_max, depth, z_cap, entry_cap)
-        expect = _first_aup_triple(p, x_cap, n_max, depth, z_cap, entry_cap)
+        res = check_almost_unperforated(p, x_cap, n_max, depth, entry_cap)
+        expect = _first_aup_triple(p, x_cap, n_max, depth, entry_cap)
         if expect is None:
             assert not res.found, relations
             continue
@@ -337,32 +356,32 @@ def test_aup_sweep_agrees_with_triple_loop():
     assert found >= 5
 
 
-def _bad_xs(p, y, n, x_cap, depth, z_cap, entry_cap):
+def _bad_xs(p, y, n, x_cap, depth, entry_cap):
     # the x that make (x, y, n) a counterexample, each leq decided afresh
     members, complete, _ = reference_saturate(p, y, depth, entry_cap)
     if not complete:
         return []
     return [
         x for x in product(range(x_cap + 1), repeat=p.rank)
-        if leq(p, vscale(n + 1, x), vscale(n, y), depth, z_cap, entry_cap).yes
+        if leq(p, vscale(n + 1, x), vscale(n, y), depth, entry_cap).yes
         and not any(all(a >= b for a, b in zip(w, x)) for w in members)
     ]
 
 
-# (rank, relations, (x_cap, n_max, depth, z_cap, entry_cap), first triple)
+# (rank, relations, (x_cap, n_max, depth, entry_cap), first triple)
 AUP_PINNED = {
     # y = (1, 0) has the class {(1, 0), (0, 3)}; unclipped, its down-set has
     # 5 points, more than the box [0, 1]^2, yet it misses (1, 1)
-    "clipped members": (2, [[(0, 3), (1, 0)], [(2, 2), (1, 3)]], (1, 2, 6, 3, 6), ((1, 1), (1, 0), 2)),
+    "clipped members": (2, [[(0, 3), (1, 0)], [(2, 2), (1, 3)]], (1, 2, 6, 6), ((1, 1), (1, 0), 2)),
     # every y >= 1 has a class cut off by the entry cap; (2, 1, 2) satisfies
     # the scaled leq, but an incomplete class refutes nothing
-    "incomplete classes": (1, [[(0,), (9,)], [(2,), (4,)]], (3, 3, 5, 1, 7), None),
+    "incomplete classes": (1, [[(0,), (9,)], [(2,), (4,)]], (3, 3, 5, 7), None),
     # y = (0, 2) is the first y with a bad x, (1, 0); y = (1, 0) has the
     # smaller bad x (0, 1)
-    "later y wins": (2, [[(1, 2), (0, 3)], [(3, 3), (2, 0)]], (2, 3, 4, 5, 7), ((0, 1), (1, 0), 2)),
+    "later y wins": (2, [[(1, 2), (0, 3)], [(3, 3), (2, 0)]], (2, 3, 4, 7), ((0, 1), (1, 0), 2)),
     # y = (2, 1, 0) is alone in its class, so (0, 0, 1) is bad for it, though
     # the classes of earlier y's such as (0, 0, 1) dominate it
-    "dominated sets per y": (3, [[(1, 1, 2), (3, 1, 0)]], (2, 3, 7, 5, 8), ((0, 0, 1), (2, 1, 0), 3)),
+    "dominated sets per y": (3, [[(1, 1, 2), (3, 1, 0)]], (2, 3, 7, 8), ((0, 0, 1), (2, 1, 0), 3)),
 }
 
 
@@ -373,25 +392,22 @@ def test_aup_sweep_agrees_with_triple_loop_on_pinned_cases(name):
     assert _first_aup_triple(p, *bounds) == expect
     res = check_almost_unperforated(p, *bounds)
     assert (res.counterexample and (res.counterexample.x, res.counterexample.y, res.counterexample.n)) == expect
-    x_cap, n_max, depth, z_cap, entry_cap = bounds
+    x_cap, n_max, depth, entry_cap = bounds
     if name == "incomplete classes":
         assert not reference_saturate(p, (1,), depth, entry_cap)[1]
-        assert leq(p, vscale(3, (2,)), vscale(2, (1,)), depth, z_cap, entry_cap).yes
+        assert leq(p, vscale(3, (2,)), vscale(2, (1,)), depth, entry_cap).yes
     if name == "later y wins":
         firsts = [
             (bad[0], y) for y in product(range(x_cap + 1), repeat=rank)
-            if (bad := _bad_xs(p, y, 2, x_cap, depth, z_cap, entry_cap))
+            if (bad := _bad_xs(p, y, 2, x_cap, depth, entry_cap))
         ]
         assert firsts[0] == ((1, 0), (0, 2)) and min(firsts) == ((0, 1), (1, 0))
 
 
-def _table_aup(p, x_cap, n_max, depth, z_cap, entry_cap):
+def _table_aup(p, x_cap, n_max, depth, entry_cap):
     # the sweep with its earlier side table: one range per entry value
     # 0 ... max(entry_cap, n * x_cap), built before any class of ny is read
-    region = (
-        f"x,y entries <= {x_cap}, 1 <= n <= {n_max}, depth {depth}, "
-        f"z_cap {z_cap}, entry cap {entry_cap}"
-    )
+    region = f"x,y entries <= {x_cap}, 1 <= n <= {n_max}, depth {depth}, entry cap {entry_cap}"
     closure_cache = {}
 
     def closure(v):
@@ -412,7 +428,7 @@ def _table_aup(p, x_cap, n_max, depth, z_cap, entry_cap):
                 open_ys.append((y, dominated))
     for n in range(1, n_max + 1):
         side = [
-            range(max(0, -((z_cap - a) // (n + 1))), min(x_cap, a // (n + 1)) + 1)
+            range(min(x_cap, a // (n + 1)) + 1)
             for a in range(max(entry_cap, n * x_cap) + 1)
         ]
         firsts = []
@@ -426,8 +442,8 @@ def _table_aup(p, x_cap, n_max, depth, z_cap, entry_cap):
             x, y = min(firsts)
             return AupResult(AupCounterexample(
                 x, y, n,
-                leq(p, vscale(n + 1, x), vscale(n, y), depth, z_cap, entry_cap),
-                leq(p, x, y, depth, z_cap, entry_cap),
+                leq(p, vscale(n + 1, x), vscale(n, y), depth, entry_cap),
+                leq(p, x, y, depth, entry_cap),
             ), region)
     return AupResult(None, region)
 
@@ -447,7 +463,7 @@ def test_aup_sides_built_on_first_read_agree_with_the_full_table():
             ])
         bounds = (
             rng.randint(0, {1: 6, 2: 3, 3: 2}[p.rank]), rng.randint(1, 4),
-            rng.randint(0, 12), rng.randint(0, 6), rng.randint(0, 12),
+            rng.randint(0, 12), rng.randint(0, 12),
         )
         expect = _table_aup(p, *bounds)
         assert check_almost_unperforated(p, *bounds) == expect, (p, bounds)
@@ -900,7 +916,10 @@ def test_cancellative_short_rewrite_is_found(p, u, v, steps):
 
 def test_no_verdicts_state_region():
     got = leq(NUM23, (1, 0), (0, 1))
-    assert "z_cap" in got.detail or "depth" in got.detail
+    assert got.detail == (
+        "class of (0, 1) complete (1 elements); no member dominates (1, 0) "
+        "within depth 12, entry cap 20"
+    )
 
 
 def test_free_agrees_with_coordinatewise_arithmetic():
